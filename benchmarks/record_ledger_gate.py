@@ -21,7 +21,6 @@ perf-affecting change and commit the updated LEDGER.jsonl.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -53,11 +52,6 @@ GATE_CONFIG = dict(
     seed=42,
 )
 
-KERNEL_RECORD = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "results",
-    "BENCH_KERNEL.json",
-)
-
 
 def run_gate_entry(label: str) -> dict:
     """Simulate the gate scenario, forensicated, and build its entry."""
@@ -68,14 +62,9 @@ def run_gate_entry(label: str) -> dict:
             forensics=True,
         ),
     )
-    kernel_pps = None
-    if os.path.exists(KERNEL_RECORD):
-        try:
-            with open(KERNEL_RECORD) as fh:
-                kernel_pps = json.load(fh).get("full", {}).get("pps")
-        except (OSError, json.JSONDecodeError):
-            kernel_pps = None
-    return build_entry(result, label, kind="gate", kernel_pps=kernel_pps)
+    # No throughput: this run did not measure one, and a committed bench
+    # record's pps describes a different run.
+    return build_entry(result, label, kind="gate")
 
 
 def main(argv=None) -> int:

@@ -51,7 +51,7 @@ def main():
 
     acct = sr.accounting()
     print(f"\n{acct['cells']} cells in {acct['wall_s']:.1f}s wall, "
-          f"{acct['cell_wall_s']:.1f}s of simulation "
+          f"{acct['cell_cpu_s']:.1f} CPU-s of simulation "
           f"(jobs={acct['jobs']}, speedup {acct['speedup']:.1f}x, "
           f"cache {acct['cache_hits']} hit / {acct['cache_misses']} miss)")
 

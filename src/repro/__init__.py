@@ -47,88 +47,87 @@ layer is still fully public when an experiment needs custom wiring::
     print(host.sink.recorder.summary())
 """
 
-from repro.sim import Simulator, RngRegistry
-from repro.net import (
-    Packet,
-    FiveTuple,
-    PacketFactory,
-    Flow,
-    FlowTracker,
-    PoissonSource,
-    CBRSource,
-    OnOffSource,
-    IncastSource,
-    FlowSource,
-    TraceReplaySource,
-    EmpiricalCDF,
-    WEBSEARCH_CDF,
-    DATAMINING_CDF,
-    ENTERPRISE_CDF,
-    workload_by_name,
-    FabricModel,
-    HostLink,
-    ClosedLoopRpcClient,
-)
-from repro.elements import Chain, Element, ElementGraph, standard_chain, STANDARD_CHAINS
-from repro.dataplane import (
-    DataPath,
-    VCpu,
-    JitterParams,
-    DEDICATED_CORE,
-    SHARED_CORE,
-    CONTENDED_CORE,
-    NoisyNeighbor,
-    InterferenceSchedule,
-    DeliverySink,
-)
-from repro.dataplane.path import PathConfig, QDISC_REGISTRY
-from repro.core import (
-    MultipathDataPlane,
-    MpdpConfig,
-    Policy,
-    make_policy,
-    POLICY_NAMES,
-    POLICY_REGISTRY,
-    StragglerDetector,
-    ReorderBuffer,
-    FlowletTable,
-)
-from repro.metrics import (
-    AvailabilityTracker,
-    LatencyRecorder,
-    LatencySummary,
-    summarize,
-    Table,
-    TimeSeries,
-)
-from repro.faults import (
-    FaultInjector,
-    FaultSchedule,
-    FaultSpec,
-    StochasticFaultSpec,
-    FAULT_KINDS,
-)
-from repro.bench.scenarios import ScenarioConfig, SimulationResult
-from repro.check import CheckSpec, InvariantEngine, InvariantViolation
-from repro.options import RunOptions
-from repro import schemas
-from repro.obs import Telemetry
-from repro.obs.forensics import ForensicsSpec
-from repro.slo import SloAutotuner, SloObjective, SloSpec, SloTracker
-from repro.sweep import (
-    Axis,
-    CellResult,
-    SweepSpec,
-    SweepResult,
-    run_sweep,
-)
-from repro.net.fabric import FabricConfig
-from repro.cluster import (
-    ClusterConfig,
-    ClusterResult,
-    HostConfig,
-    run_cluster,
-)
+import importlib
+import sys
+
+
+def _lazy_exports(package, table, *own):
+    """Export ``package``'s public names, each imported on first access.
+
+    ``table`` maps a module to the names the package re-exports from
+    it; ``own`` names the package binds itself or are its submodules.
+    Returns ``(__all__, __getattr__, __dir__)`` for the package to bind
+    (PEP 562), so ``__all__`` and the lookup derive from one table.  A
+    resolved name is bound on the package, so only its first access
+    runs the hook; any other name that is a submodule is imported, so
+    ``repro.sweep``-style attribute access keeps working.
+    """
+    source = {name: module for module, names in table.items()
+              for name in names}
+    exports = [*source, *own]
+
+    def __getattr__(name):
+        if name in source:
+            value = getattr(importlib.import_module(source[name]), name)
+        else:
+            try:
+                value = importlib.import_module(f"{package}.{name}")
+            except ModuleNotFoundError as exc:
+                if exc.name != f"{package}.{name}":
+                    raise  # the submodule exists but failed to import
+                raise AttributeError(
+                    f"module {package!r} has no attribute {name!r}"
+                ) from None
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__():
+        return sorted(set(vars(sys.modules[package])) | set(exports))
+
+    return exports, __getattr__, __dir__
+
+
+#: The frozen v1 surface, by defining package.  Nothing here is imported
+#: by ``import repro``; each name loads its module on first access.
+_EXPORTS = {
+    "repro.sim": ("Simulator", "RngRegistry"),
+    "repro.net": (
+        "Packet", "FiveTuple", "PacketFactory", "Flow", "FlowTracker",
+        "PoissonSource", "CBRSource", "OnOffSource", "IncastSource",
+        "FlowSource", "TraceReplaySource", "EmpiricalCDF", "WEBSEARCH_CDF",
+        "DATAMINING_CDF", "ENTERPRISE_CDF", "workload_by_name",
+        "FabricModel", "HostLink", "ClosedLoopRpcClient",
+    ),
+    "repro.elements": ("Chain", "Element", "ElementGraph", "standard_chain",
+                       "STANDARD_CHAINS"),
+    "repro.dataplane": (
+        "DataPath", "VCpu", "JitterParams", "DEDICATED_CORE", "SHARED_CORE",
+        "CONTENDED_CORE", "NoisyNeighbor", "InterferenceSchedule",
+        "DeliverySink",
+    ),
+    "repro.dataplane.path": ("PathConfig", "QDISC_REGISTRY"),
+    "repro.core": (
+        "MultipathDataPlane", "MpdpConfig", "Policy", "make_policy",
+        "POLICY_NAMES", "POLICY_REGISTRY", "StragglerDetector",
+        "ReorderBuffer", "FlowletTable",
+    ),
+    "repro.metrics": ("LatencyRecorder", "LatencySummary", "summarize",
+                      "Table", "TimeSeries", "AvailabilityTracker"),
+    "repro.faults": ("FaultInjector", "FaultSchedule", "FaultSpec",
+                     "StochasticFaultSpec", "FAULT_KINDS"),
+    "repro.bench.scenarios": ("ScenarioConfig", "SimulationResult"),
+    "repro.options": ("RunOptions",),
+    "repro.check": ("CheckSpec", "InvariantEngine", "InvariantViolation"),
+    "repro.obs": ("Telemetry", "ForensicsSpec"),
+    "repro.slo": ("SloSpec", "SloObjective", "SloTracker", "SloAutotuner"),
+    "repro.sweep": ("Axis", "SweepSpec", "SweepResult", "CellResult",
+                    "run_sweep"),
+    "repro.cluster": ("ClusterConfig", "ClusterResult", "HostConfig",
+                      "FabricConfig", "run_cluster"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__, _EXPORTS, "run", "schemas", "__version__")
 
 __version__ = "2.0.0"
 
@@ -203,7 +202,8 @@ def run(config=None, options=None, *, telemetry=None, faults=None,
     import dataclasses as _dc
     import os
 
-    from repro.bench.scenarios import run_scenario
+    from repro.bench.scenarios import ScenarioConfig, run_scenario
+    from repro.options import RunOptions
 
     if options is not None and not isinstance(options, RunOptions):
         raise TypeError(
@@ -211,7 +211,14 @@ def run(config=None, options=None, *, telemetry=None, faults=None,
             f"{type(options).__name__}; pass telemetry/faults/slo inside "
             f"RunOptions (or, deprecated, by keyword)"
         )
-    if isinstance(config, ClusterConfig):
+    is_cluster = False
+    if config is not None and not isinstance(config, ScenarioConfig):
+        # Only a non-scenario config can be a cluster: host runs never
+        # import the cluster engine.
+        from repro.cluster import ClusterConfig
+
+        is_cluster = isinstance(config, ClusterConfig)
+    if is_cluster:
         if telemetry is not None or faults is not None or slo is not None:
             raise TypeError(
                 "the legacy telemetry=/faults=/slo= keywords do not apply "
@@ -235,6 +242,9 @@ def run(config=None, options=None, *, telemetry=None, faults=None,
             )
         if overrides:
             config = _dc.replace(config, **overrides)
+        # Looked up on the package, where a caller may have wrapped it.
+        from repro import run_cluster
+
         return run_cluster(
             config,
             workers=opts.workers,
@@ -284,87 +294,3 @@ def run(config=None, options=None, *, telemetry=None, faults=None,
                         forensics=opts.forensics_spec(),
                         scheduler=opts.scheduler)
 
-__all__ = [
-    "Simulator",
-    "RngRegistry",
-    "Packet",
-    "FiveTuple",
-    "PacketFactory",
-    "Flow",
-    "FlowTracker",
-    "PoissonSource",
-    "CBRSource",
-    "OnOffSource",
-    "IncastSource",
-    "FlowSource",
-    "TraceReplaySource",
-    "EmpiricalCDF",
-    "WEBSEARCH_CDF",
-    "DATAMINING_CDF",
-    "ENTERPRISE_CDF",
-    "workload_by_name",
-    "FabricModel",
-    "HostLink",
-    "Chain",
-    "Element",
-    "ElementGraph",
-    "standard_chain",
-    "STANDARD_CHAINS",
-    "DataPath",
-    "PathConfig",
-    "QDISC_REGISTRY",
-    "VCpu",
-    "JitterParams",
-    "DEDICATED_CORE",
-    "SHARED_CORE",
-    "CONTENDED_CORE",
-    "NoisyNeighbor",
-    "InterferenceSchedule",
-    "DeliverySink",
-    "MultipathDataPlane",
-    "MpdpConfig",
-    "Policy",
-    "make_policy",
-    "POLICY_NAMES",
-    "POLICY_REGISTRY",
-    "StragglerDetector",
-    "ReorderBuffer",
-    "FlowletTable",
-    "LatencyRecorder",
-    "LatencySummary",
-    "summarize",
-    "Table",
-    "TimeSeries",
-    "AvailabilityTracker",
-    "FaultInjector",
-    "FaultSchedule",
-    "FaultSpec",
-    "StochasticFaultSpec",
-    "FAULT_KINDS",
-    "ClosedLoopRpcClient",
-    "ScenarioConfig",
-    "SimulationResult",
-    "RunOptions",
-    "CheckSpec",
-    "InvariantEngine",
-    "InvariantViolation",
-    "schemas",
-    "Telemetry",
-    "ForensicsSpec",
-    "SloSpec",
-    "SloObjective",
-    "SloTracker",
-    "SloAutotuner",
-    "run",
-    "Axis",
-    "SweepSpec",
-    "SweepResult",
-    "CellResult",
-    "run_sweep",
-    "ClusterConfig",
-    "ClusterResult",
-    "HostConfig",
-    "FabricConfig",
-    "run_cluster",
-    "__version__",
-]

@@ -15,22 +15,13 @@ notebooks or scripts.
   raw series, used by both the bench suite and EXPERIMENTS.md.
 """
 
-from repro.bench.scenarios import (
-    ScenarioConfig,
-    ScenarioRuntime,
-    SimulationResult,
-    build_runtime,
-    run_scenario,
-)
-from repro.bench.runner import bench_scale, scaled_duration, sweep
+from repro import _lazy_exports
 
-__all__ = [
-    "ScenarioConfig",
-    "ScenarioRuntime",
-    "build_runtime",
-    "run_scenario",
-    "SimulationResult",
-    "bench_scale",
-    "scaled_duration",
-    "sweep",
-]
+_EXPORTS = {
+    "repro.bench.scenarios": ("ScenarioConfig", "ScenarioRuntime",
+                              "build_runtime", "run_scenario",
+                              "SimulationResult"),
+    "repro.bench.runner": ("bench_scale", "scaled_duration", "sweep"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

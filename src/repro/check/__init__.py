@@ -20,51 +20,17 @@ catches real violations by deliberately breaking the deduplicator.
 See docs/CHECKING.md.
 """
 
-from repro.check.invariants import (
-    INVARIANT_NAMES,
-    InvariantEngine,
-    InvariantViolation,
-    NullInvariants,
-    Violation,
-)
-from repro.check.spec import CheckSpec
+from repro import _lazy_exports
 
-__all__ = [
-    "CheckSpec",
-    "InvariantEngine",
-    "InvariantViolation",
-    "INVARIANT_NAMES",
-    "NullInvariants",
-    "Violation",
-    "fuzz_scenarios",
-    "diff_scenario",
-    "deep_diff",
-    "mutation_selftest",
-    "check_cluster_conservation",
-]
+_EXPORTS = {
+    "repro.check.invariants": ("INVARIANT_NAMES", "InvariantEngine",
+                               "InvariantViolation", "NullInvariants",
+                               "Violation"),
+    "repro.check.spec": ("CheckSpec",),
+    "repro.check.fuzz": ("fuzz_scenarios",),
+    "repro.check.diff": ("diff_scenario", "deep_diff"),
+    "repro.check.selftest": ("mutation_selftest",),
+    "repro.check.cluster": ("check_cluster_conservation",),
+}
 
-
-def __getattr__(name):
-    # Lazy: fuzz/diff/selftest import the scenario harness, which imports
-    # the data-plane modules that themselves import this package.
-    if name == "fuzz_scenarios":
-        from repro.check.fuzz import fuzz_scenarios
-
-        return fuzz_scenarios
-    if name == "diff_scenario":
-        from repro.check.diff import diff_scenario
-
-        return diff_scenario
-    if name == "deep_diff":
-        from repro.check.diff import deep_diff
-
-        return deep_diff
-    if name == "mutation_selftest":
-        from repro.check.selftest import mutation_selftest
-
-        return mutation_selftest
-    if name == "check_cluster_conservation":
-        from repro.check.cluster import check_cluster_conservation
-
-        return check_cluster_conservation
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -70,10 +70,6 @@ import os
 import sys
 from typing import List, Optional
 
-#: Committed kernel-throughput record; ``ledger record`` reads its
-#: ``full.pps`` by default so entries carry the perf trajectory.
-_DEFAULT_KERNEL_RECORD = "benchmarks/results/BENCH_KERNEL.json"
-
 
 def _scenario_parent() -> argparse.ArgumentParser:
     """Shared inline-scenario flags, identical across every command that
@@ -302,7 +298,8 @@ def _cmd_sweep(args) -> int:
     print(table.render())
     acct = sr.accounting()
     print(f"\n{total} cells in {time.perf_counter() - t0:.1f}s wall "
-          f"({acct['cell_wall_s']:.1f}s simulated-cell time, "
+          f"({acct['cell_cpu_s']:.1f} CPU-s in simulated cells, "
+          f"speedup {acct['speedup']:.2f}x, "
           f"jobs={acct['jobs']}, cache {acct['cache_hits']} hit / "
           f"{acct['cache_misses']} miss)")
     if args.telemetry:
@@ -578,23 +575,23 @@ def _cmd_ledger_record(args) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    kernel_pps = args.kernel_pps
-    if kernel_pps is None:
-        kernel_from = args.kernel_from
-        explicit = kernel_from is not None
-        if not explicit:
-            kernel_from = _DEFAULT_KERNEL_RECORD
+    # Throughput is recorded only when this invocation names its source:
+    # a committed bench record measured some other run on some other day.
+    kernel_pps, kernel_source = args.kernel_pps, None
+    if kernel_pps is not None:
+        kernel_source = "--kernel-pps"
+    elif args.kernel_from is not None:
         try:
-            with open(kernel_from) as fh:
+            with open(args.kernel_from) as fh:
                 kernel_pps = json.load(fh).get("full", {}).get("pps")
         except (OSError, json.JSONDecodeError) as exc:
-            if explicit:
-                print(f"error: cannot read {kernel_from}: {exc}",
-                      file=sys.stderr)
-                return 2
-            kernel_pps = None  # no committed record; stays informational
+            print(f"error: cannot read {args.kernel_from}: {exc}",
+                  file=sys.stderr)
+            return 2
+        kernel_source = args.kernel_from if kernel_pps is not None else None
     entry = build_entry(res, args.label, kind=args.kind,
-                        kernel_pps=kernel_pps)
+                        kernel_pps=kernel_pps,
+                        kernel_pps_source=kernel_source)
     index = append_entry(entry, _ledger_path(args))
     s = res.summary
     print(f"recorded entry {index} label={args.label!r} "
@@ -1333,8 +1330,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "(informational)")
     p_lr.add_argument("--kernel-from", default=None,
                       help="read kernel pps from a BENCH_KERNEL.json-style "
-                           "file ('full.pps'); defaults to the committed "
-                           f"{_DEFAULT_KERNEL_RECORD} when present")
+                           "file ('full.pps'); without this or "
+                           "--kernel-pps the entry records none")
     p_lr.set_defaults(func=_cmd_ledger_record)
 
     p_ll = led_sub.add_parser("list", help="show the ledger trajectory")

@@ -28,31 +28,15 @@ count.  See ``docs/CLUSTER.md`` for the sharding model, the lookahead
 contract and the determinism guarantees.
 """
 
-from repro.cluster.config import (
-    PATTERN_KINDS,
-    ClusterConfig,
-    HostConfig,
-    derived_host_seed,
-)
-from repro.cluster.engine import (
-    ClusterExecutionError,
-    partition_hosts,
-    resolve_workers,
-    run_cluster,
-)
-from repro.cluster.result import ClusterResult, merge_summaries
-from repro.net.fabric import FabricConfig
+from repro import _lazy_exports
 
-__all__ = [
-    "ClusterConfig",
-    "ClusterExecutionError",
-    "ClusterResult",
-    "FabricConfig",
-    "HostConfig",
-    "PATTERN_KINDS",
-    "derived_host_seed",
-    "merge_summaries",
-    "partition_hosts",
-    "resolve_workers",
-    "run_cluster",
-]
+_EXPORTS = {
+    "repro.cluster.config": ("PATTERN_KINDS", "ClusterConfig", "HostConfig",
+                             "derived_host_seed"),
+    "repro.cluster.engine": ("ClusterExecutionError", "partition_hosts",
+                             "resolve_workers", "run_cluster"),
+    "repro.cluster.result": ("ClusterResult", "merge_summaries"),
+    "repro.net.fabric": ("FabricConfig",),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -186,7 +186,12 @@ def _worker_main(conn, cluster_dict: Dict, host_ids: List[int],
 
 
 class ClusterExecutionError(RuntimeError):
-    """A shard worker failed; the message carries the worker's error."""
+    """A shard worker failed or died; the message names the shard, its
+    hosts and the epoch, plus the worker's error or exit code."""
+
+
+def _shard_name(si: int, shards: List[List[int]]) -> str:
+    return f"cluster worker for shard {si} (hosts {shards[si]})"
 
 
 def run_cluster(config: ClusterConfig,
@@ -338,30 +343,47 @@ def _drive_pool(config: ClusterConfig, shards: List[List[int]],
             conns.append(parent_conn)
             procs.append(proc)
 
+        def send(si: int, msg: Tuple, when: str) -> None:
+            try:
+                conns[si].send(msg)
+            except OSError:  # broken pipe: the worker is gone
+                raise lost(si, when) from None
+
+        def recv(si: int, when: str):
+            try:
+                tag, payload = conns[si].recv()
+            except (EOFError, OSError):
+                raise lost(si, when) from None
+            if tag == "error":
+                raise ClusterExecutionError(
+                    f"{_shard_name(si, shards)} failed {when}: {payload}")
+            return payload
+
+        def lost(si: int, when: str) -> ClusterExecutionError:
+            procs[si].join(timeout=5)
+            return ClusterExecutionError(
+                f"{_shard_name(si, shards)} died {when} "
+                f"(exit code {procs[si].exitcode})")
+
         def step(end: float, incoming: List[Tuple]) -> List[Tuple]:
+            when = f"in the epoch ending at t={end:.3f}us"
             by_shard: List[List[Tuple]] = [[] for _ in shards]
             for env in incoming:
                 by_shard[shard_of_host[env[DST_IDX]]].append(env)
-            for conn, envs in zip(conns, by_shard):
-                conn.send(("epoch", end, envs))
+            for si, envs in enumerate(by_shard):
+                send(si, ("epoch", end, envs), when)
             outgoing: List[Tuple] = []
-            for conn in conns:
-                tag, payload = conn.recv()
-                if tag == "error":
-                    raise ClusterExecutionError(payload)
-                outgoing.extend(payload)
+            for si in range(len(shards)):
+                outgoing.extend(recv(si, when))
             return outgoing
 
         _drive_epochs(config, step)
 
         payloads: Dict[int, Dict] = {}
-        for conn in conns:
-            conn.send(("finalize", telemetry_dir))
-        for conn in conns:
-            tag, shard_payloads = conn.recv()
-            if tag == "error":
-                raise ClusterExecutionError(shard_payloads)
-            payloads.update(shard_payloads)
+        for si in range(len(shards)):
+            send(si, ("finalize", telemetry_dir), "while finalizing")
+        for si in range(len(shards)):
+            payloads.update(recv(si, "while finalizing"))
         return payloads
     finally:
         for conn in conns:

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-import networkx as nx
-
 from repro.elements.base import Chain, Element
 
 
@@ -35,6 +33,10 @@ class ElementGraph:
     """
 
     def __init__(self, name: str = "graph") -> None:
+        # networkx loads with the first graph, not with the package: no
+        # simulation run builds one.
+        import networkx as nx
+
         self.name = name
         self._g = nx.DiGraph()
         self._elements: Dict[str, Element] = {}
@@ -92,6 +94,8 @@ class ElementGraph:
         Invariants: non-empty, acyclic, exactly one entry, every element
         reachable from the entry.
         """
+        import networkx as nx
+
         if not self._elements:
             raise GraphError("empty element graph")
         if not nx.is_directed_acyclic_graph(self._g):
@@ -107,6 +111,8 @@ class ElementGraph:
 
     def topological_order(self) -> List[Element]:
         """Elements in a valid execution order."""
+        import networkx as nx
+
         self.validate()
         return [self._elements[n] for n in nx.topological_sort(self._g)]
 
@@ -175,6 +181,8 @@ class ElementGraph:
         executed concurrently on a packet copy.  Used by the intra-chain
         parallelism ablation.
         """
+        import networkx as nx
+
         self.validate()
         levels: Dict[str, int] = {}
         for n in nx.topological_sort(self._g):
@@ -188,6 +196,8 @@ class ElementGraph:
 
     def critical_path_cost(self, packet_size: int = 1554) -> float:
         """Longest-path expected cost through the DAG (no-jitter model)."""
+        import networkx as nx
+
         self.validate()
         cost: Dict[str, float] = {}
         for n in nx.topological_sort(self._g):

@@ -21,20 +21,12 @@ availability accounting in :class:`~repro.metrics.availability.AvailabilityTrack
 See ``docs/FAULTS.md`` for the full model.
 """
 
-from repro.faults.spec import (
-    FAULT_KINDS,
-    FaultEvent,
-    FaultSchedule,
-    FaultSpec,
-    StochasticFaultSpec,
-)
-from repro.faults.injector import FaultInjector
+from repro import _lazy_exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "FaultEvent",
-    "FaultSchedule",
-    "FaultSpec",
-    "StochasticFaultSpec",
-    "FaultInjector",
-]
+_EXPORTS = {
+    "repro.faults.spec": ("FAULT_KINDS", "FaultEvent", "FaultSchedule",
+                          "FaultSpec", "StochasticFaultSpec"),
+    "repro.faults.injector": ("FaultInjector",),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -24,96 +24,27 @@ One import surface for everything a run can tell you about itself:
   bootstrap-CI diffs (:mod:`repro.obs.ledger`; ``repro ledger``).
 """
 
-from repro.obs.forensics import (
-    CAUSES,
-    ForensicsSpec,
-    attribute_tail,
-    render_forensics,
-)
-from repro.obs.ledger import (
-    append_entry,
-    build_cluster_entry,
-    build_entry,
-    diff_entries,
-    load_ledger,
-    render_diff,
-    render_ledger,
-    select_entry,
-)
-from repro.obs.export import (
-    export_bundle,
-    load_spans,
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.manifest import run_manifest, write_manifest
-from repro.obs.registry import Histogram, MetricsRegistry, MetricsSampler
-from repro.obs.report import (
-    breakdown_table,
-    dominant_stage,
-    json_report,
-    packet_totals,
-    percentile_packet,
-    render_report,
-    slowest_packets,
-    stage_breakdown,
-    timeline_table,
-)
-from repro.obs.span import (
-    ALL_STAGES,
-    ENCLOSING_STAGES,
-    INSTANT_STAGES,
-    LEAF_STAGES,
-    NullTracer,
-    SpanTracer,
-    TraceRecord,
-    Tracer,
-)
-from repro.obs.telemetry import InstantEvent, Telemetry
+from repro import _lazy_exports
 
-__all__ = [
-    "ALL_STAGES",
-    "CAUSES",
-    "ENCLOSING_STAGES",
-    "ForensicsSpec",
-    "INSTANT_STAGES",
-    "LEAF_STAGES",
-    "Histogram",
-    "InstantEvent",
-    "MetricsRegistry",
-    "MetricsSampler",
-    "NullTracer",
-    "SpanTracer",
-    "Telemetry",
-    "TraceRecord",
-    "Tracer",
-    "append_entry",
-    "build_cluster_entry",
-    "attribute_tail",
-    "breakdown_table",
-    "build_entry",
-    "diff_entries",
-    "dominant_stage",
-    "export_bundle",
-    "json_report",
-    "load_ledger",
-    "load_spans",
-    "packet_totals",
-    "percentile_packet",
-    "render_diff",
-    "render_forensics",
-    "render_ledger",
-    "render_report",
-    "run_manifest",
-    "select_entry",
-    "slowest_packets",
-    "stage_breakdown",
-    "timeline_table",
-    "to_chrome_trace",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_manifest",
-]
+_EXPORTS = {
+    "repro.obs.forensics": ("CAUSES", "ForensicsSpec", "attribute_tail",
+                            "render_forensics"),
+    "repro.obs.ledger": ("append_entry", "build_cluster_entry", "build_entry",
+                         "diff_entries", "load_ledger", "render_diff",
+                         "render_ledger", "select_entry"),
+    "repro.obs.export": ("export_bundle", "load_spans", "to_chrome_trace",
+                         "validate_chrome_trace", "write_chrome_trace",
+                         "write_jsonl"),
+    "repro.obs.manifest": ("run_manifest", "write_manifest"),
+    "repro.obs.registry": ("Histogram", "MetricsRegistry", "MetricsSampler"),
+    "repro.obs.report": ("breakdown_table", "dominant_stage", "json_report",
+                         "packet_totals", "percentile_packet",
+                         "render_report", "slowest_packets",
+                         "stage_breakdown", "timeline_table"),
+    "repro.obs.span": ("ALL_STAGES", "ENCLOSING_STAGES", "INSTANT_STAGES",
+                       "LEAF_STAGES", "NullTracer", "SpanTracer",
+                       "TraceRecord", "Tracer"),
+    "repro.obs.telemetry": ("InstantEvent", "Telemetry"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

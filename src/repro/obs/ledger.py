@@ -64,6 +64,7 @@ def _retained_samples(values: np.ndarray, max_samples: int) -> List[float]:
 
 def build_entry(result, label: str, kind: str = "run",
                 kernel_pps: Optional[float] = None,
+                kernel_pps_source: Optional[str] = None,
                 max_samples: int = MAX_SAMPLES,
                 extra: Optional[Dict] = None) -> Dict:
     """Build one ledger entry from a :class:`SimulationResult`.
@@ -73,7 +74,9 @@ def build_entry(result, label: str, kind: str = "run",
     default.  ``kind`` distinguishes simulation entries from recorded
     benches.  ``kernel_pps`` is wall-clock packets/s when measured --
     machine-dependent, so the CI gate records it for trend reading but
-    never fails on it.
+    never fails on it -- and ``kernel_pps_source`` says where that number
+    came from (a bench file, a flag); both stay ``None`` when nothing
+    measured it.
     """
     import hashlib
 
@@ -100,6 +103,7 @@ def build_entry(result, label: str, kind: str = "run",
         "offered": result.offered,
         "delivered": result.stats["delivered"],
         "kernel_pps": kernel_pps,
+        "kernel_pps_source": kernel_pps_source,
     }
     if result.host is not None:
         entry["latency_samples"] = _retained_samples(
@@ -160,6 +164,7 @@ def build_cluster_entry(result, label: str, kind: str = "cluster",
         "offered": result.cluster["offered"],
         "delivered": result.cluster["delivered"],
         "kernel_pps": None,
+        "kernel_pps_source": None,
         "latency_samples": _retained_samples(
             np.asarray(pooled, dtype=np.float64), max_samples
         ),

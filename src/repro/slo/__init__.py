@@ -15,8 +15,12 @@ Entry point: pass ``slo=SloSpec(...)`` to :func:`repro.run`; the result
 gains an ``slo_report``.  See ``docs/SLO.md``.
 """
 
-from repro.slo.spec import SloObjective, SloSpec
-from repro.slo.tracker import SloTracker
-from repro.slo.autotuner import SloAutotuner
+from repro import _lazy_exports
 
-__all__ = ["SloObjective", "SloSpec", "SloTracker", "SloAutotuner"]
+_EXPORTS = {
+    "repro.slo.spec": ("SloObjective", "SloSpec"),
+    "repro.slo.tracker": ("SloTracker",),
+    "repro.slo.autotuner": ("SloAutotuner",),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

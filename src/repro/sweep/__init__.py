@@ -17,31 +17,15 @@ pipeline::
 See docs/SWEEPS.md for the spec format and the caching/seed contracts.
 """
 
-from repro.sweep.spec import (
-    Axis,
-    SweepCell,
-    SweepSpec,
-    canonical_json,
-    coerce_field_value,
-    derive_seed,
-)
-from repro.sweep.cache import ResultCache, code_fingerprint, DEFAULT_CACHE_DIR
-from repro.sweep.result import CellResult, SweepResult, measure
-from repro.sweep.orchestrator import run_sweep, resolve_jobs
+from repro import _lazy_exports
 
-__all__ = [
-    "Axis",
-    "SweepCell",
-    "SweepSpec",
-    "canonical_json",
-    "coerce_field_value",
-    "derive_seed",
-    "ResultCache",
-    "code_fingerprint",
-    "DEFAULT_CACHE_DIR",
-    "CellResult",
-    "SweepResult",
-    "measure",
-    "run_sweep",
-    "resolve_jobs",
-]
+_EXPORTS = {
+    "repro.sweep.spec": ("Axis", "SweepCell", "SweepSpec", "canonical_json",
+                         "coerce_field_value", "derive_seed"),
+    "repro.sweep.cache": ("ResultCache", "code_fingerprint",
+                          "DEFAULT_CACHE_DIR"),
+    "repro.sweep.result": ("CellResult", "SweepResult", "measure"),
+    "repro.sweep.orchestrator": ("run_sweep", "resolve_jobs"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

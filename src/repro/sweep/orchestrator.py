@@ -51,11 +51,12 @@ def _run_config_dict(config_dict: Dict,
         from repro.obs import Telemetry
 
         telemetry = Telemetry()
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     result = run_scenario(ScenarioConfig.from_dict(config_dict),
                       telemetry=telemetry, check=check,
                       forensics=telemetry is not None)
-    payload = measure(result, wall_s=time.perf_counter() - t0)
+    payload = measure(result, wall_s=time.perf_counter() - t0,
+                      cpu_s=time.process_time() - c0)
     if telemetry is not None:
         key = ResultCache().key_for(config_dict)
         telemetry.export(os.path.join(telemetry_dir, key))

@@ -8,8 +8,9 @@ round-trips via ``to_dict``/``from_dict`` with stable key names, so
 ``benchmarks/results/*.json``, ``repro sweep --out`` files and the
 figure code all consume one shape.
 
-Identity vs. provenance: ``wall_s`` (measured wall-clock) and ``cached``
-(whether the cell came from the cache) are *provenance* -- they vary
+Identity vs. provenance: ``wall_s`` / ``cpu_s`` (measured wall-clock and
+CPU seconds) and ``cached`` (whether the cell came from the cache) are
+*provenance* -- they vary
 between runs of the same experiment.  :meth:`CellResult.identity_dict`
 strips them, and the determinism tests assert that identity dicts are
 bit-identical across worker counts and cache hits/misses.
@@ -52,6 +53,8 @@ class CellResult:
     check_report: Optional[Dict] = None
     #: Wall-clock seconds the simulation took (provenance, not identity).
     wall_s: float = 0.0
+    #: CPU seconds the simulating process spent on the cell (provenance).
+    cpu_s: float = 0.0
     #: True when this cell was served from the result cache.
     cached: bool = False
 
@@ -71,6 +74,7 @@ class CellResult:
             "delivered_pps": self.delivered_pps,
             "availability": self.availability,
             "wall_s": self.wall_s,
+            "cpu_s": self.cpu_s,
             "cached": self.cached,
         }
         if self.slo_report is not None:
@@ -84,7 +88,7 @@ class CellResult:
         observations (the check report describes the checking, not the
         simulated trajectory)."""
         out = self.to_dict()
-        del out["wall_s"], out["cached"]
+        del out["wall_s"], out["cpu_s"], out["cached"]
         out.pop("check_report", None)
         return out
 
@@ -107,11 +111,13 @@ class CellResult:
             slo_report=data.get("slo_report"),
             check_report=data.get("check_report"),
             wall_s=float(data.get("wall_s", 0.0)),
+            cpu_s=float(data.get("cpu_s", 0.0)),
             cached=bool(data.get("cached", False)),
         )
 
 
-def measure(result: SimulationResult, wall_s: float) -> Dict:
+def measure(result: SimulationResult, wall_s: float,
+            cpu_s: float = 0.0) -> Dict:
     """Extract the serializable cell payload from a live simulation.
 
     The returned dict is a :meth:`CellResult.to_dict` fragment (no
@@ -130,6 +136,7 @@ def measure(result: SimulationResult, wall_s: float) -> Dict:
         "delivered_pps": rd["delivered_pps"],
         "availability": rd["availability"],
         "wall_s": wall_s,
+        "cpu_s": cpu_s,
     }
     if "slo_report" in rd:
         out["slo_report"] = rd["slo_report"]
@@ -170,18 +177,29 @@ class SweepResult:
         """Sum of per-cell simulation wall-clock (CPU-bound work)."""
         return sum(c.wall_s for c in self.cells)
 
+    def cell_cpu_s(self) -> float:
+        """CPU seconds of the cells this run simulated (cache hits did
+        no work here)."""
+        return sum(c.cpu_s for c in self.cells if not c.cached)
+
     def identity(self) -> List[Dict]:
         """Per-cell identity dicts, for bit-identical comparisons."""
         return [c.identity_dict() for c in self.cells]
 
     def accounting(self) -> Dict:
-        """Wall-clock + cache bookkeeping of this run."""
+        """Wall-clock + cache bookkeeping of this run.
+
+        ``speedup`` is the CPU seconds this run spent simulating cells
+        over its wall seconds: near ``jobs`` when every worker had a core
+        of its own, at most about 1 on one core, whatever ``jobs`` was.
+        """
         return {
             "jobs": self.jobs,
             "cells": len(self.cells),
             "wall_s": self.wall_s,
             "cell_wall_s": self.cell_wall_s(),
-            "speedup": (self.cell_wall_s() / self.wall_s
+            "cell_cpu_s": self.cell_cpu_s(),
+            "speedup": (self.cell_cpu_s() / self.wall_s
                         if self.wall_s > 0 else 0.0),
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,

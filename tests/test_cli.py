@@ -1,5 +1,7 @@
 """Tests for the CLI."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -404,6 +406,27 @@ class TestLedgerCommand:
 
         entries = load_ledger(tmp_path / "LEDGER.jsonl")
         assert entries[-1]["kernel_pps"] == 123456.0
+        assert entries[-1]["kernel_pps_source"] == str(bench)
+
+    def test_record_without_kernel_source_records_none(self, capsys,
+                                                       tmp_path,
+                                                       monkeypatch):
+        # Run where the committed bench record is reachable: its pps
+        # measured another run, so it must not be copied into the entry.
+        monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
+        led = self.ledger_args(tmp_path)
+        assert main(["ledger", "record", *self.RECORD_FAST, *led,
+                     "--label", "k"]) == 0
+        assert main(["ledger", "record", *self.RECORD_FAST, *led,
+                     "--label", "k", "--kernel-pps", "5e5"]) == 0
+        capsys.readouterr()
+        from repro.obs.ledger import load_ledger
+
+        plain, flagged = load_ledger(tmp_path / "LEDGER.jsonl")
+        assert plain["kernel_pps"] is None
+        assert plain["kernel_pps_source"] is None
+        assert flagged["kernel_pps"] == 5e5
+        assert flagged["kernel_pps_source"] == "--kernel-pps"
 
     def test_list_empty_ledger(self, capsys, tmp_path):
         assert main(["ledger", "list",

@@ -11,6 +11,9 @@ The two load-bearing guarantees pinned here:
 """
 
 import json
+import multiprocessing
+import os
+import signal
 
 import pytest
 
@@ -254,6 +257,29 @@ class TestClusterRun:
     def test_merge_summaries_empty(self):
         s = merge_summaries([], [])
         assert s.count == 0
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched shard reaches the workers only through fork")
+    def test_killed_worker_is_named(self, monkeypatch):
+        from repro.cluster import ClusterExecutionError, engine
+
+        cc = small_cluster(4)
+        kill_at = 2 * cc.epoch_length()
+        original = engine._Shard.run_epoch
+
+        def run_epoch(shard, end, incoming):
+            if 0 in shard.host_ids and end >= kill_at:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(shard, end, incoming)
+
+        monkeypatch.setattr(engine._Shard, "run_epoch", run_epoch)
+        with pytest.raises(ClusterExecutionError) as info:
+            run_cluster(cc, workers=2)
+        assert str(info.value) == (
+            f"cluster worker for shard 0 (hosts [0, 1]) died in the epoch "
+            f"ending at t={kill_at:.3f}us (exit code {-signal.SIGKILL})")
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------

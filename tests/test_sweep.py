@@ -225,6 +225,15 @@ class TestSweepResult:
         assert acct["cell_wall_s"] > 0
         assert acct["cache_misses"] == 4
 
+    def test_speedup_is_cpu_over_wall(self, sr):
+        # One process does at most one CPU-second per wall-second, so an
+        # inline sweep can never report a parallel speedup.
+        acct = sr.accounting()
+        assert acct["cell_cpu_s"] > 0
+        assert acct["speedup"] <= 1.05
+        assert all(c.cpu_s > 0 for c in sr.cells)
+        assert "cpu_s" not in sr.cells[0].identity_dict()
+
 
 class TestPublicRun:
     def test_run_with_overrides(self):
