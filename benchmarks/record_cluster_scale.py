@@ -17,6 +17,10 @@ Two gates:
   honestly, including the cpu_count that explains it -- but cannot
   gate: four workers on one core cannot go faster than one.
 
+Each side also records its CPU seconds (this process plus its reaped
+workers) and CPU seconds per million delivered packets, next to wall
+seconds: CPU says what the sharding costs, wall what it buys.
+
 Usage:  python benchmarks/record_cluster_scale.py
         (REPRO_BENCH_SCALE scales the simulated duration)
 """
@@ -24,6 +28,7 @@ Usage:  python benchmarks/record_cluster_scale.py
 import json
 import os
 import pathlib
+import resource
 import sys
 
 from repro.bench.runner import scaled_duration
@@ -50,17 +55,30 @@ def _config() -> ClusterConfig:
     )
 
 
+def _cpu_s() -> float:
+    """User + system CPU of this process and every reaped child."""
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return own.ru_utime + own.ru_stime + kids.ru_utime + kids.ru_stime
+
+
 def main() -> int:
     cfg = _config()
     runs = {}
     payloads = {}
+    cpu = {}
     for workers in (1, 4):
+        cpu0 = _cpu_s()
         res = run_cluster(cfg, workers=workers)
+        cpu[workers] = _cpu_s() - cpu0
         runs[workers] = res
         payloads[workers] = json.dumps(res.to_dict(), sort_keys=True)
         print(f"workers={workers}: {res.cluster['delivered']} delivered "
-              f"in {res.wall_s:.2f}s wall "
+              f"in {res.wall_s:.2f}s wall, {cpu[workers]:.2f}s CPU "
               f"({res.cluster['delivered'] / res.wall_s:,.0f} pps wall)")
+
+    def per_mpkt(workers: int) -> float:
+        return cpu[workers] / runs[workers].cluster["delivered"] * 1e6
 
     deterministic = payloads[1] == payloads[4]
     speedup = runs[1].wall_s / max(runs[4].wall_s, 1e-9)
@@ -79,6 +97,10 @@ def main() -> int:
         "p99_us": runs[4].p99,
         "wall_s_workers_1": runs[1].wall_s,
         "wall_s_workers_4": runs[4].wall_s,
+        "cpu_s_workers_1": cpu[1],
+        "cpu_s_workers_4": cpu[4],
+        "cpu_s_per_mpkt_workers_1": per_mpkt(1),
+        "cpu_s_per_mpkt_workers_4": per_mpkt(4),
         "speedup_4_workers": speedup,
         "wall_pps_workers_4": runs[4].cluster["delivered"] / runs[4].wall_s,
         "deterministic_1_vs_4": deterministic,

@@ -20,7 +20,8 @@ Determinism is structural, not incidental:
   seed and the envelopes it receives;
 * incoming envelopes are injected in the canonical order
   ``(arrive_time, src_host, env_seq)`` whatever order shards produced
-  them in;
+  them in -- the receiving shard sorts its own arrivals, and since the
+  key is unique that is the order a global sort would give;
 * ``workers=1`` runs the *same* epoch loop inline -- worker count only
   changes which OS process executes a host, never what the host
   computes.  ``tests/test_cluster.py`` pins workers=1 vs workers=4
@@ -31,18 +32,24 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import time as _time
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bench.scenarios import ScenarioConfig, build_runtime
-from ..dataplane.boundary import ARRIVE_IDX, DST_IDX, SEQ_IDX, SRC_IDX
+from ..dataplane.boundary import ARRIVE_IDX, SEQ_IDX, SRC_IDX
 from .config import ClusterConfig, derived_host_seed
 from .result import ClusterResult, merge_summaries, retained_samples
 from .router import ClusterRouter
 
 #: Canonical injection order for envelopes arriving at one host.
-def _envelope_key(env: Tuple) -> Tuple:
-    return (env[ARRIVE_IDX], env[SRC_IDX], env[SEQ_IDX])
+_envelope_key = itemgetter(ARRIVE_IDX, SRC_IDX, SEQ_IDX)
+_arrive_time = itemgetter(ARRIVE_IDX)
+
+#: One shard's egress for one destination shard: destination host ->
+#: envelopes.  Lists are in emission order per source host, not sorted.
+Bucket = Dict[int, List[Tuple]]
 
 
 def resolve_workers(workers: Optional[int], n_hosts: int) -> int:
@@ -83,10 +90,14 @@ class _Shard:
     """One shard: a set of host logical processes in one OS process."""
 
     def __init__(self, cluster: ClusterConfig, host_ids: Sequence[int],
-                 *, telemetry: bool = False, check=None, forensics=None,
-                 recycle: bool = True, scheduler=None) -> None:
+                 shard_of_host: Sequence[int], *, telemetry: bool = False,
+                 check=None, forensics=None, recycle: bool = True,
+                 scheduler=None) -> None:
         self.cluster = cluster
         self.host_ids = list(host_ids)
+        #: Shard index of every host in the cluster (egress bucketing).
+        self.shard_of_host = list(shard_of_host)
+        self.n_shards = max(self.shard_of_host) + 1
         self.telemetry = telemetry
         self.runtimes: Dict[int, object] = {}
         self.routers: Dict[int, ClusterRouter] = {}
@@ -113,24 +124,50 @@ class _Shard:
             self.runtimes[hid] = rt
             self.routers[hid] = router
 
-    def run_epoch(self, end: float, incoming: List[Tuple]) -> List[Tuple]:
-        """Advance every host to ``end``; return envelopes they emitted.
+    def run_epoch(self, end: float, incoming: Sequence[Bucket]
+                  ) -> Tuple[Optional[float], List[Bucket]]:
+        """Deliver ``incoming``, then advance every host to ``end``.
 
-        ``incoming`` holds this shard's due envelopes in canonical
-        order; they are scheduled (via the lookahead-checked
-        ``external_event``) before the epoch runs.
+        ``incoming`` holds the buckets addressed to this shard at the
+        last barrier, one per sending shard, in any order.  Each host's
+        arrivals are sorted into canonical order here and injected in
+        one pass.  Returns the latest ``arrive_time`` emitted during the
+        epoch (``None`` when nothing crossed the fabric) and this
+        epoch's egress as one bucket per destination shard.
         """
+        arrivals: Bucket = {}
+        for bucket in incoming:
+            for hid, envs in bucket.items():
+                got = arrivals.get(hid)
+                if got is None:
+                    arrivals[hid] = envs
+                else:
+                    got.extend(envs)
         routers = self.routers
-        for env in incoming:
-            routers[env[DST_IDX]].schedule(env)
-        out: List[Tuple] = []
+        for hid, envs in arrivals.items():
+            envs.sort(key=_envelope_key)
+            routers[hid].inject(envs)
+
+        shard_of_host = self.shard_of_host
+        buckets: List[Bucket] = [{} for _ in range(self.n_shards)]
+        latest = None
         for hid in self.host_ids:
             self.runtimes[hid].sim.run_epoch(end)
             router = routers[hid]
-            if router.outgoing:
-                out.extend(router.outgoing)
-                router.outgoing = []
-        return out
+            if not router.outgoing:
+                continue
+            out, router.outgoing = router.outgoing, {}
+            for dst, envs in out.items():
+                bucket = buckets[shard_of_host[dst]]
+                got = bucket.get(dst)
+                if got is None:
+                    bucket[dst] = envs
+                else:
+                    got.extend(envs)
+                arrive = max(map(_arrive_time, envs))
+                if latest is None or arrive > latest:
+                    latest = arrive
+        return latest, buckets
 
     def finalize(self, telemetry_dir: Optional[str] = None) -> Dict[int, Dict]:
         """Finalize every host; return per-host payload dicts."""
@@ -154,20 +191,30 @@ class _Shard:
 
 
 def _worker_main(conn, cluster_dict: Dict, host_ids: List[int],
-                 opts: Dict) -> None:
-    """Worker process body: build the shard, serve epoch/finalize requests."""
+                 shard_of_host: List[int], opts: Dict) -> None:
+    """Worker process body: build the shard, serve epoch/finalize requests.
+
+    Epoch traffic is bytes both ways: each bucket arrives and leaves
+    pickled once, so the parent forwards blobs without opening them.
+    """
     try:
         shard = _Shard(ClusterConfig.from_dict(cluster_dict), host_ids,
+                       shard_of_host,
                        telemetry=opts.get("telemetry", False),
                        check=opts.get("check"),
                        forensics=opts.get("forensics"),
                        recycle=opts.get("recycle", True),
                        scheduler=opts.get("scheduler"))
+        loads, dumps = pickle.loads, pickle.dumps
+        protocol = pickle.HIGHEST_PROTOCOL
         while True:
             msg = conn.recv()
             tag = msg[0]
             if tag == "epoch":
-                conn.send(("out", shard.run_epoch(msg[1], msg[2])))
+                latest, buckets = shard.run_epoch(
+                    msg[1], [loads(blob) for blob in msg[2]])
+                blobs = [dumps(b, protocol) if b else None for b in buckets]
+                conn.send(("out", (latest, blobs)))
             elif tag == "finalize":
                 conn.send(("done", shard.finalize(msg[1])))
                 return
@@ -246,8 +293,9 @@ def run_cluster(config: ClusterConfig,
             "scheduler": scheduler}
 
     if len(shards) == 1:
-        shard = _Shard(config, shards[0], telemetry=opts["telemetry"],
-                       check=check, forensics=forensics, recycle=recycle,
+        shard = _Shard(config, shards[0], [0] * n_hosts,
+                       telemetry=opts["telemetry"], check=check,
+                       forensics=forensics, recycle=recycle,
                        scheduler=scheduler)
         payloads = _drive_inline(config, shard, telemetry_dir)
     else:
@@ -284,33 +332,34 @@ def run_cluster(config: ClusterConfig,
 def _drive_epochs(config: ClusterConfig, step_fn) -> None:
     """Shared barrier loop: epoch schedule + horizon extension.
 
-    ``step_fn(end, incoming_by_shard) -> outgoing`` advances every
-    shard to ``end`` and returns all envelopes emitted during the
-    epoch.  The horizon starts at the nominal run end and is pushed out
-    whenever an envelope's arrival (plus one epoch of settling) falls
-    beyond it, so every envelope is delivered and accounted before the
-    run closes -- the cross-shard conservation identity is exact, not
-    best-effort.
+    ``step_fn(end, incoming) -> (latest, outgoing)`` advances every
+    shard to ``end``.  ``incoming`` is the ``outgoing`` the previous
+    step returned (``None`` before the first epoch): the envelopes
+    emitted during the last epoch, in whatever form the step forwards
+    them.  ``latest`` is the latest ``arrive_time`` among the envelopes
+    emitted during this epoch, ``None`` when there were none.  The
+    horizon starts at the nominal run end and is pushed out whenever an
+    envelope's arrival (plus one epoch of settling) falls beyond it, so
+    every envelope is delivered and accounted before the run closes --
+    the cross-shard conservation identity is exact, not best-effort.
     """
     L = config.epoch_length()
     horizon = config.horizon()
     t = 0.0
-    pending: List[Tuple] = []
-    while t < horizon or pending:
+    in_flight = None
+    latest = None
+    while t < horizon or latest is not None:
         end = min(t + L, horizon) if t < horizon else t + L
-        outgoing = step_fn(end, pending)
-        pending = sorted(outgoing, key=_envelope_key)
-        for env in pending:
-            arrive = env[ARRIVE_IDX]
-            if arrive + L > horizon:
-                horizon = arrive + L
+        latest, in_flight = step_fn(end, in_flight)
+        if latest is not None and latest + L > horizon:
+            horizon = latest + L
         t = end
 
 
 def _drive_inline(config: ClusterConfig, shard: _Shard,
                   telemetry_dir: Optional[str]) -> Dict[int, Dict]:
-    def step(end: float, incoming: List[Tuple]) -> List[Tuple]:
-        return shard.run_epoch(end, incoming)
+    def step(end: float, incoming: Optional[List[Bucket]]):
+        return shard.run_epoch(end, incoming or ())
 
     _drive_epochs(config, step)
     return shard.finalize(telemetry_dir)
@@ -324,7 +373,7 @@ def _drive_pool(config: ClusterConfig, shards: List[List[int]],
     ctx = multiprocessing.get_context(
         "fork" if "fork" in methods else None
     )
-    shard_of_host = {}
+    shard_of_host = [0] * config.n_hosts
     for si, ids in enumerate(shards):
         for hid in ids:
             shard_of_host[hid] = si
@@ -335,7 +384,7 @@ def _drive_pool(config: ClusterConfig, shards: List[List[int]],
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, cluster_dict, ids, opts),
+                args=(child_conn, cluster_dict, ids, shard_of_host, opts),
                 daemon=True,
             )
             proc.start()
@@ -365,17 +414,23 @@ def _drive_pool(config: ClusterConfig, shards: List[List[int]],
                 f"{_shard_name(si, shards)} died {when} "
                 f"(exit code {procs[si].exitcode})")
 
-        def step(end: float, incoming: List[Tuple]) -> List[Tuple]:
+        def step(end: float, incoming: Optional[List[List[bytes]]]):
+            # Buckets cross the parent as pickled blobs, never opened.
             when = f"in the epoch ending at t={end:.3f}us"
-            by_shard: List[List[Tuple]] = [[] for _ in shards]
-            for env in incoming:
-                by_shard[shard_of_host[env[DST_IDX]]].append(env)
-            for si, envs in enumerate(by_shard):
-                send(si, ("epoch", end, envs), when)
-            outgoing: List[Tuple] = []
             for si in range(len(shards)):
-                outgoing.extend(recv(si, when))
-            return outgoing
+                send(si, ("epoch", end, incoming[si] if incoming else []),
+                     when)
+            outgoing: List[List[bytes]] = [[] for _ in shards]
+            latest = None
+            for si in range(len(shards)):
+                shard_latest, blobs = recv(si, when)
+                for dst, blob in enumerate(blobs):
+                    if blob is not None:
+                        outgoing[dst].append(blob)
+                if shard_latest is not None and (
+                        latest is None or shard_latest > latest):
+                    latest = shard_latest
+            return latest, outgoing
 
         _drive_epochs(config, step)
 

@@ -62,8 +62,9 @@ class ClusterRouter:
         self.local_sink = None
         self._route_rng = None
         self._dst_by_tuple: Dict = {}
-        #: Envelopes emitted this epoch; drained by the shard at barriers.
-        self.outgoing: List[Tuple] = []
+        #: Envelopes emitted this epoch by destination host, in emission
+        #: order; the shard swaps in a fresh dict at each barrier.
+        self.outgoing: Dict[int, List[Tuple]] = {}
         self._env_seq = 0
         self.generated = 0
         self.local = 0
@@ -101,7 +102,11 @@ class ClusterRouter:
                               now, now + delay, _spine, lost)
         self._env_seq += 1
         self.sent[dst] = self.sent.get(dst, 0) + 1
-        self.outgoing.append(env)
+        out = self.outgoing.get(dst)
+        if out is None:
+            self.outgoing[dst] = [env]
+        else:
+            out.append(env)
         # The packet object never leaves this process; the envelope
         # carries everything, so the carcass can feed the local pool.
         self.factory.recycle(pkt)
@@ -116,14 +121,16 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     # Ingress: envelopes forwarded by the shard engine at barriers
     # ------------------------------------------------------------------
-    def schedule(self, env: Tuple) -> None:
-        """Queue one incoming envelope for arrival-time injection.
+    def inject(self, envs: List[Tuple]) -> None:
+        """Queue this barrier's incoming envelopes for arrival.
 
-        Goes through :meth:`Simulator.external_event`, which enforces
-        the lookahead contract (arrival must be at or after the current
-        epoch floor).
+        ``envs`` must be in canonical ``(arrive_time, src_host,
+        env_seq)`` order.  Goes through
+        :meth:`Simulator.external_events`, which enforces the lookahead
+        contract (arrival at or after the current epoch floor) once,
+        against the earliest arrival.
         """
-        self.sim.external_event(env[ARRIVE_IDX], self._arrive, env)
+        self.sim.external_events(self._arrive, envs, ARRIVE_IDX)
 
     def _arrive(self, env: Tuple) -> None:
         src = env[SRC_IDX]

@@ -31,6 +31,8 @@ from typing import Dict, Tuple
 
 from ..net.packet import FiveTuple, Packet, PacketFactory
 
+_NAN = Packet.NAN
+
 #: Envelope wire-format version (bump on any field change).
 ENVELOPE_VERSION = "1.0"
 
@@ -104,16 +106,38 @@ def decode_envelope(env: Tuple, factory: PacketFactory) -> Packet:
     rebuilt packet can enter the destination's last-mile data plane as
     ordinary ingress.  ``t_created`` is preserved: end-to-end latency is
     measured from the original source emission.
+
+    Like a traffic source, decoding reuses a packet from the factory's
+    free list when one is parked there, resetting every field a fresh
+    packet carries; pid and ``created`` accounting match
+    :meth:`PacketFactory.make` either way.
     """
     (_env_seq, src_host, dst_host, flow_id, seq, size, priority,
      sport, dport, t_created, _send, _arrive, _spine, _dropped) = env
     ft = FiveTuple(REMOTE_BASE + src_host, REMOTE_BASE + dst_host,
                    sport, dport)
-    return factory.make(
-        ft, size, t_created,
-        flow_id=FLOW_STRIDE * (src_host + 1) + flow_id,
-        seq=seq, priority=priority,
-    )
+    flow_id = FLOW_STRIDE * (src_host + 1) + flow_id
+    free = factory.free
+    if not free:
+        return factory.make(ft, size, t_created, flow_id=flow_id, seq=seq,
+                            priority=priority)
+    pkt = free.pop()
+    pkt.pid = factory.next_pid()
+    pkt.ftuple = ft
+    pkt.flow_id = flow_id
+    pkt.seq = seq
+    pkt.size = size
+    pkt.priority = priority
+    pkt.t_created = t_created
+    pkt.t_nic = _NAN
+    pkt.t_enq = _NAN
+    pkt.t_deq = _NAN
+    pkt.t_done = _NAN
+    pkt.path_id = -1
+    pkt.copy_of = -1
+    pkt.dropped = None
+    pkt.meta = None
+    return pkt
 
 
 def envelope_to_dict(env: Tuple) -> Dict:

@@ -6,8 +6,8 @@ by a private vSwitch flow cache).  The multipath data plane instantiates
 ``k`` of these; the single-path baseline is simply ``k = 1``.
 
 The path also maintains the online state the selection policies read:
-queue depth, EWMA of recent per-packet sojourn, and a streaming p95 --
-all updated on completion events with O(1) work.
+queue depth and an EWMA of recent per-packet sojourn, updated on
+completion events with O(1) work.
 """
 
 from __future__ import annotations
@@ -23,10 +23,13 @@ from repro.dataplane.vcpu import JitterParams, VCpu
 from repro.dataplane.vswitch import FlowCache
 from repro.elements.base import Chain
 from repro.metrics.collectors import Ewma
-from repro.metrics.stats import P2Quantile
 from repro.net.packet import Packet
 from repro.obs.span import NullTracer
 from repro.sim.engine import Simulator
+
+
+#: Completions buffered before the EWMA folds them unread.
+_LAT_PENDING_MAX = 65536
 
 
 @dataclass
@@ -149,9 +152,7 @@ class DataPath:
         "chain",
         "poller",
         "_ewma",
-        "_p95",
         "_lat_pending",
-        "_ewma_idx",
         "_mean_cost",
         "completed",
         "last_completion",
@@ -207,17 +208,12 @@ class DataPath:
         )
         #: EWMA of per-packet path sojourn (enqueue -> completion), µs.
         self._ewma = Ewma(cfg.latency_ewma_alpha)
-        #: Streaming p95 of path sojourn, µs.
-        self._p95 = P2Quantile(0.95)
-        #: Sojourn samples not yet folded into the EWMA/p95 estimators.
-        #: Completions only append here; any read of :attr:`ewma_latency`
-        #: or :attr:`p95` replays the buffer in arrival order first, so
-        #: readers observe exactly the eagerly-updated state.  The EWMA
-        #: (polled every health refresh) folds incrementally from
-        #: ``_ewma_idx``; the costlier P² p95 folds only on an actual
-        #: :attr:`p95` read or when the buffer hits its cap.
+        #: Sojourn samples not yet folded into the EWMA.  Completions
+        #: only append here; every read of :attr:`ewma_latency` replays
+        #: the buffer in arrival order and empties it, so readers observe
+        #: exactly the eagerly-updated state and the buffer holds at most
+        #: one health-refresh interval of completions.
         self._lat_pending: list = []
-        self._ewma_idx = 0
         # Lazily cached chain.mean_cost() (fixed after construction).
         self._mean_cost = 0.0
         self.completed = 0
@@ -293,10 +289,11 @@ class DataPath:
         sojourn = now - packet.t_enq
         pending = self._lat_pending
         pending.append(sojourn)
-        if len(pending) >= 262144:
-            # Bound buffer growth when nothing reads the estimators
-            # (they flush on read).
-            self._flush_latency()
+        if len(pending) >= _LAT_PENDING_MAX:
+            # Bound the buffer when nothing reads the EWMA (a run with
+            # the controller disabled); folding early is invisible.
+            self._ewma.add_many(pending)
+            pending.clear()
         self.completed += 1
         self.last_completion = now
         if self.tracer.enabled:
@@ -313,32 +310,14 @@ class DataPath:
     # ------------------------------------------------------------------
     # Signals read by selection policies
     # ------------------------------------------------------------------
-    def _flush_latency(self) -> None:
-        """Replay buffered sojourns into the EWMA/p95 estimators."""
-        pending = self._lat_pending
-        if pending:
-            i = self._ewma_idx
-            if i < len(pending):
-                self._ewma.add_many(pending[i:] if i else pending)
-            self._p95.add_many(pending)
-            self._lat_pending = []
-            self._ewma_idx = 0
-
     @property
     def ewma_latency(self) -> Ewma:
         """EWMA of per-packet path sojourn (flushed on read)."""
         pending = self._lat_pending
-        i = self._ewma_idx
-        if i < len(pending):
-            self._ewma.add_many(pending[i:] if i else pending)
-            self._ewma_idx = len(pending)
+        if pending:
+            self._ewma.add_many(pending)
+            pending.clear()
         return self._ewma
-
-    @property
-    def p95(self) -> P2Quantile:
-        """Streaming p95 of path sojourn (flushed on read)."""
-        self._flush_latency()
-        return self._p95
 
     @property
     def depth(self) -> int:

@@ -1,8 +1,9 @@
 """Online collectors attached to simulation components.
 
 :class:`LatencyRecorder` is the standard sink-side measurement object: it
-keeps streaming P² percentiles, a bounded reservoir for exact offline
-percentiles, and (optionally) the full sample for tests.  :class:`Ewma`
+keeps a bounded reservoir for exact offline percentiles, streaming P²
+percentiles folded on first read, and (optionally) the full sample for
+tests.  :class:`Ewma`
 and :class:`WindowedRate` are also used *inside* the multipath controller
 (path-state monitoring), so they live here rather than in the bench code.
 """
@@ -176,6 +177,17 @@ class LatencyRecorder:
     warmup:
         Samples observed before this simulation time are discarded
         (standard steady-state measurement practice).
+
+    Notes
+    -----
+    The P² bank folds lazily.  :meth:`quantile` replays the samples it
+    has not seen yet, in arrival order, from ``samples`` (``keep_all``)
+    or from the reservoir, which holds its first ``capacity`` samples in
+    arrival order.  Only samples that would leave no replayable copy --
+    once the reservoir starts replacing entries, or with no reservoir
+    and no ``keep_all`` -- are folded eagerly, when they are flushed.
+    Either way the estimates are bit-identical to per-sample updates,
+    and a run that never reads a quantile never pays for the fold.
     """
 
     __slots__ = (
@@ -189,6 +201,7 @@ class LatencyRecorder:
         "_sum",
         "_max",
         "_pending",
+        "_p2_n",
     )
 
     def __init__(
@@ -210,11 +223,13 @@ class LatencyRecorder:
         self.dropped_warmup = 0
         self._sum = 0.0
         self._max = float("-inf")
-        #: Post-warmup samples not yet folded into the reservoir/P² state.
+        #: Post-warmup samples not yet folded into the reservoir.
         #: record() only buffers; _flush() replays in arrival order (same
         #: draws, same float-op order), so every read-side method sees
         #: state identical to eager per-sample updates.
         self._pending: List[float] = []
+        #: Leading samples already folded into the P² bank.
+        self._p2_n = 0
 
     def record(self, latency: float, now: float = float("inf")) -> None:
         """Add one latency observation taken at simulation time ``now``."""
@@ -230,17 +245,32 @@ class LatencyRecorder:
         self._pending.append(latency)
 
     def _flush(self) -> None:
-        """Fold buffered samples into the reservoir and P² estimators."""
+        """Fold buffered samples into the reservoir.
+
+        P² folds here only when these samples could not be replayed
+        later: past reservoir capacity (after catching up on the
+        in-order prefix the reservoir is about to overwrite), or with
+        neither a reservoir nor ``keep_all``.
+        """
         pending = self._pending
         if not pending:
             return
         self._pending = []
-        if self.reservoir is not None:
-            self.reservoir.add_many(pending)
-        for est in self.p2.values():
-            est.add_many(pending)
+        res = self.reservoir
+        if not self.keep_all and (
+                res is None or res.count + len(pending) > res.capacity):
+            if res is not None and self._p2_n < res.count:
+                self._fold_p2(res.in_order(self._p2_n))
+            self._fold_p2(pending)
+            self._p2_n = self.count
+        if res is not None:
+            res.add_many(pending)
 
-    # ------------------------------------------------------------------
+    def _fold_p2(self, xs) -> None:
+        for est in self.p2.values():
+            est.add_many(xs)
+
+        # ------------------------------------------------------------------
     @property
     def mean(self) -> float:
         return self._sum / self.count if self.count else float("nan")
@@ -252,6 +282,11 @@ class LatencyRecorder:
     def quantile(self, q: float) -> float:
         """Streaming P² estimate for a tracked quantile."""
         self._flush()
+        n = self._p2_n
+        if n < self.count:
+            self._fold_p2(self.samples[n:] if self.keep_all
+                          else self.reservoir.in_order(n))
+            self._p2_n = self.count
         return self.p2[q].value
 
     def exact_percentile(self, pct) -> float:

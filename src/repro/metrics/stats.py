@@ -379,6 +379,18 @@ class ReservoirSampler:
             c += 1
         self.count = c
 
+    def in_order(self, start: int = 0) -> list:
+        """Observations ``start`` onwards, in arrival order, as floats.
+
+        Algorithm R stores the i-th observation in slot i until the
+        reservoir is full, so this is defined only while nothing has
+        been replaced (``count <= capacity``).
+        """
+        if self.count > self.capacity:
+            raise ValueError("the reservoir has replaced observations; "
+                             "arrival order is lost")
+        return self._buf[start:self.count].tolist()
+
     def values(self) -> np.ndarray:
         """Copy of the current reservoir contents."""
         return self._buf[: min(self.count, self.capacity)].copy()

@@ -163,7 +163,8 @@ class FabricSteering:
     the envelopes a host emits are independent of shard placement.
     """
 
-    __slots__ = ("config", "rng", "_flowlets", "by_spine", "_jitter", "_ji")
+    __slots__ = ("config", "rng", "_flowlets", "_ecmp", "by_spine",
+                 "_jitter", "_ji")
 
     def __init__(self, config: FabricConfig,
                  rng: Optional[np.random.Generator] = None) -> None:
@@ -171,6 +172,9 @@ class FabricSteering:
         self.rng = rng
         #: flow key -> [spine, last_send_time] (flowlet switching only).
         self._flowlets: Dict[Tuple, list] = {}
+        #: flow key -> ECMP spine: the hash is sticky per flow, so it is
+        #: computed once per flow instead of once per packet.
+        self._ecmp: Dict[Tuple, int] = {}
         #: spine index -> packets steered (diagnostics / C1 table).
         self.by_spine: Dict[int, int] = {s: 0 for s in range(config.n_spines)}
         self._jitter = np.empty(0)
@@ -196,7 +200,11 @@ class FabricSteering:
                 spine = state[0]
             state[1] = now
         else:  # ecmp: sticky per-flow hash
-            spine = _mix64(src_host, flow_id) % cfg.n_spines
+            key = (src_host, flow_id)
+            spine = self._ecmp.get(key)
+            if spine is None:
+                spine = _mix64(src_host, flow_id) % cfg.n_spines
+                self._ecmp[key] = spine
         delay = cfg.base_latency + spine * cfg.spine_skew
         if cfg.jitter_scale > 0:
             if self._ji >= len(self._jitter):

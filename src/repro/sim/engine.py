@@ -86,6 +86,15 @@ SCHEDULERS = ("heap", "calendar")
 _COMPACT_MIN = 64
 
 
+def _seq_space_error(seq: int) -> SimulationError:
+    """The error for a sequence number past :data:`_SEQ_MAX`."""
+    return SimulationError(
+        f"sequence space exhausted: {seq} entries exceed the "
+        f"2**{_SEQ_BITS} packing headroom of the ordering key; "
+        f"widen _SEQ_BITS if a run legitimately needs more"
+    )
+
+
 def default_scheduler() -> str:
     """The backend used when none is requested explicitly.
 
@@ -311,11 +320,7 @@ class Simulator:
             )
         self._seq = seq = self._seq + 1
         if seq > _SEQ_MAX:
-            raise SimulationError(
-                f"sequence space exhausted: {seq} entries exceed the "
-                f"2**{_SEQ_BITS} packing headroom of the ordering key; "
-                f"widen _SEQ_BITS if a run legitimately needs more"
-            )
+            raise _seq_space_error(seq)
         self._push((time, (priority << _SEQ_BITS) | seq, fn, args))
 
     def call_in(
@@ -330,11 +335,7 @@ class Simulator:
             raise SimulationError(f"negative delay: {delay!r}")
         self._seq = seq = self._seq + 1
         if seq > _SEQ_MAX:
-            raise SimulationError(
-                f"sequence space exhausted: {seq} entries exceed the "
-                f"2**{_SEQ_BITS} packing headroom of the ordering key; "
-                f"widen _SEQ_BITS if a run legitimately needs more"
-            )
+            raise _seq_space_error(seq)
         self._push((self._now + delay, (priority << _SEQ_BITS) | seq, fn, args))
 
     def periodic(
@@ -415,12 +416,52 @@ class Simulator:
         so it raises immediately rather than silently reordering time.
         """
         if time < self._ext_floor:
-            raise SimulationError(
-                f"external event at t={time} violates the lookahead "
-                f"contract: epoch floor is {self._ext_floor} (injected "
-                f"events must arrive at or after the current epoch start)"
-            )
+            raise self._lookahead_error(time)
         self.call_at(time, fn, *args, priority=priority)
+
+    def external_events(
+        self,
+        fn: Callable[[Any], Any],
+        items,
+        time_index: int,
+        priority: int = NORMAL,
+    ) -> None:
+        """Schedule ``fn(item)`` at ``item[time_index]`` for every item.
+
+        The batch form of :meth:`external_event`, for the cluster
+        engine's barrier arrivals.  ``items`` must be in non-decreasing
+        time order, so the lookahead check (and :meth:`call_at`'s
+        no-past check) runs once, against the first item.  Sequence
+        numbers are allocated in item order, exactly as one
+        ``external_event`` call per item would allocate them, so the
+        schedule ends up with identical entries.  A batch that would
+        exhaust the sequence space raises before pushing anything.
+        """
+        if not items:
+            return
+        first = items[0][time_index]
+        if first < self._ext_floor:
+            raise self._lookahead_error(first)
+        if first < self._now:
+            raise SimulationError(
+                f"cannot schedule into the past: {first} < now={self._now}"
+            )
+        seq = self._seq
+        if seq + len(items) > _SEQ_MAX:
+            raise _seq_space_error(max(seq + 1, _SEQ_MAX + 1))
+        key = priority << _SEQ_BITS
+        push = self._push
+        for item in items:
+            seq += 1
+            push((item[time_index], key | seq, fn, (item,)))
+        self._seq = seq
+
+    def _lookahead_error(self, time: float) -> SimulationError:
+        return SimulationError(
+            f"external event at t={time} violates the lookahead "
+            f"contract: epoch floor is {self._ext_floor} (injected "
+            f"events must arrive at or after the current epoch start)"
+        )
 
     def run_epoch(self, end: float) -> None:
         """Run one conservative-synchronization epoch ending at ``end``.
@@ -488,11 +529,7 @@ class Simulator:
     def _schedule_event(self, event: Event, delay: float, priority: int) -> None:
         self._seq = seq = self._seq + 1
         if seq > _SEQ_MAX:
-            raise SimulationError(
-                f"sequence space exhausted: {seq} entries exceed the "
-                f"2**{_SEQ_BITS} packing headroom of the ordering key; "
-                f"widen _SEQ_BITS if a run legitimately needs more"
-            )
+            raise _seq_space_error(seq)
         self._push(
             (self._now + delay, (priority << _SEQ_BITS) | seq, _EVENT_MARKER, event)
         )

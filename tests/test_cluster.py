@@ -30,6 +30,7 @@ from repro.cluster import (
     run_cluster,
 )
 from repro.net.fabric import FabricConfig, FabricSteering, _mix64
+from repro.net.packet import Packet
 
 
 def small_scenario(**kw):
@@ -143,6 +144,15 @@ class TestFabricSteering:
         assert len(picks) == 1  # same flow, same spine
         # splitmix64 is a pure function: stable across processes.
         assert _mix64(3, 11) == _mix64(3, 11)
+
+    @pytest.mark.parametrize("n_spines", [1, 2, 3, 4, 7, 16])
+    def test_memoized_ecmp_spine_matches_hash(self, n_spines):
+        st = FabricSteering(FabricConfig(n_spines=n_spines))
+        for src in range(3):
+            for flow in range(0, 5_000_000, 4_999):
+                want = _mix64(src, flow) % n_spines
+                assert st.transit(src, flow, 0.0)[0] == want  # computes
+                assert st.transit(src, flow, 1.0)[0] == want  # memoized
 
     def test_delay_never_below_lookahead(self):
         import numpy as np
@@ -347,6 +357,110 @@ class TestExternalEvents:
         sim.external_event(100.0, fired.append, 1)
         sim.run_epoch(200.0)
         assert fired == [1]
+
+
+class TestBatchInjection:
+    """``Simulator.external_events`` against per-item ``external_event``."""
+
+    ITEMS = [(100.0, "a"), (100.0, "b"), (125.5, "c"), (180.0, "d"),
+             (180.0, "e"), (199.9, "f")]
+
+    def _pair(self, scheduler):
+        from repro.sim import Simulator
+
+        sims = []
+        for _ in range(2):
+            sim = Simulator(scheduler=scheduler)
+            sim.call_at(150.0, lambda: None)  # an entry already queued
+            sim.run_epoch(100.0)
+            sims.append(sim)
+        return sims
+
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_same_entries_as_per_item_calls(self, scheduler):
+        one, batch = self._pair(scheduler)
+        fired = {id(one): [], id(batch): []}
+        for item in self.ITEMS:
+            one.external_event(item[0], fired[id(one)].append, item)
+        batch.external_events(fired[id(batch)].append, self.ITEMS, 0)
+        assert batch._seq == one._seq
+        if scheduler == "heap":  # time, ordering key and args match
+            def entries(sim):
+                return [(e[0], e[1], e[3]) for e in sorted(sim._heap)]
+            assert entries(batch) == entries(one)
+        for sim in (one, batch):
+            sim.run_epoch(300.0)
+        assert fired[id(batch)] == fired[id(one)] == self.ITEMS
+        assert batch.processed_count == one.processed_count
+
+    def test_lookahead_violation_raises(self):
+        from repro.sim import SimulationError, Simulator
+
+        sim = Simulator()
+        sim.run_epoch(100.0)
+        with pytest.raises(SimulationError, match="lookahead"):
+            sim.external_events(print, [(99.0,), (150.0,)], 0)
+        assert sim.pending_count == 0
+        sim.external_events(print, [], 0)  # an empty batch is a no-op
+        assert sim._seq == 0
+
+    def test_sequence_space_guard(self):
+        from repro.sim import SimulationError, Simulator
+        from repro.sim.engine import _SEQ_MAX
+
+        sim = Simulator()
+        sim._seq = _SEQ_MAX - 1
+        with pytest.raises(SimulationError,
+                           match="sequence space exhausted"):
+            sim.external_events(print, [(1.0,), (2.0,)], 0)
+        assert sim.pending_count == 0 and sim._seq == _SEQ_MAX - 1
+        sim.external_events(print, [(1.0,)], 0)  # exactly fits
+        assert sim._seq == _SEQ_MAX
+
+
+class TestPooledDecode:
+    """``decode_envelope`` from the free list against ``make()``."""
+
+    def _envelopes(self):
+        from repro.dataplane.boundary import encode_envelope
+        from repro.net.packet import FiveTuple, PacketFactory
+
+        src = PacketFactory()
+        envs = []
+        for i in range(6):
+            pkt = src.make(FiveTuple(1, 2, 1024 + i, 80), 64 + i, 3.5 * i,
+                           flow_id=i % 3, seq=i, priority=i % 2)
+            envs.append(encode_envelope(pkt, 1, 2, i, 10.0 * i,
+                                        10.0 * i + 50.0, i % 4, False))
+        return envs
+
+    def test_pool_hits_match_fresh_packets(self):
+        from repro.dataplane.boundary import decode_envelope
+        from repro.net.packet import FiveTuple, PacketFactory
+
+        fresh, pooled = PacketFactory(), PacketFactory()
+        for factory in (fresh, pooled):
+            factory.make(FiveTuple(9, 9, 9, 9), 100, 0.0)  # pids in use
+        for i in range(3):  # dirty carcasses on the free list
+            dead = pooled.make(FiveTuple(7, 7, 7, 7), 1500, 1.0, flow_id=99)
+            dead.t_nic = dead.t_enq = dead.t_deq = dead.t_done = 2.0
+            dead.path_id, dead.copy_of = 3, 5
+            dead.dropped, dead.meta = "q:overflow", {"x": i}
+            pooled.recycle(dead)
+        fresh._next_pid = pooled._next_pid
+        fresh.created = pooled.created
+        for env in self._envelopes():
+            want = decode_envelope(env, fresh)
+            reused = pooled.free[-1] if pooled.free else None
+            got = decode_envelope(env, pooled)
+            if reused is not None:
+                assert got is reused
+            for field in Packet.__slots__:
+                a, b = getattr(got, field), getattr(want, field)
+                assert a == b or (a != a and b != b), field  # nan == nan
+            assert (pooled._next_pid, pooled.created) == (
+                fresh._next_pid, fresh.created)
+        assert not pooled.free
 
 
 # ----------------------------------------------------------------------

@@ -206,6 +206,84 @@ class TestLatencyRecorder:
             rec.summary()
 
 
+class TestLazyQuantile:
+    """``LatencyRecorder.quantile`` folds P² on read; it must equal P²
+    estimators fed every sample eagerly, bit for bit."""
+
+    QS = (0.5, 0.99, 0.999)
+
+    def _drive(self, rec, n_samples, seed):
+        """Interleave record/values/summary/quantile calls; compare every
+        quantile read with eagerly fed estimators."""
+        rng = np.random.default_rng(seed)
+        eager = {q: P2Quantile(q) for q in self.QS}
+        eager_res = (ReservoirSampler(rec.reservoir.capacity, seed=0xFACE)
+                     if rec.reservoir is not None else None)
+        reads = 0
+        seen = []
+
+        def retained():
+            if rec.keep_all:
+                return np.asarray(seen)
+            return eager_res.values()
+
+        for x in rng.exponential(40.0, n_samples).tolist():
+            rec.record(x)
+            seen.append(x)
+            for est in eager.values():
+                est.add(x)
+            if eager_res is not None:
+                eager_res.add(x)
+            op = rng.integers(40)
+            if op == 0:
+                reads += 1
+                for q in self.QS:
+                    assert rec.quantile(q) == eager[q].value
+            elif op == 1 and (rec.keep_all or eager_res is not None):
+                assert np.array_equal(rec.values(), retained())
+            elif op == 2 and (rec.keep_all or rec.reservoir is not None):
+                rec.summary()
+        assert reads > 0
+        for q in self.QS:
+            assert rec.quantile(q) == eager[q].value
+        if rec.keep_all or eager_res is not None:
+            assert np.array_equal(rec.values(), retained())
+
+    def test_within_reservoir_capacity(self):
+        self._drive(LatencyRecorder(reservoir=5_000), 3_000, seed=1)
+
+    def test_past_reservoir_capacity(self):
+        self._drive(LatencyRecorder(reservoir=300), 3_000, seed=2)
+
+    def test_crossing_capacity_before_first_read(self):
+        rec = LatencyRecorder(reservoir=100)
+        eager = P2Quantile(0.99)
+        for x in np.random.default_rng(3).exponential(40.0, 250).tolist():
+            rec.record(x)
+            eager.add(x)
+            if rec.count == 90:
+                rec.values()  # 90 in-order samples, P² not folded yet
+        assert rec.quantile(0.99) == eager.value
+
+    def test_keep_all(self):
+        self._drive(LatencyRecorder(keep_all=True, reservoir=200), 2_000,
+                    seed=4)
+
+    def test_no_reservoir(self):
+        self._drive(LatencyRecorder(reservoir=0), 1_000, seed=5)
+        self._drive(LatencyRecorder(keep_all=True, reservoir=0), 1_000,
+                    seed=6)
+
+    def test_unread_recorder_leaves_p2_unfolded(self):
+        rec = LatencyRecorder(reservoir=1_000)
+        for x in range(500):
+            rec.record(float(x))
+        rec.summary()
+        assert all(est.n == 0 for est in rec.p2.values())
+        rec.quantile(0.5)
+        assert all(est.n == 500 for est in rec.p2.values())
+
+
 class TestThroughputMeter:
     def test_goodput_computation(self):
         m = ThroughputMeter()
