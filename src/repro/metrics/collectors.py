@@ -3,9 +3,9 @@
 :class:`LatencyRecorder` is the standard sink-side measurement object: it
 keeps a bounded reservoir for exact offline percentiles, streaming P²
 percentiles folded on first read, and (optionally) the full sample for
-tests.  :class:`Ewma`
-and :class:`WindowedRate` are also used *inside* the multipath controller
-(path-state monitoring), so they live here rather than in the bench code.
+tests.  :class:`Ewma` and :class:`WindowedRate` are also used *inside* the
+multipath controller (path-state monitoring), so they live here rather
+than in the bench code.
 """
 
 from __future__ import annotations

@@ -420,22 +420,19 @@ class Simulator:
         self.call_at(time, fn, *args, priority=priority)
 
     def external_events(
-        self,
-        fn: Callable[[Any], Any],
-        items,
-        time_index: int,
-        priority: int = NORMAL,
+        self, fn: Callable[[Any], Any], items, time_index: int
     ) -> None:
         """Schedule ``fn(item)`` at ``item[time_index]`` for every item.
 
-        The batch form of :meth:`external_event`, for the cluster
-        engine's barrier arrivals.  ``items`` must be in non-decreasing
-        time order, so the lookahead check (and :meth:`call_at`'s
-        no-past check) runs once, against the first item.  Sequence
-        numbers are allocated in item order, exactly as one
-        ``external_event`` call per item would allocate them, so the
-        schedule ends up with identical entries.  A batch that would
-        exhaust the sequence space raises before pushing anything.
+        The batch form of :meth:`external_event` at ``NORMAL``
+        priority, for the cluster engine's barrier arrivals.  ``items``
+        must be in non-decreasing time order, so the lookahead check
+        (and :meth:`call_at`'s no-past check) runs once, against the
+        first item.  Sequence numbers are allocated in item order,
+        exactly as one ``external_event`` call per item would allocate
+        them, so the schedule ends up with identical entries.  A batch
+        that would exhaust the sequence space raises before pushing
+        anything.
         """
         if not items:
             return
@@ -448,8 +445,8 @@ class Simulator:
             )
         seq = self._seq
         if seq + len(items) > _SEQ_MAX:
-            raise _seq_space_error(max(seq + 1, _SEQ_MAX + 1))
-        key = priority << _SEQ_BITS
+            raise _seq_space_error(_SEQ_MAX + 1)
+        key = NORMAL << _SEQ_BITS
         push = self._push
         for item in items:
             seq += 1
