@@ -26,7 +26,7 @@ def test_every_reference_run_is_committed():
 
 
 class TestUpdateReason:
-    CHANGES = "PR 1: did a thing\nPR 2: moved p99 because of X\n"
+    CHANGES = "Faster event loop.\nMoved p99 because of X.\n"
 
     def test_missing_reason_refused(self):
         with pytest.raises(SystemExit, match="pass --reason"):
