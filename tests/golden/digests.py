@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional
 
 import repro
 from repro import (Axis, ClusterConfig, FabricConfig, FaultSchedule,
-                   RunOptions, ScenarioConfig, SweepSpec)
+                   RunOptions, ScenarioConfig, SloSpec, SweepSpec)
 
 HERE = pathlib.Path(__file__).resolve().parent
 DIGESTS_PATH = HERE / "DIGESTS.json"
@@ -62,6 +62,25 @@ def _crash() -> Dict:
 
 def _armed_check() -> Dict:
     return repro.run(_host(seed=13), RunOptions(check=True)).to_dict()
+
+
+def _mtbf_faults() -> Dict:
+    faults = (FaultSchedule()
+              .renewal("crash", path=1, mtbf=1_200.0, mttr=300.0)
+              .renewal("hang", path=2, mtbf=1_500.0, mttr=200.0))
+    return repro.run(_host(seed=17), RunOptions(faults=faults)).to_dict()
+
+
+def _slo_autotune() -> Dict:
+    slo = SloSpec(objectives=("p99 <= 60us", "delivery >= 99.9%"),
+                  window=400.0, autotune=True, start_paths=1,
+                  cooldown=800.0)
+    return repro.run(_host(seed=18), RunOptions(slo=slo)).to_dict()
+
+
+def _forensics() -> Dict:
+    return repro.run(_host("single", seed=19, load=0.85),
+                     RunOptions(forensics=True)).to_dict()
 
 
 def _sweep() -> List[Dict]:
@@ -103,6 +122,9 @@ RUNS: Dict[str, Callable[[], object]] = {
     "redundant2": _single("redundant2"),
     "crash_fault": _crash,
     "armed_check": _armed_check,
+    "mtbf_faults": _mtbf_faults,
+    "slo_autotune": _slo_autotune,
+    "forensics": _forensics,
     "sweep_4": _sweep,
     "cluster_ecmp@1": _cluster(_ecmp_cluster, 1),
     "cluster_ecmp@2": _cluster(_ecmp_cluster, 2),
