@@ -355,7 +355,8 @@ class MultipathDataPlane:
             "cpu_time": self.total_cpu_time(),
             "cpu_per_delivered": self.cpu_per_delivered(),
             "path_completed": [p.completed for p in self.paths],
-            "path_depth": [p.depth for p in self.paths],
+            # Packets still on each path: queued or in service.
+            "path_depth": [p.depth + p.in_service for p in self.paths],
             "queue_drops": [p.queue.dropped for p in self.paths],
         }
         if self.controller is not None and self.controller.eject:

@@ -158,6 +158,7 @@ class DataPath:
         "last_completion",
         "faulted",
         "fault_dropped",
+        "service_dropped",
         "tracer",
         "_complete_cb",
         "_drop_cb",
@@ -202,7 +203,7 @@ class DataPath:
             batch_size=cfg.batch_size,
             batch_overhead=cfg.batch_overhead,
             wakeup_latency=cfg.wakeup_latency,
-            drop_sink=self._on_drop,
+            drop_sink=self._on_service_drop,
             tracer=tracer,
             track=path_id,
         )
@@ -223,6 +224,9 @@ class DataPath:
         self.faulted: Optional[str] = None
         #: Packets destroyed by a crash's queue drop.
         self.fault_dropped = 0
+        #: Served packets the chain dropped, counted when their drop
+        #: fires at the end of service.
+        self.service_dropped = 0
 
     # ------------------------------------------------------------------
     # Fault injection API (see repro.faults)
@@ -303,6 +307,10 @@ class DataPath:
                                self.path_id)
         self._complete_cb(packet)
 
+    def _on_service_drop(self, packet: Packet) -> None:
+        self.service_dropped += 1
+        self._on_drop(packet)
+
     def _on_drop(self, packet: Packet) -> None:
         if self._drop_cb is not None:
             self._drop_cb(packet)
@@ -323,6 +331,11 @@ class DataPath:
     def depth(self) -> int:
         """Instantaneous queue depth (packets)."""
         return len(self.queue)
+
+    @property
+    def in_service(self) -> int:
+        """Packets the poller has taken whose service has not ended yet."""
+        return self.poller.served - self.completed - self.service_dropped
 
     @property
     def depth_bytes(self) -> int:

@@ -236,3 +236,20 @@ class TestMpdpDataflow:
         st = host.stats()
         for key in ("ingress", "delivered", "cpu_time", "path_completed", "reorder"):
             assert key in st
+
+
+class TestPacketBooks:
+    def test_books_close_with_packets_in_service(self):
+        # Path 3 ends this run with 17 packets taken by its poller whose
+        # service ends after the horizon; path_depth must still count them.
+        from repro import ScenarioConfig, run
+
+        st = run(ScenarioConfig(policy="redundant2", load=0.8, n_paths=4,
+                                duration=4000, warmup=400, drain=1000,
+                                seed=2015431560)).stats
+        supplied = st["ingress"] + st["replicas"]
+        accounted = (st["delivered"] + st["suppressed"]
+                     + sum(st["drops"].values()) + st["nic_drops"]
+                     + st.get("fault_drops", 0) + sum(st["path_depth"]))
+        assert supplied == accounted
+        assert st["path_depth"] == [0, 0, 0, 17]

@@ -185,6 +185,22 @@ class TestDataPath:
         sim.run()
         assert drops == []
 
+    def test_in_service_counts_taken_packets(self, sim, factory, rng):
+        # Both packets leave the queue at t=0 and finish at t=5.  Until
+        # then they are in service; the denied one ends as a service drop.
+        drops = []
+        fw = AclFirewall(rules=[AclRule(dport=22, action="deny")])
+        dp = DataPath(sim, 0, Chain([fw, Delay("d", base_cost=5.0)]),
+                      lambda p: None, drop=drops.append, rng=rng,
+                      config=PathConfig(batch_overhead=0.0))
+        dp.enqueue(factory.make(FiveTuple(1, 2, 3, 80), 100, 0.0))
+        dp.enqueue(factory.make(FiveTuple(1, 2, 3, 22), 100, 0.0))
+        sim.run(until=1.0)
+        assert (dp.depth, dp.in_service) == (0, 2)
+        sim.run()
+        assert (dp.depth, dp.in_service) == (0, 0)
+        assert (dp.completed, dp.service_dropped, len(drops)) == (1, 1, 1)
+
     def test_stalled_signal(self, sim, mk_packet, rng):
         dp = DataPath(sim, 0, Chain([Delay("d")]), lambda p: None, rng=rng)
         # Queue a packet but never run the sim: head waits forever.
