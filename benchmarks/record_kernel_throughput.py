@@ -6,23 +6,18 @@ reference scenario (adaptive policy, 4 paths, load 0.7) run on one core.
 It is the number every sweep cell pays, so it is the throughput
 trajectory BENCH_KERNEL.json tracks across PRs.
 
-The kernel has two scheduler backends (``RunOptions.scheduler``): the
-primary measurement uses the engine default (``calendar``) and a
-reference run pins ``heap`` so the record tracks both.  ``--check``
-additionally asserts that the two backends produce **byte-identical**
-``SimulationResult.to_dict()`` payloads -- that gate is noise-free, so
-it holds even on machines where the pps comparison needs tolerance.
+Result identity across commits is not this script's business: the
+golden digests (``tests/test_golden_digests.py``) pin the payloads.
 
 Modes
 -----
 * default       -- best-of-N full-length runs; rewrites
                    ``benchmarks/results/BENCH_KERNEL.json``.
 * ``--quick``    -- one short run (CI-sized); prints the measured pps.
-* ``--check``    -- cross-backend identity gate, then compare the
-                   measured pps against the committed baseline JSON and
-                   exit nonzero on a regression worse than
-                   ``--tolerance`` (default 20%).  With ``--quick`` the
-                   comparison uses the recorded ``quick.pps`` field.
+* ``--check``    -- compare the measured pps against the committed
+                   baseline JSON and exit nonzero on a regression worse
+                   than ``--tolerance`` (default 20%).  With ``--quick``
+                   the comparison uses the recorded ``quick.pps`` field.
 
 The recorded ``baseline_pps`` field is the pre-optimization kernel's
 throughput on the same scenario; ``speedup`` is measured against it.
@@ -41,7 +36,6 @@ import sys
 import time
 
 import repro
-from repro import RunOptions
 from repro.bench.scenarios import ScenarioConfig
 
 RESULTS = pathlib.Path(__file__).resolve().parent / "results"
@@ -63,15 +57,14 @@ def _scenario(quick: bool) -> ScenarioConfig:
                           drain=20_000.0, seed=42)
 
 
-def _measure(quick: bool, repeats: int, scheduler=None) -> dict:
+def _measure(quick: bool, repeats: int) -> dict:
     """Best-of-N wall clock (min rejects scheduler noise)."""
     best_wall = float("inf")
     delivered = 0
-    opts = RunOptions(scheduler=scheduler)
     for _ in range(repeats):
         cfg = _scenario(quick)
         t0 = time.perf_counter()
-        result = repro.run(cfg, opts)
+        result = repro.run(cfg)
         wall = time.perf_counter() - t0
         delivered = result.stats["delivered"]
         best_wall = min(best_wall, wall)
@@ -82,34 +75,17 @@ def _measure(quick: bool, repeats: int, scheduler=None) -> dict:
     }
 
 
-def _identity() -> bool:
-    """heap and calendar backends must serialize byte-identically."""
-    payloads = []
-    for scheduler in ("heap", "calendar"):
-        result = repro.run(_scenario(True), RunOptions(scheduler=scheduler))
-        payloads.append(json.dumps(result.to_dict(), sort_keys=True))
-    return payloads[0] == payloads[1]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="short CI-sized run; does not rewrite the JSON")
     parser.add_argument("--check", action="store_true",
-                        help="identity gate + compare against committed JSON")
+                        help="compare against the committed JSON")
     parser.add_argument("--repeats", type=int, default=3,
                         help="repetitions, best-of (default 3; 2 in --quick)")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="max allowed regression for --check (default 0.20)")
     args = parser.parse_args(argv)
-
-    if args.check:
-        identical = _identity()
-        print("heap vs calendar result identity: "
-              f"{'OK' if identical else 'FAIL'}")
-        if not identical:
-            print("scheduler backends disagree on results", file=sys.stderr)
-            return 1
 
     repeats = min(args.repeats, 2) if args.quick else args.repeats
     measured = _measure(args.quick, repeats)
@@ -136,21 +112,10 @@ def main(argv=None) -> int:
     if args.quick:
         return 0  # quick mode never rewrites the committed baseline
 
-    heap_measured = _measure(False, repeats, scheduler="heap")
-    print(f"[full:heap] delivered={heap_measured['delivered']} "
-          f"wall={heap_measured['wall_s']:.2f}s "
-          f"pps={heap_measured['pps']:,.0f}")
-
     quick_measured = _measure(True, 2)
     print(f"[quick] delivered={quick_measured['delivered']} "
           f"wall={quick_measured['wall_s']:.2f}s "
           f"pps={quick_measured['pps']:,.0f}")
-
-    identical = _identity()
-    print(f"heap vs calendar result identity: {'OK' if identical else 'FAIL'}")
-    if not identical:
-        print("refusing to record: backends disagree", file=sys.stderr)
-        return 1
 
     record = {
         "name": "kernel-throughput",
@@ -159,22 +124,17 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "scenario": {"policy": "adaptive", "n_paths": 4, "load": 0.7,
                      "seed": 42},
-        "scheduler": "calendar",
-        "backends_identical": identical,
         "repeats": repeats,
         "full": measured,
-        "full_heap": heap_measured,
         "quick": quick_measured,
         "baseline_pps": PRE_OPT_BASELINE_PPS,
         "speedup": measured["pps"] / PRE_OPT_BASELINE_PPS,
-        "speedup_vs_heap": measured["pps"] / heap_measured["pps"],
     }
     RESULTS.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(record, indent=2) + "\n")
     print(f"\nwrote {OUT}")
     print(f"speedup vs pre-optimization baseline "
-          f"({PRE_OPT_BASELINE_PPS:,.0f} pps): {record['speedup']:.2f}x; "
-          f"vs heap backend: {record['speedup_vs_heap']:.2f}x")
+          f"({PRE_OPT_BASELINE_PPS:,.0f} pps): {record['speedup']:.2f}x")
     return 0
 
 

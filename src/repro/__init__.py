@@ -253,7 +253,6 @@ def run(config=None, options=None, *, telemetry=None, faults=None,
             check=opts.check_spec(),
             forensics=opts.forensics_spec(),
             recycle=opts.recycle,
-            scheduler=opts.scheduler,
         )
     if telemetry is not None or faults is not None or slo is not None:
         global _run_kwargs_warned
@@ -291,6 +290,5 @@ def run(config=None, options=None, *, telemetry=None, faults=None,
         config = _dc.replace(config, slo=opts.slo)
     return run_scenario(config, telemetry=opts.telemetry,
                         check=opts.check_spec(), recycle=opts.recycle,
-                        forensics=opts.forensics_spec(),
-                        scheduler=opts.scheduler)
+                        forensics=opts.forensics_spec())
 

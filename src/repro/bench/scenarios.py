@@ -39,6 +39,8 @@ from repro.sim.rng import RngRegistry
 #: Traffic source kinds :func:`run_scenario` understands.
 TRAFFIC_KINDS = ("poisson", "onoff", "incast", "flows")
 
+_INF = float("inf")
+
 
 @dataclass
 class ScenarioConfig:
@@ -163,41 +165,52 @@ class ScenarioConfig:
                 f"unknown traffic kind {self.traffic!r}; "
                 f"available: {', '.join(TRAFFIC_KINDS)}"
             )
-        if self.n_paths < 1:
+        # Every bound is written ``not <in range>`` so NaN fails it too;
+        # ``_INF`` bounds reject infinities where a value must be finite.
+        if not self.n_paths >= 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive (µs), got {self.duration}")
-        if self.warmup < 0 or self.drain < 0:
+        if not 0 < self.duration < _INF:
             raise ValueError(
-                f"warmup/drain must be >= 0 (µs), got "
+                f"duration must be positive and finite (µs), got {self.duration}"
+            )
+        if not (0 <= self.warmup < _INF and 0 <= self.drain < _INF):
+            raise ValueError(
+                f"warmup/drain must be >= 0 and finite (µs), got "
                 f"warmup={self.warmup}, drain={self.drain}"
             )
-        if self.packet_size <= 0:
+        if not 0 < self.packet_size < _INF:
             raise ValueError(f"packet_size must be positive bytes, got {self.packet_size}")
-        if self.n_flows < 1:
+        if not self.n_flows >= 1:
             raise ValueError(f"n_flows must be >= 1, got {self.n_flows}")
-        if self.interfere_intensity < 0:
+        if not 0 <= self.interfere_intensity < _INF:
             raise ValueError(
-                f"interfere_intensity must be >= 0, got {self.interfere_intensity}"
+                f"interfere_intensity must be >= 0 and finite, got "
+                f"{self.interfere_intensity}"
             )
-        if self.traffic in ("poisson", "onoff") and self.load <= 0:
+        if self.traffic in ("poisson", "onoff") and not 0 < self.load < _INF:
             raise ValueError(
-                f"load must be positive for {self.traffic!r} traffic, "
-                f"got {self.load}"
+                f"load must be positive and finite for {self.traffic!r} "
+                f"traffic, got {self.load}"
             )
         if self.traffic == "onoff":
-            if self.burstiness < 1.0:
-                raise ValueError(f"burstiness must be >= 1, got {self.burstiness}")
-            if self.mean_on <= 0:
-                raise ValueError(f"mean_on must be positive (µs), got {self.mean_on}")
+            if not 1.0 <= self.burstiness < _INF:
+                raise ValueError(
+                    f"burstiness must be >= 1 and finite, got {self.burstiness}"
+                )
+            if not 0 < self.mean_on < _INF:
+                raise ValueError(
+                    f"mean_on must be positive and finite (µs), got {self.mean_on}"
+                )
         if self.traffic == "incast":
-            if self.fan_in < 1 or self.burst_pkts < 1:
+            if not (self.fan_in >= 1 and self.burst_pkts >= 1):
                 raise ValueError(
                     f"incast fan_in/burst_pkts must be >= 1, got "
                     f"fan_in={self.fan_in}, burst_pkts={self.burst_pkts}"
                 )
-            if self.epoch <= 0:
-                raise ValueError(f"epoch must be positive (µs), got {self.epoch}")
+            if not 0 < self.epoch < _INF:
+                raise ValueError(
+                    f"epoch must be positive and finite (µs), got {self.epoch}"
+                )
         if self.traffic == "flows":
             from repro.net.workloads import workload_by_name
 
@@ -205,11 +218,11 @@ class ScenarioConfig:
                 workload_by_name(self.workload)
             except KeyError as exc:
                 raise ValueError(str(exc).strip('"')) from None
-            if self.flow_load <= 0:
+            if not 0 < self.flow_load < _INF:
                 raise ValueError(
-                    f"flow_load must be positive, got {self.flow_load}"
+                    f"flow_load must be positive and finite, got {self.flow_load}"
                 )
-            if self.max_flow_pkts < 1:
+            if not self.max_flow_pkts >= 1:
                 raise ValueError(
                     f"max_flow_pkts must be >= 1, got {self.max_flow_pkts}"
                 )
@@ -568,18 +581,13 @@ def build_runtime(config: ScenarioConfig,
                   check=None,
                   recycle: bool = True,
                   forensics=None,
-                  sink=None,
-                  scheduler=None) -> ScenarioRuntime:
+                  sink=None) -> ScenarioRuntime:
     """Build (but do not run) one scenario host; see :class:`ScenarioRuntime`.
 
     ``sink`` overrides where the traffic source delivers packets
     (default: the host's own data-plane ingress).  The cluster engine
     passes its per-host router here so flows can be steered to remote
     hosts across the fabric; single-host runs leave it ``None``.
-    ``scheduler`` picks the event-scheduler backend (``"heap"`` or
-    ``"calendar"``; ``None`` resolves via ``REPRO_SCHEDULER`` and
-    defaults to ``"calendar"``) -- backends dispatch in the exact same
-    order, so the result payload is bit-identical either way.
     """
     forensics_spec = None
     if forensics is not None and forensics is not False:
@@ -593,7 +601,7 @@ def build_runtime(config: ScenarioConfig,
             telemetry = Telemetry()
     config.validate()
     wall_start = _time.perf_counter() if telemetry is not None else 0.0
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     rngs = RngRegistry(seed=config.seed)
     tracker = FlowTracker() if config.traffic == "flows" else None
 
@@ -667,8 +675,7 @@ def run_scenario(config: ScenarioConfig,
                  telemetry=None,
                  check=None,
                  recycle: bool = True,
-                 forensics=None,
-                 scheduler=None) -> SimulationResult:
+                 forensics=None) -> SimulationResult:
     """Run one scenario to completion and collect results.
 
     This is the engine-room entry point behind :func:`repro.run`; call
@@ -689,8 +696,7 @@ def run_scenario(config: ScenarioConfig,
     whichever way they are set.
     """
     rt = build_runtime(config, telemetry=telemetry, check=check,
-                       recycle=recycle, forensics=forensics,
-                       scheduler=scheduler)
+                       recycle=recycle, forensics=forensics)
     rt.start()
     rt.sim.run(until=rt.horizon)
     return rt.finalize()

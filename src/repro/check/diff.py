@@ -16,8 +16,6 @@ Variants exercised (each skipped with a reason when not applicable):
                   vs embedded in the config (fault scenarios only).
 ``recycle_off``   terminal-packet recycling disabled vs enabled.
 ``check_armed``   invariant engine armed vs detached.
-``scheduler``     the non-default event-scheduler backend (heap vs
-                  calendar) replaying the base run.
 ``jobs``          a 2-cell sweep run with ``jobs=1`` vs ``jobs=2``
                   (fork pool), compared cell by cell, cache bypassed.
 """
@@ -136,14 +134,6 @@ def diff_scenario(config: ScenarioConfig,
         compare("recycle_off", _identity(run_scenario(config, recycle=False)))
     if want("check_armed"):
         compare("check_armed", _identity(run_scenario(config, check=True)))
-    if want("scheduler"):
-        # The non-default backend must replay the base payload exactly
-        # (the base run used the resolved default, normally calendar).
-        from repro.sim.engine import default_scheduler
-
-        other = "heap" if default_scheduler() == "calendar" else "calendar"
-        compare("scheduler",
-                _identity(run_scenario(config, scheduler=other)))
     if want("jobs"):
         jobs = max(2, jobs)
         serial = _sweep_identity(config, jobs=1)

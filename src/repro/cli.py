@@ -1136,12 +1136,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Multipath intra-host data plane (CLUSTER'22 reproduction)",
     )
-    parser.add_argument("--scheduler", choices=("heap", "calendar"),
-                        default=None,
-                        help="event-scheduler backend for every simulator "
-                             "this command builds (default: REPRO_SCHEDULER "
-                             "env var, else calendar); results are "
-                             "bit-identical either way")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("experiments", help="list reconstructed experiments"
@@ -1546,10 +1540,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "scheduler", None):
-        # Environment (not a plumbed kwarg) so sweep/cluster worker
-        # processes inherit the backend too.
-        os.environ["REPRO_SCHEDULER"] = args.scheduler
     return args.func(args)
 
 

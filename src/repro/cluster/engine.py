@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bench.scenarios import ScenarioConfig, build_runtime
 from ..dataplane.boundary import ARRIVE_IDX, SEQ_IDX, SRC_IDX
+from ..sim.engine import warn_scheduler_ignored
 from .config import ClusterConfig, derived_host_seed
 from .result import ClusterResult, merge_summaries, retained_samples
 from .router import ClusterRouter
@@ -91,8 +92,7 @@ class _Shard:
 
     def __init__(self, cluster: ClusterConfig, host_ids: Sequence[int],
                  shard_of_host: Sequence[int], *, telemetry: bool = False,
-                 check=None, forensics=None, recycle: bool = True,
-                 scheduler=None) -> None:
+                 check=None, forensics=None, recycle: bool = True) -> None:
         self.cluster = cluster
         self.host_ids = list(host_ids)
         #: Shard index of every host in the cluster (egress bucketing).
@@ -118,7 +118,7 @@ class _Shard:
                 tel = Telemetry()
             rt = build_runtime(scen, telemetry=tel, check=check,
                                recycle=recycle, forensics=forensics,
-                               sink=router, scheduler=scheduler)
+                               sink=router)
             router.bind(rt)
             rt.start()
             self.runtimes[hid] = rt
@@ -203,8 +203,7 @@ def _worker_main(conn, cluster_dict: Dict, host_ids: List[int],
                        telemetry=opts.get("telemetry", False),
                        check=opts.get("check"),
                        forensics=opts.get("forensics"),
-                       recycle=opts.get("recycle", True),
-                       scheduler=opts.get("scheduler"))
+                       recycle=opts.get("recycle", True))
         loads, dumps = pickle.loads, pickle.dumps
         protocol = pickle.HIGHEST_PROTOCOL
         while True:
@@ -271,10 +270,7 @@ def run_cluster(config: ClusterConfig,
         Arm per-host tail attribution (``True`` or a ``ForensicsSpec``);
         reports land in each host's payload (and bundle).
     scheduler:
-        Event-scheduler backend for every shard engine (``"heap"`` or
-        ``"calendar"``; ``None`` resolves via ``REPRO_SCHEDULER``).
-        Backends dispatch in the same total order, so the serialized
-        cluster payload is bit-identical either way.
+        Deprecated and ignored; a non-None value warns once per process.
 
     Returns
     -------
@@ -283,20 +279,20 @@ def run_cluster(config: ClusterConfig,
         payload is a pure function of ``config`` -- never of
         ``workers`` or the observation knobs' wall-clock effects.
     """
+    if scheduler is not None:
+        warn_scheduler_ignored()
     config.validate()
     wall_start = _time.perf_counter()
     n_hosts = config.n_hosts
     workers = resolve_workers(workers, n_hosts)
     shards = partition_hosts(n_hosts, workers)
     opts = {"telemetry": telemetry_dir is not None, "check": check,
-            "forensics": forensics, "recycle": recycle,
-            "scheduler": scheduler}
+            "forensics": forensics, "recycle": recycle}
 
     if len(shards) == 1:
         shard = _Shard(config, shards[0], [0] * n_hosts,
                        telemetry=opts["telemetry"], check=check,
-                       forensics=forensics, recycle=recycle,
-                       scheduler=scheduler)
+                       forensics=forensics, recycle=recycle)
         payloads = _drive_inline(config, shard, telemetry_dir)
     else:
         payloads = _drive_pool(config, shards, opts, telemetry_dir)

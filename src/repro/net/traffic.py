@@ -1,7 +1,7 @@
 """Arrival-process generators.
 
-Every source is a simulation process that emits packets into a *sink*
-callable (normally the data plane's ingress).  Random draws are
+Every source is a self-rescheduling callback tick that emits packets into
+a *sink* callable (normally the data plane's ingress).  Random draws are
 **pre-sampled in numpy batches** (inter-arrival times, sizes, flow picks)
 rather than drawn one scalar at a time -- the vectorization idiom from the
 HPC guides -- so the per-packet Python work is a tuple index plus the event
@@ -122,22 +122,11 @@ class _BaseSource:
             self._nic = sink.__self__
         else:
             self._nic = None
-        self.process = None  # set by start()
 
     # ------------------------------------------------------------------
-    def start(self):
-        """Begin emitting.
-
-        Sources with a driving generator spawn it as a Process; the hot
-        open-loop sources override :meth:`start` with a zero-allocation
-        callback tick instead (no per-packet Timeout/Event objects).
-        """
-        self.process = self.sim.process(self._run())
-        return self.process
-
-    def _run(self):  # pragma: no cover - abstract
+    def start(self):  # pragma: no cover - abstract
+        """Begin emitting: schedule the source's first tick."""
         raise NotImplementedError
-        yield  # makes this a generator in subclass-less misuse
 
     # ------------------------------------------------------------------
     def _refill_flow_picks(self) -> list:
@@ -587,7 +576,12 @@ class FlowSource(_BaseSource):
 
 
 class TraceReplaySource(_BaseSource):
-    """Replay explicit ``(time, size)`` arrays (times relative to start)."""
+    """Replay explicit ``(time, size)`` arrays (times relative to start).
+
+    Times must be finite, non-negative and non-decreasing.  The tick
+    emits every packet due now and schedules itself once per positive
+    gap, so packets sharing a timestamp go out back to back.
+    """
 
     def __init__(
         self,
@@ -604,17 +598,31 @@ class TraceReplaySource(_BaseSource):
         sizes = np.asarray(sizes, dtype=np.int64)
         if len(times) != len(sizes):
             raise ValueError("times and sizes must have equal length")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("trace times must be finite")
+        if len(times) and times[0] < 0:
+            raise ValueError(f"trace times must be >= 0, got {times[0]}")
         if np.any(np.diff(times) < 0):
             raise ValueError("trace times must be non-decreasing")
         self.times = times
         self.sizes = sizes
+        self._next = 0
+        self._prev = 0.0
 
-    def _run(self):
-        prev = 0.0
-        for t, s in zip(self.times, self.sizes):
-            gap = float(t) - prev
-            if gap > 0:
-                yield self.sim.timeout(gap)
-            prev = float(t)
-            self._emit(int(s))
-        return self.stats
+    def start(self):
+        self.sim.call_in(0.0, self._tick)
+        return None
+
+    def _tick(self) -> None:
+        times = self.times
+        i = self._next
+        while i < len(times):
+            t = float(times[i])
+            if t > self._prev:
+                # Sleep through the gap; packet i goes out on wake-up.
+                self.sim.call_in(t - self._prev, self._tick)
+                self._prev = t
+                break
+            self._emit(int(self.sizes[i]))
+            i += 1
+        self._next = i

@@ -70,15 +70,8 @@ class RunOptions:
         bit-identical at any worker count.  Ignored for single-host
         scenario runs.
     scheduler:
-        Event-scheduler backend for every simulator this run builds
-        (including cluster shards): ``"heap"`` or ``"calendar"``.
-        ``None`` resolves via the ``REPRO_SCHEDULER`` environment
-        variable, falling back to ``"calendar"``.  Backends dispatch in
-        the exact same total order, so results are bit-identical either
-        way (the differential harness and the golden cross-backend tests
-        enforce this) -- which is why the knob lives here and not on
-        :class:`~repro.bench.scenarios.ScenarioConfig`: it must never
-        key a cache or change a payload.
+        Deprecated and ignored (the binary heap is the only event
+        schedule); a non-None value warns once per process.
     """
 
     telemetry: Optional[object] = None
@@ -92,13 +85,9 @@ class RunOptions:
 
     def __post_init__(self) -> None:
         if self.scheduler is not None:
-            from repro.sim.engine import SCHEDULERS
+            from repro.sim.engine import warn_scheduler_ignored
 
-            if self.scheduler not in SCHEDULERS:
-                raise ValueError(
-                    f"scheduler must be one of {SCHEDULERS} (or None), "
-                    f"got {self.scheduler!r}"
-                )
+            warn_scheduler_ignored()
 
     def forensics_spec(self):
         """Resolve ``forensics`` to a

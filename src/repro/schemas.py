@@ -41,7 +41,6 @@ SCHEMA_VERSIONS: Dict[str, str] = {
     "cluster_result": "1.0",
     "cluster_envelope": "1.0",
     "cluster_sweep": "1.0",
-    "event_loop_bench": "1.0",
 }
 
 #: Marker keys used to infer a payload's kind (checked in order; the
@@ -53,7 +52,6 @@ _MARKERS = (
     ("cluster_envelope", ("env_seq", "src_host", "arrive_time")),
     ("fabric_config", ("n_spines", "base_latency", "steering")),
     ("cluster_sweep", ("cells", "cluster_config")),
-    ("event_loop_bench", ("models", "backends", "entries_per_op")),
     ("sweep_result", ("spec", "cells")),
     ("check_report", ("invariants", "violations")),
     ("fuzz_report", ("cases", "failures")),

@@ -4,16 +4,12 @@ This subpackage provides the event-driven substrate on which the virtualized
 data plane (:mod:`repro.dataplane`) and the multipath core
 (:mod:`repro.core`) are built.  It is deliberately small and fast:
 
-* :class:`~repro.sim.engine.Simulator` -- binary-heap event loop with a
-  zero-allocation fast path (:meth:`~repro.sim.engine.Simulator.call_at`)
-  used by per-packet code, plus full simpy-style generator processes for
-  control-plane logic (pollers, schedulers, traffic sources).
-* :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.Timeout` --
-  one-shot triggerable events with callback lists.
-* :class:`~repro.sim.process.Process` -- generator-driven coroutine
-  processes supporting interrupts.
-* :mod:`~repro.sim.resources` -- ``Resource`` (k-server), ``Store``
-  (FIFO object queue) and ``Container`` (continuous level) primitives.
+* :class:`~repro.sim.engine.Simulator` -- binary-heap event loop whose
+  whole scheduling API is plain callbacks
+  (:meth:`~repro.sim.engine.Simulator.call_at`,
+  :meth:`~repro.sim.engine.Simulator.call_in`,
+  :meth:`~repro.sim.engine.Simulator.periodic`): one tuple per event,
+  no event objects.
 * :mod:`~repro.sim.rng` -- deterministic, named random streams spawned
   from a single root seed so every experiment is reproducible.
 Structured tracing lives in :mod:`repro.obs` (the pre-2.0
@@ -24,21 +20,15 @@ Example
 -------
 >>> from repro.sim import Simulator
 >>> sim = Simulator()
->>> def hello(sim, log):
-...     yield sim.timeout(5.0)
-...     log.append(sim.now)
 >>> log = []
->>> _ = sim.process(hello(sim, log))
+>>> sim.call_at(5.0, lambda: log.append(sim.now))
 >>> sim.run()
 >>> log
 [5.0]
 """
 
 from repro.sim.engine import Simulator, NORMAL, URGENT, LOW
-from repro.sim.events import Event, Timeout, AnyOf, AllOf, Condition
-from repro.sim.process import Process, Interrupt
 from repro.sim.errors import SimulationError, StopSimulation
-from repro.sim.resources import Resource, Store, PriorityStore, Container
 from repro.sim.rng import RngRegistry, spawn_streams
 from repro.obs.span import Tracer, TraceRecord, NullTracer
 
@@ -47,19 +37,8 @@ __all__ = [
     "NORMAL",
     "URGENT",
     "LOW",
-    "Event",
-    "Timeout",
-    "AnyOf",
-    "AllOf",
-    "Condition",
-    "Process",
-    "Interrupt",
     "SimulationError",
     "StopSimulation",
-    "Resource",
-    "Store",
-    "PriorityStore",
-    "Container",
     "RngRegistry",
     "spawn_streams",
     "Tracer",

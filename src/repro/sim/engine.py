@@ -1,26 +1,9 @@
 """The event loop.
 
-:class:`Simulator` owns a schedule of entries managed by one of two
-pluggable backends:
-
-* ``"heap"`` -- a single binary heap (``heapq``), the classic backend;
-* ``"calendar"`` -- a Brown-style calendar queue
-  (:class:`~repro.sim.calqueue.CalendarQueue`) with O(1) steady-state
-  inserts, the default.
-
-Both backends dispatch in the **exact same total order**, so the choice
-is invisible to results: same seed => byte-identical payloads (pinned by
-``tests/test_golden_determinism.py`` and the cross-backend suite).  Pick
-with ``Simulator(scheduler=...)``, ``RunOptions(scheduler=...)``, or the
-``REPRO_SCHEDULER`` environment variable.
-
-Two kinds of entry coexist on the schedule:
-
-* **plain callbacks** pushed by :meth:`Simulator.call_at` /
-  :meth:`Simulator.call_in` -- the zero-overhead fast path used by
-  per-packet data-plane code (one tuple per event, no Event object);
-* **events** (:class:`~repro.sim.events.Event`) whose ``_process`` method
-  runs their callback list -- used by processes and resources.
+:class:`Simulator` keeps its schedule in a single binary heap
+(``heapq``) of ``(time, key, fn, args)`` tuples and dispatches each one
+as ``fn(*args)``.  :meth:`Simulator.call_at` / :meth:`Simulator.call_in`
+are the whole scheduling API: one tuple per event, no Event object.
 
 Entries are ordered by ``(time, key)`` where ``key`` packs
 ``(priority << 52) | sequence`` into one integer: the monotonically
@@ -32,19 +15,14 @@ sequence space is guarded: exhausting 2**52 entries raises a
 priorities into each other.
 
 Hot-path producers (traffic sources, the NIC, the poller) push
-pre-packed tuples through :attr:`Simulator._push`, a bound callable the
-backend installs at construction, so they stay backend-agnostic without
-a dispatch branch per event.
-
-For generator processes that sleep in a hot loop,
-:meth:`Simulator.pooled_timeout` hands out :class:`Timeout` objects from
-a free list and reclaims them automatically after they fire, avoiding
-per-iteration Event allocation (see ``docs/PERFORMANCE.md`` for the
-retention contract).
+pre-packed tuples through :attr:`Simulator._push`, a bound ``heappush``
+installed at construction, and advance :attr:`Simulator._seq`
+themselves; every such push allocates exactly the entry ``call_at``
+would have.
 
 Cancelled periodic callbacks are deleted lazily: :meth:`PeriodicHandle.cancel`
 is O(1) and leaves the pending entry in place as a no-op, but the
-simulator counts the dead entries and compacts the schedule once they
+simulator counts the dead entries and compacts the heap once they
 outnumber the live ones (see :meth:`Simulator._compact`), so cancel-heavy
 workloads -- control loops, liveness probes, ejected-path timers -- keep
 a bounded schedule.
@@ -52,14 +30,12 @@ a bounded schedule.
 
 from __future__ import annotations
 
-import os
+import warnings
 from functools import partial
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
-from repro.sim.calqueue import CalendarQueue
 from repro.sim.errors import EmptySchedule, SimulationError, StopSimulation
-from repro.sim.events import PENDING, Event, Timeout, AllOf, AnyOf
 
 #: Runs before NORMAL entries at the same timestamp (e.g. preemptions).
 URGENT = 0
@@ -74,16 +50,31 @@ _SEQ_BITS = 52
 #: Largest sequence number that still packs without touching priority bits.
 _SEQ_MAX = (1 << _SEQ_BITS) - 1
 
-_EVENT_MARKER = None  # placed in the fn slot for Event entries
-
 _INF = float("inf")
-
-#: Valid scheduler backend names.
-SCHEDULERS = ("heap", "calendar")
 
 #: Compaction trigger: at least this many dead entries *and* dead
 #: entries at least half the schedule (amortized O(1) per cancel).
 _COMPACT_MIN = 64
+
+_scheduler_warned = False
+
+
+def warn_scheduler_ignored() -> None:
+    """Deprecation shim for the removed ``scheduler=`` argument.
+
+    ``Simulator``, ``RunOptions`` and ``run_cluster`` still accept
+    ``scheduler=``; any non-None value warns once per process and is
+    then ignored, since the binary heap is the only schedule.
+    """
+    global _scheduler_warned
+    if not _scheduler_warned:
+        _scheduler_warned = True
+        warnings.warn(
+            "the scheduler= argument is deprecated and ignored: the "
+            "binary heap is the only event schedule",
+            DeprecationWarning,
+            stacklevel=3,
+        )
 
 
 def _seq_space_error(seq: int) -> SimulationError:
@@ -93,21 +84,6 @@ def _seq_space_error(seq: int) -> SimulationError:
         f"2**{_SEQ_BITS} packing headroom of the ordering key; "
         f"widen _SEQ_BITS if a run legitimately needs more"
     )
-
-
-def default_scheduler() -> str:
-    """The backend used when none is requested explicitly.
-
-    Resolves the ``REPRO_SCHEDULER`` environment variable (``"heap"`` or
-    ``"calendar"``); defaults to ``"calendar"``.
-    """
-    name = os.environ.get("REPRO_SCHEDULER") or "calendar"
-    if name not in SCHEDULERS:
-        raise SimulationError(
-            f"REPRO_SCHEDULER={name!r} is not a valid scheduler; "
-            f"choose one of {SCHEDULERS}"
-        )
-    return name
 
 
 class PeriodicHandle:
@@ -158,38 +134,15 @@ class PeriodicHandle:
             self.sim.call_in(self.interval, self._fire, priority=self.priority)
 
 
+_BOUND_METHOD = type(PeriodicHandle.cancel.__get__(object()))
+
+
 def _entry_is_dead(entry) -> bool:
     """True for a schedule entry belonging to a cancelled periodic handle."""
     fn = entry[2]
     if type(fn) is not _BOUND_METHOD or fn.__func__ is not PeriodicHandle._fire:
         return False
     return fn.__self__.cancelled
-
-
-class _PooledTimeout(Timeout):
-    """A :class:`Timeout` that returns itself to its simulator's free list.
-
-    Handed out by :meth:`Simulator.pooled_timeout`.  After its callbacks
-    run it is reset and reclaimed, so callers must not retain it past the
-    yield that waits on it.
-    """
-
-    __slots__ = ()
-
-    def _process(self) -> None:
-        callbacks = self.callbacks
-        self.callbacks = None
-        for cb in callbacks:
-            cb(self)
-        # Timeouts cannot fail, so no failure propagation is needed here.
-        # Reset to pristine and reclaim (reusing the emptied list).
-        callbacks.clear()
-        self.callbacks = callbacks
-        self._value = PENDING
-        self.sim._timeout_pool.append(self)
-
-
-_BOUND_METHOD = type(PeriodicHandle.cancel.__get__(object()))
 
 
 class Simulator:
@@ -202,11 +155,8 @@ class Simulator:
         units are whatever the model chooses; the data-plane models in this
         repository use **microseconds**.
     scheduler:
-        Scheduler backend: ``"heap"`` (single binary heap) or
-        ``"calendar"`` (Brown-style calendar queue).  ``None`` resolves
-        via :func:`default_scheduler` (``REPRO_SCHEDULER`` env var,
-        falling back to ``"calendar"``).  Backends dispatch in the exact
-        same total order, so results are bit-identical either way.
+        Deprecated and ignored (the binary heap is the only schedule);
+        a non-None value warns once per process.
 
     Notes
     -----
@@ -218,44 +168,26 @@ class Simulator:
     __slots__ = (
         "_now",
         "_heap",
-        "_calq",
         "_push",
-        "_scheduler",
         "_seq",
         "_running",
-        "_stopped_value",
         "_processed",
-        "_timeout_pool",
         "_ext_floor",
         "_dead",
     )
 
     def __init__(self, start_time: float = 0.0,
                  scheduler: Optional[str] = None) -> None:
+        if scheduler is not None:
+            warn_scheduler_ignored()
         self._now: float = float(start_time)
-        if scheduler is None:
-            scheduler = default_scheduler()
-        if scheduler == "calendar":
-            self._heap = None
-            self._calq = CalendarQueue()
-            #: Backend-installed push: hot-path producers call this with a
-            #: pre-packed ``(time, key, fn, args)`` tuple.
-            self._push = self._calq.push
-        elif scheduler == "heap":
-            self._heap = []
-            self._calq = None
-            self._push = partial(heappush, self._heap)
-        else:
-            raise SimulationError(
-                f"unknown scheduler backend {scheduler!r}; "
-                f"choose one of {SCHEDULERS}"
-            )
-        self._scheduler: str = scheduler
+        self._heap: list = []
+        #: Hot-path producers call this with a pre-packed
+        #: ``(time, key, fn, args)`` tuple.
+        self._push = partial(heappush, self._heap)
         self._seq: int = 0
         self._running: bool = False
-        self._stopped_value: Any = None
         self._processed: int = 0
-        self._timeout_pool: list = []
         #: Lazily-deleted (cancelled) entries still on the schedule.
         self._dead: int = 0
         # Epoch floor for externally injected events (see external_event):
@@ -272,11 +204,6 @@ class Simulator:
         return self._now
 
     @property
-    def scheduler(self) -> str:
-        """Name of the active scheduler backend (``"heap"`` or ``"calendar"``)."""
-        return self._scheduler
-
-    @property
     def processed_count(self) -> int:
         """Number of schedule entries dispatched so far (cheap progress metric)."""
         return self._processed
@@ -289,18 +216,15 @@ class Simulator:
         compacted away yet, so treat this as an upper bound; the
         invariant sampler and tests use it as a liveness signal.
         """
-        heap = self._heap
-        return len(heap) if heap is not None else len(self._calq)
+        return len(self._heap)
 
     def peek(self) -> float:
         """Time of the next scheduled entry, or ``inf`` if none."""
         heap = self._heap
-        if heap is not None:
-            return heap[0][0] if heap else _INF
-        return self._calq.peek_time()
+        return heap[0][0] if heap else _INF
 
     # ------------------------------------------------------------------
-    # Fast-path scheduling: plain callbacks
+    # Scheduling
     # ------------------------------------------------------------------
     def call_at(
         self,
@@ -313,10 +237,12 @@ class Simulator:
 
         This is the hot-path API: it allocates a single schedule tuple
         and no Event object.  ``fn`` must not raise ``StopIteration``.
+        A ``time`` before now, or NaN, raises :class:`SimulationError`.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
-                f"cannot schedule into the past: {time} < now={self._now}"
+                f"cannot schedule at {time!r}: not a time at or after "
+                f"now={self._now}"
             )
         self._seq = seq = self._seq + 1
         if seq > _SEQ_MAX:
@@ -330,9 +256,12 @@ class Simulator:
         *args: Any,
         priority: int = NORMAL,
     ) -> None:
-        """Schedule ``fn(*args)`` ``delay`` time units from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay!r}")
+        """Schedule ``fn(*args)`` ``delay`` time units from now.
+
+        A negative or NaN ``delay`` raises :class:`SimulationError`.
+        """
+        if not delay >= 0:
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
         self._seq = seq = self._seq + 1
         if seq > _SEQ_MAX:
             raise _seq_space_error(seq)
@@ -355,7 +284,7 @@ class Simulator:
         Returns a :class:`PeriodicHandle`; call its
         :meth:`~PeriodicHandle.cancel` to stop.
         """
-        if interval <= 0:
+        if not interval > 0:
             raise SimulationError(
                 f"periodic interval must be positive, got {interval!r}"
             )
@@ -372,26 +301,22 @@ class Simulator:
     def _note_dead(self) -> None:
         """Account one lazily-cancelled entry; compact when they dominate."""
         self._dead = dead = self._dead + 1
-        if dead >= _COMPACT_MIN and dead * 2 >= self.pending_count:
+        if dead >= _COMPACT_MIN and dead * 2 >= len(self._heap):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled periodic entries from the schedule.
+        """Drop cancelled periodic entries from the heap.
 
         Removal never reallocates sequence numbers or reorders live
         entries, so compaction is invisible to the simulated trajectory.
-        Safe to run from inside a callback: both backends filter their
-        containers in place, so a draining loop's hoisted references
-        stay valid.
+        Safe to run from inside a callback: the heap list is filtered in
+        place, so a draining loop's hoisted reference stays valid.
         """
         heap = self._heap
-        if heap is not None:
-            kept = [e for e in heap if not _entry_is_dead(e)]
-            if len(kept) != len(heap):
-                heap[:] = kept
-                heapify(heap)
-        else:
-            self._calq.remove_if(_entry_is_dead)
+        kept = [e for e in heap if not _entry_is_dead(e)]
+        if len(kept) != len(heap):
+            heap[:] = kept
+            heapify(heap)
         self._dead = 0
 
     # ------------------------------------------------------------------
@@ -439,9 +364,10 @@ class Simulator:
         first = items[0][time_index]
         if first < self._ext_floor:
             raise self._lookahead_error(first)
-        if first < self._now:
+        if not first >= self._now:
             raise SimulationError(
-                f"cannot schedule into the past: {first} < now={self._now}"
+                f"cannot schedule at {first!r}: not a time at or after "
+                f"now={self._now}"
             )
         seq = self._seq
         if seq + len(items) > _SEQ_MAX:
@@ -475,63 +401,6 @@ class Simulator:
         self._ext_floor = end
 
     # ------------------------------------------------------------------
-    # Event factories
-    # ------------------------------------------------------------------
-    def event(self) -> Event:
-        """Create a new pending :class:`Event`."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None, priority: int = NORMAL) -> Timeout:
-        """Create a :class:`Timeout` firing ``delay`` from now."""
-        return Timeout(self, delay, value, priority)
-
-    def pooled_timeout(self, delay: float, priority: int = NORMAL) -> Timeout:
-        """A free-listed :class:`Timeout` for hot process loops.
-
-        Semantically identical to :meth:`timeout` with one contract: the
-        returned object is reclaimed into a per-simulator pool right after
-        its callbacks run, so the caller must not keep a reference past
-        the ``yield`` that waits on it (``yield sim.pooled_timeout(d)`` is
-        the intended form).  Values are not supported; the event fires
-        with ``None``.
-        """
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay: {delay!r}")
-            t = pool.pop()
-            t.delay = delay
-            t._value = None  # pre-triggered, like a fresh Timeout
-            self._schedule_event(t, delay, priority)
-            return t
-        return _PooledTimeout(self, delay, None, priority)
-
-    def process(self, generator) -> "Process":
-        """Spawn a :class:`~repro.sim.process.Process` from a generator."""
-        from repro.sim.process import Process
-
-        return Process(self, generator)
-
-    def all_of(self, events) -> AllOf:
-        """Condition event firing when all ``events`` have fired."""
-        return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """Condition event firing when any of ``events`` has fired."""
-        return AnyOf(self, events)
-
-    # ------------------------------------------------------------------
-    # Internal: event scheduling
-    # ------------------------------------------------------------------
-    def _schedule_event(self, event: Event, delay: float, priority: int) -> None:
-        self._seq = seq = self._seq + 1
-        if seq > _SEQ_MAX:
-            raise _seq_space_error(seq)
-        self._push(
-            (self._now + delay, (priority << _SEQ_BITS) | seq, _EVENT_MARKER, event)
-        )
-
-    # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
     def step(self) -> None:
@@ -540,24 +409,14 @@ class Simulator:
         Raises :class:`EmptySchedule` if the schedule is empty.
         """
         heap = self._heap
-        if heap is not None:
-            if not heap:
-                raise EmptySchedule("event schedule is empty")
-            e = heappop(heap)
-        else:
-            try:
-                e = self._calq.pop()
-            except IndexError:
-                raise EmptySchedule("event schedule is empty") from None
+        if not heap:
+            raise EmptySchedule("event schedule is empty")
+        e = heappop(heap)
         self._now = e[0]
         self._processed += 1
-        fn = e[2]
-        if fn is _EVENT_MARKER:
-            e[3]._process()
-        else:
-            fn(*e[3])
+        e[2](*e[3])
 
-    def run(self, until: Optional[Union[float, Event]] = None) -> Any:
+    def run(self, until: Optional[float] = None) -> Any:
         """Run the event loop.
 
         Parameters
@@ -567,48 +426,34 @@ class Simulator:
             * a number -- run until the clock reaches that time; entries at
               exactly ``until`` are *not* dispatched and the clock is left
               at ``until``.
-            * an :class:`Event` -- run until that event is processed and
-              return its value (re-raising its exception if it failed).
 
         Returns
         -------
-        The ``until`` event's value, the value passed to :meth:`stop`, or
-        ``None``.
+        The value passed to :meth:`stop`, or ``None``.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
+        until = _INF if until is None else float(until)
+        if not until >= self._now:
+            raise SimulationError(f"until={until} is in the past (now={self._now})")
         self._running = True
         try:
-            if until is None:
-                return self._run_until_time(_INF)
-            if isinstance(until, Event):
-                return self._run_until_event(until)
-            return self._run_until_time(float(until))
-        finally:
-            self._running = False
-
-    def _run_until_time(self, until: float) -> Any:
-        if until < self._now:
-            raise SimulationError(f"until={until} is in the past (now={self._now})")
-        try:
-            if self._heap is not None:
-                self._drain_heap(until)
-            else:
-                self._calq.drain(self, until)
+            self._drain(until)
         except StopSimulation as exc:
             return exc.value
+        finally:
+            self._running = False
         if self._now < until < _INF:
             self._now = until
         return None
 
-    def _drain_heap(self, until: float) -> None:
+    def _drain(self, until: float) -> None:
         # The dispatch loop is inlined (rather than calling step()) --
         # this is the hottest loop in the package.  Attribute lookups
         # are hoisted, and the boundary check costs one extra pop/push
         # round-trip at the end of the drain instead of a peek per entry.
         heap = self._heap
         pop = heappop
-        marker = _EVENT_MARKER
         n = 0
         try:
             while heap:
@@ -619,42 +464,13 @@ class Simulator:
                     return
                 self._now = t
                 n += 1
-                fn = e[2]
-                if fn is marker:
-                    e[3]._process()
-                else:
-                    fn(*e[3])
+                e[2](*e[3])
         finally:
             self._processed += n
 
-    def _run_until_event(self, until: Event) -> Any:
-        if until.sim is not self:
-            raise SimulationError("`until` event belongs to a different simulator")
-        if until.processed:
-            if not until.ok:
-                raise until.value
-            return until.value
-        done = []
-        until.callbacks.append(lambda ev: done.append(ev))
-        try:
-            while not done and self.pending_count:
-                self.step()
-        except StopSimulation as exc:
-            return exc.value
-        if not done:
-            raise EmptySchedule(
-                "event schedule ran dry before the `until` event was triggered"
-            )
-        if not until.ok:
-            raise until.value
-        return until.value
-
     def stop(self, value: Any = None) -> None:
-        """Halt :meth:`run` from inside a callback or process."""
+        """Halt :meth:`run` from inside a callback."""
         raise StopSimulation(value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Simulator now={self._now} pending={self.pending_count} "
-            f"scheduler={self._scheduler}>"
-        )
+        return f"<Simulator now={self._now} pending={len(self._heap)}>"

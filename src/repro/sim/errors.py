@@ -6,15 +6,14 @@ from __future__ import annotations
 class SimulationError(Exception):
     """Base class for all kernel-level errors.
 
-    Raised for misuse of the kernel API: triggering an already-triggered
-    event, running a simulator that has been stopped, scheduling into the
-    past, and so on.  Model-level errors (e.g. a queue overflow the model
+    Raised for misuse of the kernel API: scheduling into the past or at
+    a NaN time, re-entering a running simulator, and so on.  Model-level errors (e.g. a queue overflow the model
     chooses to treat as fatal) should define their own exception types.
     """
 
 
 class StopSimulation(Exception):
-    """Raised inside a callback/process to halt :meth:`Simulator.run`.
+    """Raised inside a callback to halt :meth:`Simulator.run`.
 
     The event loop catches this exception, stops dispatching and returns
     normally.  ``Simulator.stop()`` is the usual way to trigger it.
@@ -26,4 +25,4 @@ class StopSimulation(Exception):
 
 
 class EmptySchedule(SimulationError):
-    """The event heap ran dry before the requested ``until`` time."""
+    """:meth:`Simulator.step` found the event heap empty."""

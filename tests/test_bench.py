@@ -41,6 +41,34 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             tiny(burstiness=0.5).mean_off_us()
 
+    @pytest.mark.parametrize("field,traffic", [
+        ("n_paths", "poisson"), ("duration", "poisson"),
+        ("warmup", "poisson"), ("drain", "poisson"),
+        ("packet_size", "poisson"), ("n_flows", "poisson"),
+        ("interfere_intensity", "poisson"), ("load", "poisson"),
+        ("load", "onoff"), ("burstiness", "onoff"), ("mean_on", "onoff"),
+        ("fan_in", "incast"), ("burst_pkts", "incast"),
+        ("epoch", "incast"), ("flow_load", "flows"),
+        ("max_flow_pkts", "flows"),
+    ])
+    def test_validate_rejects_nan(self, field, traffic):
+        with pytest.raises(ValueError, match=field):
+            tiny(traffic=traffic, **{field: float("nan")}).validate()
+
+    @pytest.mark.parametrize("field,traffic", [
+        ("duration", "poisson"), ("warmup", "poisson"), ("drain", "poisson"),
+        ("packet_size", "poisson"), ("interfere_intensity", "poisson"),
+        ("load", "poisson"), ("burstiness", "onoff"), ("mean_on", "onoff"),
+        ("epoch", "incast"), ("flow_load", "flows"),
+    ])
+    def test_validate_rejects_inf(self, field, traffic):
+        with pytest.raises(ValueError, match=field):
+            tiny(traffic=traffic, **{field: float("inf")}).validate()
+
+    def test_nan_load_run_fails_before_simulating(self):
+        with pytest.raises(ValueError, match="load"):
+            run_scenario(ScenarioConfig(load=float("nan")))
+
 
 class TestSimulate:
     def test_poisson_run_delivers(self):

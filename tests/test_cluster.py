@@ -365,29 +365,28 @@ class TestBatchInjection:
     ITEMS = [(100.0, "a"), (100.0, "b"), (125.5, "c"), (180.0, "d"),
              (180.0, "e"), (199.9, "f")]
 
-    def _pair(self, scheduler):
+    def _pair(self):
         from repro.sim import Simulator
 
         sims = []
         for _ in range(2):
-            sim = Simulator(scheduler=scheduler)
+            sim = Simulator()
             sim.call_at(150.0, lambda: None)  # an entry already queued
             sim.run_epoch(100.0)
             sims.append(sim)
         return sims
 
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_same_entries_as_per_item_calls(self, scheduler):
-        one, batch = self._pair(scheduler)
+    def test_same_entries_as_per_item_calls(self):
+        one, batch = self._pair()
         fired = {id(one): [], id(batch): []}
         for item in self.ITEMS:
             one.external_event(item[0], fired[id(one)].append, item)
         batch.external_events(fired[id(batch)].append, self.ITEMS, 0)
         assert batch._seq == one._seq
-        if scheduler == "heap":  # time, ordering key and args match
-            def entries(sim):
-                return [(e[0], e[1], e[3]) for e in sorted(sim._heap)]
-            assert entries(batch) == entries(one)
+
+        def entries(sim):  # time, ordering key and args match
+            return [(e[0], e[1], e[3]) for e in sorted(sim._heap)]
+        assert entries(batch) == entries(one)
         for sim in (one, batch):
             sim.run_epoch(300.0)
         assert fired[id(batch)] == fired[id(one)] == self.ITEMS

@@ -116,20 +116,6 @@ class TestPollerWithSlowWakeup:
 
 
 class TestSimulatorMisc:
-    def test_run_until_event_already_processed(self, sim):
-        t = sim.timeout(1.0, value="x")
-        sim.run(until=t)
-        # Running again against the same processed event returns at once.
-        assert sim.run(until=t) == "x"
-
-    def test_run_until_failed_processed_event(self, sim):
-        ev = sim.event()
-        ev.fail(ValueError("boom"))
-        ev.defuse()
-        sim.run()
-        with pytest.raises(ValueError):
-            sim.run(until=ev)
-
     def test_repr_smoke(self, sim):
         assert "Simulator" in repr(sim)
 

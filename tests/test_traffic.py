@@ -205,3 +205,42 @@ class TestTraceReplay:
             TraceReplaySource(sim, factory, lambda p: None, rng, times=[1, 0], sizes=[1, 1])
         with pytest.raises(ValueError):
             TraceReplaySource(sim, factory, lambda p: None, rng, times=[0], sizes=[1, 2])
+
+    @pytest.mark.parametrize("times,match", [
+        ([0.0, float("nan"), 5.0], "finite"),
+        ([0.0, 3.0, float("inf")], "finite"),
+        ([-5.0, 0.0, 3.0], ">= 0"),
+    ])
+    def test_rejects_bad_times(self, sim, factory, rng, times, match):
+        with pytest.raises(ValueError, match=match):
+            TraceReplaySource(sim, factory, lambda p: None, rng,
+                              times=times, sizes=[100] * len(times))
+
+    @pytest.mark.parametrize("trace_first,expected", [
+        (True, [(0.0, 0, 100), (0.0, 1, 101), (0.0, 2, 64), (2.0, 3, 102),
+                (2.0, 4, 64), (3.0, 5, 103), (4.0, 6, 64), (4.0, 7, 104),
+                (4.0, 8, 105), (6.0, 9, 64), (8.0, 10, 106), (8.0, 11, 64),
+                (9.0, 12, 107)]),
+        (False, [(0.0, 0, 64), (0.0, 1, 100), (0.0, 2, 101), (2.0, 3, 64),
+                 (2.0, 4, 102), (3.0, 5, 103), (4.0, 6, 64), (4.0, 7, 104),
+                 (4.0, 8, 105), (6.0, 9, 64), (8.0, 10, 106), (8.0, 11, 64),
+                 (9.0, 12, 107)]),
+    ])
+    def test_ties_with_cbr_break_in_recorded_order(self, sim, factory, rng,
+                                                    trace_first, expected):
+        # Coincident timestamps with a CBR source (size 64) tie-break by
+        # schedule order; the expected (t_created, pid, size) sequences
+        # pin the order the replay produced when it ran as a generator
+        # process.
+        got = []
+        sink = lambda p: got.append((p.t_created, p.pid, p.size))
+        trace = TraceReplaySource(
+            sim, factory, sink, rng, times=[0, 0, 2, 3, 4, 4, 8, 9],
+            sizes=[100, 101, 102, 103, 104, 105, 106, 107],
+            flow_id_base=100)
+        cbr = CBRSource(sim, factory, sink, rng, rate_pps=500_000, size=64,
+                        duration=10.0)
+        for src in ((trace, cbr) if trace_first else (cbr, trace)):
+            src.start()
+        sim.run()
+        assert got == expected
