@@ -87,7 +87,8 @@ class RunOptions:
         if self.scheduler is not None:
             from repro.sim.engine import warn_scheduler_ignored
 
-            warn_scheduler_ignored()
+            # One frame more than usual: the dataclass __init__.
+            warn_scheduler_ignored(stacklevel=4)
 
     def forensics_spec(self):
         """Resolve ``forensics`` to a

@@ -59,12 +59,14 @@ _COMPACT_MIN = 64
 _scheduler_warned = False
 
 
-def warn_scheduler_ignored() -> None:
+def warn_scheduler_ignored(stacklevel: int = 3) -> None:
     """Deprecation shim for the removed ``scheduler=`` argument.
 
     ``Simulator``, ``RunOptions`` and ``run_cluster`` still accept
     ``scheduler=``; any non-None value warns once per process and is
     then ignored, since the binary heap is the only schedule.
+    ``stacklevel`` counts from this function to the caller's own code,
+    so the warning points at the line that passed ``scheduler=``.
     """
     global _scheduler_warned
     if not _scheduler_warned:
@@ -73,7 +75,7 @@ def warn_scheduler_ignored() -> None:
             "the scheduler= argument is deprecated and ignored: the "
             "binary heap is the only event schedule",
             DeprecationWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
