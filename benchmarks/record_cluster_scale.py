@@ -2,7 +2,7 @@
 """Record the cluster sharding scale measurement + determinism gate.
 
 Runs the C1 scale scenario (8 uniform hosts, adaptive k=4, ecmp fabric)
-twice -- ``workers=1`` (every shard inline) and ``workers=4`` (shards
+twice -- ``workers=1`` (both phases inline) and ``workers=4`` (shards
 across a process pool) -- and writes the wall-clock comparison to
 ``benchmarks/results/BENCH_CLUSTER_SCALE.json``.
 
@@ -38,7 +38,8 @@ from repro.net.fabric import FabricConfig
 
 RESULTS = pathlib.Path(__file__).resolve().parent / "results"
 #: Required workers=4 speedup on a >=4-core host; below the 4x ideal
-#: because the barrier serializes epoch exchange and CI runners share.
+#: because the parent builds the epoch grid serially between the two
+#: phases, each worker pays its own start-up, and CI runners share.
 MIN_SPEEDUP = 2.0
 N_HOSTS = 8
 LOAD = 0.6

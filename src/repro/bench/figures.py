@@ -125,7 +125,7 @@ def fig2_breakdown(duration: float = 60_000.0) -> Tuple[str, Dict]:
         rngs,
     )
     host.sink.on_delivery = collect
-    src = _make_source(sim, host, rngs, cfg, None)
+    src = _make_source(sim, host.factory, rngs, cfg, None, host.input)
     src.start()
     sim.run(until=cfg.duration + cfg.drain)
     host.finalize()
@@ -610,7 +610,7 @@ def ablation4_intrachain(duration: float = 50_000.0) -> Tuple[str, Dict]:
         )
         cfg = ScenarioConfig(chain="heavy", load=0.55, n_paths=n_paths,
                              duration=scaled_duration(duration))
-        src = _make_source(sim, host, rngs, cfg, None)
+        src = _make_source(sim, host.factory, rngs, cfg, None, host.input)
         src.start()
         sim.run(until=cfg.duration + cfg.drain)
         host.finalize()

@@ -31,6 +31,7 @@ from repro.dataplane.vcpu import JitterParams, SHARED_CORE
 from repro.elements.nf import standard_chain
 from repro.metrics.stats import LatencySummary
 from repro.net.flow import FlowTracker
+from repro.net.packet import PacketFactory
 from repro.net.traffic import FlowSource, IncastSource, OnOffSource, PoissonSource
 from repro.net.workloads import workload_by_name
 from repro.sim.engine import Simulator
@@ -475,6 +476,18 @@ def _calibrated_capacity(chain_name: str, packet_size: int, n_flows: int) -> flo
     return capacity
 
 
+def prime_capacity_cache(configs) -> None:
+    """Calibrate every capacity ``configs`` will ask for, in this process.
+
+    Called before forking workers, so each worker inherits a warm cache
+    instead of calibrating cold.  A capacity is a pure function of its
+    ``(chain, packet_size, n_flows)`` key; incast traffic needs none.
+    """
+    for cfg in configs:
+        if cfg.traffic != "incast":
+            cfg.path_capacity_pps()
+
+
 class ScenarioRuntime:
     """One fully-built scenario host, not yet (or partially) run.
 
@@ -484,7 +497,7 @@ class ScenarioRuntime:
     clock, so callers control the run loop.  ``run_scenario`` drives it
     to completion in one ``sim.run``; the cluster engine
     (:mod:`repro.cluster`) instead steps it epoch by epoch with
-    :meth:`Simulator.run_epoch`, exchanging cross-host envelopes at
+    :meth:`Simulator.run_epoch`, injecting cross-host envelopes at
     each barrier.  Splitting build from run is what lets every shard
     reuse the single-host engine *unmodified*.
     """
@@ -586,8 +599,8 @@ def build_runtime(config: ScenarioConfig,
 
     ``sink`` overrides where the traffic source delivers packets
     (default: the host's own data-plane ingress).  The cluster engine
-    passes its per-host router here so flows can be steered to remote
-    hosts across the fabric; single-host runs leave it ``None``.
+    passes its per-host router here, which keeps local flows and
+    discards remote ones; single-host runs leave it ``None``.
     """
     forensics_spec = None
     if forensics is not None and forensics is not False:
@@ -665,7 +678,8 @@ def build_runtime(config: ScenarioConfig,
         slo_tracker = SloTracker(sim, config.slo, host, warmup=config.warmup)
         slo_tracker.start()
 
-    src = _make_source(sim, host, rngs, config, tracker, sink=sink)
+    src = _make_source(sim, host.factory, rngs, config, tracker,
+                       sink if sink is not None else host.input)
     return ScenarioRuntime(config, sim, rngs, host, tracker, src, engine,
                            telemetry, injector, slo_tracker, forensics_spec,
                            wall_start)
@@ -718,27 +732,42 @@ def _availability_report(injector, host, horizon: float) -> Dict:
     return out
 
 
-def _make_source(sim, host, rngs, cfg: ScenarioConfig, tracker, sink=None):
+def build_source(config: ScenarioConfig, sink):
+    """Build one scenario's traffic source alone, with no data plane.
+
+    The source draws from the same named RNG stream as under
+    :func:`build_runtime`, so ``sink`` receives exactly the packets (by
+    value) the full host would generate.  The cluster engine uses this
+    to produce a host's egress without simulating the host.  Returns
+    ``(sim, rngs, factory, src)``; call ``src.start()`` then ``sim.run()``.
+    """
+    config.validate()
+    sim = Simulator()
+    rngs = RngRegistry(seed=config.seed)
+    factory = PacketFactory()
+    src = _make_source(sim, factory, rngs, config, None, sink)
+    return sim, rngs, factory, src
+
+
+def _make_source(sim, factory, rngs, cfg: ScenarioConfig, tracker, sink):
     rng = rngs.stream("traffic")
-    if sink is None:
-        sink = host.input
     common = dict(n_flows=cfg.n_flows, duration=cfg.duration)
     if cfg.traffic == "poisson":
         return PoissonSource(
-            sim, host.factory, sink, rng,
+            sim, factory, sink, rng,
             rate_pps=cfg.rate_pps(), size=cfg.packet_size, **common,
         )
     if cfg.traffic == "onoff":
         duty = cfg.mean_on / (cfg.mean_on + cfg.mean_off_us())
         peak = cfg.rate_pps() / duty
         return OnOffSource(
-            sim, host.factory, sink, rng,
+            sim, factory, sink, rng,
             peak_rate_pps=peak, mean_on=cfg.mean_on, mean_off=cfg.mean_off_us(),
             size=cfg.packet_size, **common,
         )
     if cfg.traffic == "incast":
         return IncastSource(
-            sim, host.factory, sink, rng,
+            sim, factory, sink, rng,
             fan_in=cfg.fan_in, burst_pkts=cfg.burst_pkts, epoch=cfg.epoch,
             size=cfg.packet_size, duration=cfg.duration,
         )
@@ -749,7 +778,7 @@ def _make_source(sim, host, rngs, cfg: ScenarioConfig, tracker, sink=None):
         agg_Bpu = cfg.n_paths * cfg.path_capacity_pps() * cfg.packet_size / 1e6
         fps = cfg.flow_load * agg_Bpu * 1e6 / mean_size
         return FlowSource(
-            sim, host.factory, sink, rng,
+            sim, factory, sink, rng,
             flow_rate_fps=fps, size_cdf=cdf, tracker=tracker,
             max_flow_pkts=cfg.max_flow_pkts, duration=cfg.duration,
         )

@@ -9,10 +9,13 @@ the router counters each host reports:
   ``sent_i[j] == received_j[i] + fabric_dropped_j[i]``.  Fabric loss is
   drawn at the *source* and the envelope still travels (flagged), so a
   lost packet is accounted at its destination rather than silently
-  never materializing; any mismatch means the barrier exchange dropped
-  or duplicated an envelope.
+  never materializing; any mismatch means the engine dropped or
+  duplicated an envelope between its two phases.
 * **per-host generation split** -- every generated packet went exactly
-  one way: ``generated_i == local_i + sum_j sent_i[j]``.
+  one way: ``generated_i == local_i + sum_j sent_i[j]``.  ``sent`` is
+  counted in the engine's egress phase and ``generated``/``local`` in
+  its simulation phase, so this also checks that the two phases routed
+  every packet alike.
 
 :func:`check_cluster_conservation` is pure post-run arithmetic over the
 result payload (no runtime hooks), so it can run on a live

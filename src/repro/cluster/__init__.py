@@ -1,13 +1,15 @@
-"""repro.cluster -- rack-scale sharded simulation.
+"""repro.cluster -- rack-scale parallel simulation.
 
-Partitions a :class:`ClusterConfig` (N hosts + a fabric topology)
-across a multiprocessing worker pool, one shard of hosts per worker,
-synchronized with conservative barrier epochs whose length equals the
-fabric's minimum inter-host latency (the lookahead).  Each shard runs
-the existing single-host engine unmodified, so the paper's intra-host
-("last-mile") multipath composes with fabric multipath (ECMP/flowlet);
-cross-shard sends travel as schema-versioned envelopes and merge into
-one :class:`ClusterResult`.
+Runs a :class:`ClusterConfig` (N hosts + a fabric topology) as an exact
+two-phase map over a worker pool, one contiguous shard of hosts per
+worker: phase 1 computes every host's fabric egress (open-loop traffic
+makes it independent of the host's ingress), and phase 2 simulates each
+host in full against its arrivals, injected at conservative epoch
+barriers no longer than the fabric's minimum inter-host latency (the
+lookahead).  Each host runs the existing single-host engine unmodified,
+so the paper's intra-host ("last-mile") multipath composes with fabric
+multipath (ECMP/flowlet); cross-host sends travel as schema-versioned
+envelopes and merge into one :class:`ClusterResult`.
 
 Quickstart::
 
@@ -24,8 +26,8 @@ Quickstart::
     print(result.summary, result.cluster["delivery_ratio"])
 
 Same seed => bit-identical :meth:`ClusterResult.to_dict` at any worker
-count.  See ``docs/CLUSTER.md`` for the sharding model, the lookahead
-contract and the determinism guarantees.
+count.  See ``docs/CLUSTER.md`` for the two phases, the lookahead contract and
+the determinism guarantees.
 """
 
 from repro import _lazy_exports

@@ -68,13 +68,23 @@ class HostConfig:
     name: str = ""
 
     def validate(self) -> "HostConfig":
-        """Check the wrapped scenario, plus cluster-only restrictions."""
+        """Check the wrapped scenario, plus cluster-only restrictions.
+
+        The cluster engine relies on **egress independence**: a host's
+        outgoing envelopes must depend only on its own traffic source
+        and routing streams, never on the envelopes it receives.  That
+        is what lets it compute every host's egress before simulating
+        any host.  Open-loop traffic keeps the contract; closed-loop
+        ``traffic="flows"`` would break it and is rejected.
+        """
         self.scenario.validate()
         if self.scenario.traffic == "flows":
             raise ValueError(
-                "traffic='flows' is not supported inside a cluster: "
-                "flow-completion tracking does not survive the remote "
-                "redirect; use 'poisson', 'onoff' or 'incast' per host"
+                "traffic='flows' is not supported inside a cluster: a "
+                "host's egress must not depend on its ingress (the "
+                "egress-independence contract), and closed-loop flows "
+                "react to what they receive; use 'poisson', 'onoff' or "
+                "'incast' per host"
             )
         try:
             self.scenario.to_dict()

@@ -1,56 +1,71 @@
-"""The spatially-sharded parallel discrete-event engine.
+"""The cluster engine: an exact two-phase map over hosts.
 
-:func:`run_cluster` partitions a :class:`ClusterConfig`'s hosts into
-contiguous shards, one shard per worker process, and synchronizes them
-with **conservative barrier epochs**: the global timeline is cut into
-epochs of length ``L <= fabric.min_latency()`` (the lookahead), every
-shard independently simulates ``[T, T + L)``, and cross-host packet
-envelopes are exchanged at the barrier.  Because the fabric's latency
-model is bounded below by ``L`` (see :mod:`repro.net.fabric`), an
-envelope emitted during an epoch can only arrive in a *later* epoch --
-so no shard can ever receive an event for simulated time it has already
-passed, and no rollbacks or null messages are needed beyond the barrier
-itself.
+A host's egress -- every envelope it sends across the fabric -- depends
+only on its traffic source and its ``cluster.route``/``cluster.fabric``
+RNG streams, never on what it receives: traffic is open loop, and the
+fabric is latency plus loss with no shared queue state (the contract
+:meth:`HostConfig.validate` enforces).  So :func:`run_cluster` needs no
+lockstep between hosts; it runs three steps:
 
-Determinism is structural, not incidental:
+1. **Egress, per host, on the workers.**  Each host's source and
+   :class:`ClusterRouter` run alone, without a data plane.  The egress
+   is written as envelope columns to a per-run temporary directory, one
+   file per source->destination pair.  The ``(send_time,
+   arrive_time)`` of every envelope that can reach the run's horizon
+   goes back to the parent.
+2. **Grid, in the parent.**  :func:`_drive_epochs` replays the epoch
+   schedule over those pairs: epochs of length ``L <=
+   fabric.min_latency()`` (the lookahead), with the horizon pushed out
+   until every envelope has arrived.
+3. **Hosts, per host, on the workers.**  Each host is built in full and
+   stepped through the same epoch ends with :meth:`Simulator.run_epoch`.
+   An envelope emitted during an epoch is injected at the barrier after
+   it, in canonical ``(arrive_time, src_host, env_seq)`` order.  Because
+   the fabric's latency is at least ``L``, that is before the envelope
+   arrives -- and it is exactly where and in what order a lockstep of
+   barrier epochs would have delivered it, so event sequence numbers
+   and packet ids are allocated as in that lockstep.
 
-* each host is its own logical process -- own :class:`Simulator`, own
-  RNG registry (seeded by :func:`derived_host_seed`), own packet
-  factory -- so a host's trajectory is a pure function of its derived
-  seed and the envelopes it receives;
-* incoming envelopes are injected in the canonical order
-  ``(arrive_time, src_host, env_seq)`` whatever order shards produced
-  them in -- the receiving shard sorts its own arrivals, and since the
-  key is unique that is the order a global sort would give;
-* ``workers=1`` runs the *same* epoch loop inline -- worker count only
-  changes which OS process executes a host, never what the host
-  computes.  ``tests/test_cluster.py`` pins workers=1 vs workers=4
-  bit-identity of the full :class:`ClusterResult` payload.
+Determinism is structural: each host has its own :class:`Simulator`,
+RNG registry (seeded by :func:`derived_host_seed`) and packet factory,
+so its trajectory is a pure function of its derived seed and the
+envelopes addressed to it.  ``workers=1`` runs the same steps inline;
+the worker count only changes which process simulates a host.
+``tests/test_cluster.py`` pins workers=1 vs workers=4 bit-identity of
+the full :class:`ClusterResult` payload.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
-import pickle
+import shutil
+import tempfile
 import time as _time
-from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..bench.scenarios import ScenarioConfig, build_runtime
-from ..dataplane.boundary import ARRIVE_IDX, SEQ_IDX, SRC_IDX
+import numpy as np
+
+from ..bench.scenarios import (ScenarioConfig, build_runtime, build_source,
+                               prime_capacity_cache)
+from ..dataplane.boundary import ENVELOPE_DTYPE
 from ..sim.engine import warn_scheduler_ignored
+from ..sweep.pool import TaskFailed, TaskPool
 from .config import ClusterConfig, derived_host_seed
 from .result import ClusterResult, merge_summaries, retained_samples
 from .router import ClusterRouter
 
-#: Canonical injection order for envelopes arriving at one host.
-_envelope_key = itemgetter(ARRIVE_IDX, SRC_IDX, SEQ_IDX)
-_arrive_time = itemgetter(ARRIVE_IDX)
+#: Phase-1 output for one host: the ``(send_time, arrive_time)`` of
+#: each envelope that can reach the horizon (see :func:`_phase1`),
+#: envelopes sent per destination, and packets steered per spine.
+Egress = Tuple[List[Tuple[float, float]], Dict[int, int], Dict[int, int]]
 
-#: One shard's egress for one destination shard: destination host ->
-#: envelopes.  Lists are in emission order per source host, not sorted.
-Bucket = Dict[int, List[Tuple]]
+#: Phase 1 runs each source in slices of this many µs and appends the
+#: slice's envelopes to the egress files as columns, so few are ever
+#: held in memory.
+_SLICE_US = 1_000.0
 
 
 def resolve_workers(workers: Optional[int], n_hosts: int) -> int:
@@ -87,157 +102,145 @@ def partition_hosts(n_hosts: int, workers: int) -> List[List[int]]:
     return [s for s in shards if s]
 
 
-class _Shard:
-    """One shard: a set of host logical processes in one OS process."""
-
-    def __init__(self, cluster: ClusterConfig, host_ids: Sequence[int],
-                 shard_of_host: Sequence[int], *, telemetry: bool = False,
-                 check=None, forensics=None, recycle: bool = True) -> None:
-        self.cluster = cluster
-        self.host_ids = list(host_ids)
-        #: Shard index of every host in the cluster (egress bucketing).
-        self.shard_of_host = list(shard_of_host)
-        self.n_shards = max(self.shard_of_host) + 1
-        self.telemetry = telemetry
-        self.runtimes: Dict[int, object] = {}
-        self.routers: Dict[int, ClusterRouter] = {}
-        n = cluster.n_hosts
-        for hid in self.host_ids:
-            hcfg = cluster.hosts[hid]
-            # Canonical per-host copy (same object graph a worker gets
-            # after crossing a process boundary) with the derived seed.
-            scen = ScenarioConfig.from_dict(hcfg.scenario.to_dict())
-            scen.seed = derived_host_seed(cluster.seed, hid,
-                                          hcfg.scenario.seed)
-            router = ClusterRouter(hid, n, cluster.pattern,
-                                   cluster.incast_target, cluster.fabric)
-            tel = None
-            if telemetry:
-                from repro.obs import Telemetry
-
-                tel = Telemetry()
-            rt = build_runtime(scen, telemetry=tel, check=check,
-                               recycle=recycle, forensics=forensics,
-                               sink=router)
-            router.bind(rt)
-            rt.start()
-            self.runtimes[hid] = rt
-            self.routers[hid] = router
-
-    def run_epoch(self, end: float, incoming: Sequence[Bucket]
-                  ) -> Tuple[Optional[float], List[Bucket]]:
-        """Deliver ``incoming``, then advance every host to ``end``.
-
-        ``incoming`` holds the buckets addressed to this shard at the
-        last barrier, one per sending shard, in any order.  Each host's
-        arrivals are sorted into canonical order here and injected in
-        one pass.  Returns the latest ``arrive_time`` emitted during the
-        epoch (``None`` when nothing crossed the fabric) and this
-        epoch's egress as one bucket per destination shard.
-        """
-        arrivals: Bucket = {}
-        for bucket in incoming:
-            for hid, envs in bucket.items():
-                got = arrivals.get(hid)
-                if got is None:
-                    arrivals[hid] = envs
-                else:
-                    got.extend(envs)
-        routers = self.routers
-        for hid, envs in arrivals.items():
-            envs.sort(key=_envelope_key)
-            routers[hid].inject(envs)
-
-        shard_of_host = self.shard_of_host
-        buckets: List[Bucket] = [{} for _ in range(self.n_shards)]
-        latest = None
-        for hid in self.host_ids:
-            self.runtimes[hid].sim.run_epoch(end)
-            router = routers[hid]
-            if not router.outgoing:
-                continue
-            out, router.outgoing = router.outgoing, {}
-            for dst, envs in out.items():
-                bucket = buckets[shard_of_host[dst]]
-                got = bucket.get(dst)
-                if got is None:
-                    bucket[dst] = envs
-                else:
-                    got.extend(envs)
-                arrive = max(map(_arrive_time, envs))
-                if latest is None or arrive > latest:
-                    latest = arrive
-        return latest, buckets
-
-    def finalize(self, telemetry_dir: Optional[str] = None) -> Dict[int, Dict]:
-        """Finalize every host; return per-host payload dicts."""
-        payloads: Dict[int, Dict] = {}
-        for hid in self.host_ids:
-            rt = self.runtimes[hid]
-            result = rt.finalize()
-            payload = result.to_dict()
-            payload["host_id"] = hid
-            payload["name"] = self.cluster.hosts[hid].name or f"host{hid}"
-            payload["router"] = self.routers[hid].stats()
-            payload["latency_samples"] = retained_samples(
-                result.host.sink.recorder.values()
-            )
-            if telemetry_dir is not None and result.telemetry is not None:
-                result.telemetry.export(
-                    os.path.join(telemetry_dir, f"host{hid}")
-                )
-            payloads[hid] = payload
-        return payloads
+def _host_scenario(cluster: ClusterConfig, hid: int) -> ScenarioConfig:
+    """Canonical per-host copy of the scenario, with the derived seed."""
+    scenario = cluster.hosts[hid].scenario
+    scen = ScenarioConfig.from_dict(scenario.to_dict())
+    scen.seed = derived_host_seed(cluster.seed, hid, scenario.seed)
+    return scen
 
 
-def _worker_main(conn, cluster_dict: Dict, host_ids: List[int],
-                 shard_of_host: List[int], opts: Dict) -> None:
-    """Worker process body: build the shard, serve epoch/finalize requests.
+def _egress_path(egress_dir: str, src: int, dst: int) -> str:
+    return os.path.join(egress_dir, f"{src}-{dst}.env")
 
-    Epoch traffic is bytes both ways: each bucket arrives and leaves
-    pickled once, so the parent forwards blobs without opening them.
+
+def _phase1(cluster: ClusterConfig, host_ids: Iterable[int],
+            egress_dir: str) -> Dict[int, Egress]:
+    """Run each host's source and router alone; write its egress.
+
+    Only envelopes with ``arrive_time + L >= cluster.horizon()`` report
+    their times.  The epoch grid reads an epoch's latest arrival only to
+    push the horizon out (``latest + L > horizon``) and, once an epoch
+    ends at or past the horizon, to see whether it sent anything; such
+    an envelope arrives at or past the horizon, since the fabric's
+    latency is at least ``L``.  The horizon never falls below
+    ``cluster.horizon()``, so no other envelope can change the grid.
     """
-    try:
-        shard = _Shard(ClusterConfig.from_dict(cluster_dict), host_ids,
-                       shard_of_host,
-                       telemetry=opts.get("telemetry", False),
-                       check=opts.get("check"),
-                       forensics=opts.get("forensics"),
-                       recycle=opts.get("recycle", True))
-        loads, dumps = pickle.loads, pickle.dumps
-        protocol = pickle.HIGHEST_PROTOCOL
-        while True:
-            msg = conn.recv()
-            tag = msg[0]
-            if tag == "epoch":
-                latest, buckets = shard.run_epoch(
-                    msg[1], [loads(blob) for blob in msg[2]])
-                blobs = [dumps(b, protocol) if b else None for b in buckets]
-                conn.send(("out", (latest, blobs)))
-            elif tag == "finalize":
-                conn.send(("done", shard.finalize(msg[1])))
-                return
-            elif tag == "stop":
-                return
-    except EOFError:  # parent died; exit quietly
+    L, horizon = cluster.epoch_length(), cluster.horizon()
+    out: Dict[int, Egress] = {}
+    for hid in host_ids:
+        router = ClusterRouter(hid, cluster.n_hosts, cluster.pattern,
+                               cluster.incast_target, cluster.fabric)
+        sim, rngs, factory, src = build_source(_host_scenario(cluster, hid),
+                                               router)
+        router.bind(sim, factory, rngs, factory.recycle)
+        src.start()
+        late: List[Tuple[float, float]] = []
+        while sim.pending_count:
+            sim.run(until=sim.now + _SLICE_US)
+            for dst, envs in router.outgoing.items():
+                cols = np.array(envs, dtype=ENVELOPE_DTYPE)
+                with open(_egress_path(egress_dir, hid, dst), "ab") as fh:
+                    cols.tofile(fh)
+                tail = cols[cols["arrive_time"] + L >= horizon]
+                late.extend(zip(tail["send_time"].tolist(),
+                                tail["arrive_time"].tolist()))
+            router.outgoing = {}
+        out[hid] = (late, router.sent, router.by_spine)
+    return out
+
+
+def _epoch_ends(config: ClusterConfig, egress: Dict[int, Egress]
+                ) -> List[float]:
+    """The epoch ends a lockstep over this egress would step through."""
+    late = sorted(pair for e in egress.values() for pair in e[0])
+    sends = [send for send, _ in late]
+    ends: List[float] = []
+
+    def step(end: float, start: float) -> Optional[float]:
+        lo, hi = bisect_left(sends, start), bisect_left(sends, end)
+        ends.append(end)
+        return max(arrive for _, arrive in late[lo:hi]) if hi > lo else None
+
+    _drive_epochs(config, step)
+    return ends
+
+
+def _arrivals(cluster: ClusterConfig, hid: int, ends: List[float],
+              egress_dir: str) -> Iterator[Tuple[int, List[Tuple]]]:
+    """``(epoch, envelopes)`` for every epoch that sent ``hid`` any, in
+    epoch order, each batch in canonical injection order."""
+    parts = []
+    for src in range(cluster.n_hosts):
+        path = _egress_path(egress_dir, src, hid)
+        if os.path.exists(path):
+            parts.append(np.fromfile(path, dtype=ENVELOPE_DTYPE))
+    if not parts:
         return
-    except BaseException as exc:  # surface worker failures to the parent
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except OSError:
-            pass
-        raise
-    finally:
-        conn.close()
+    cols = np.concatenate(parts)
+    del parts
+    # An event at exactly an epoch end runs in the next epoch.
+    epoch = np.searchsorted(np.asarray(ends), cols["send_time"],
+                            side="right")
+    order = np.lexsort((cols["env_seq"], cols["src_host"],
+                        cols["arrive_time"], epoch))
+    epoch = epoch[order]
+    starts = np.flatnonzero(np.diff(epoch)) + 1
+    for lo, hi in zip([0, *starts.tolist()], [*starts.tolist(), len(cols)]):
+        yield int(epoch[lo]), cols[order[lo:hi]].tolist()
+
+
+def _phase2(cluster: ClusterConfig, host_ids: Iterable[int],
+            ends: List[float], counts: Dict[int, Tuple[Dict, Dict]],
+            egress_dir: str, opts: Dict) -> Dict[int, Dict]:
+    """Simulate each host in full against its arrivals; return payloads.
+
+    ``counts`` holds each host's phase-1 ``(sent, by_spine)``.
+    """
+    payloads: Dict[int, Dict] = {}
+    telemetry_dir = opts["telemetry_dir"]
+    for hid in host_ids:
+        router = ClusterRouter(hid, cluster.n_hosts, cluster.pattern,
+                               cluster.incast_target)
+        router.sent, router.by_spine = counts[hid]
+        tel = None
+        if telemetry_dir is not None:
+            from repro.obs import Telemetry
+
+            tel = Telemetry()
+        rt = build_runtime(_host_scenario(cluster, hid), telemetry=tel,
+                           check=opts["check"], recycle=opts["recycle"],
+                           forensics=opts["forensics"], sink=router)
+        router.bind(rt.sim, rt.host.factory, rt.rngs, rt.host.input)
+        rt.start()
+        arrivals = _arrivals(cluster, hid, ends, egress_dir)
+        batch = next(arrivals, None)
+        run_epoch = rt.sim.run_epoch
+        for k, end in enumerate(ends):
+            run_epoch(end)
+            if batch is not None and batch[0] == k:
+                router.inject(batch[1])
+                batch = next(arrivals, None)
+
+        result = rt.finalize()
+        payload = result.to_dict()
+        payload["host_id"] = hid
+        payload["name"] = cluster.hosts[hid].name or f"host{hid}"
+        payload["router"] = router.stats()
+        payload["latency_samples"] = retained_samples(
+            result.host.sink.recorder.values()
+        )
+        if telemetry_dir is not None and result.telemetry is not None:
+            result.telemetry.export(
+                os.path.join(telemetry_dir, f"host{hid}")
+            )
+        payloads[hid] = payload
+    return payloads
 
 
 class ClusterExecutionError(RuntimeError):
-    """A shard worker failed or died; the message names the shard, its
-    hosts and the epoch, plus the worker's error or exit code."""
-
-
-def _shard_name(si: int, shards: List[List[int]]) -> str:
-    return f"cluster worker for shard {si} (hosts {shards[si]})"
+    """A cluster worker failed or died; the message names the phase, the
+    worker's hosts, and the worker's error or exit code."""
 
 
 def run_cluster(config: ClusterConfig,
@@ -248,22 +251,23 @@ def run_cluster(config: ClusterConfig,
                 forensics=None,
                 recycle: bool = True,
                 scheduler: Optional[str] = None) -> ClusterResult:
-    """Run a cluster scenario across a sharded worker pool.
+    """Run a cluster scenario, its hosts spread over worker processes.
 
     Parameters
     ----------
     config:
         The cluster to simulate (validated up front).
     workers:
-        Worker processes (see :func:`resolve_workers`); ``1`` runs every
-        shard inline through the identical epoch loop.
+        Worker processes (see :func:`resolve_workers`); each takes one
+        contiguous shard of hosts (:func:`partition_hosts`).  ``1`` runs
+        both phases inline.
     telemetry_dir:
         When given, each host runs instrumented and exports its bundle
         to ``<telemetry_dir>/host<k>/``, with one cluster-level
         provenance ``manifest.json`` on top.
     check:
         Arm the per-host invariant engine (``True`` or a ``CheckSpec``)
-        *plus* the cross-shard conservation check
+        *plus* the cross-host conservation check
         (:func:`repro.check.cluster.check_cluster_conservation`), which
         raises on any unaccounted envelope.
     forensics:
@@ -286,16 +290,21 @@ def run_cluster(config: ClusterConfig,
     n_hosts = config.n_hosts
     workers = resolve_workers(workers, n_hosts)
     shards = partition_hosts(n_hosts, workers)
-    opts = {"telemetry": telemetry_dir is not None, "check": check,
+    opts = {"telemetry_dir": telemetry_dir, "check": check,
             "forensics": forensics, "recycle": recycle}
 
-    if len(shards) == 1:
-        shard = _Shard(config, shards[0], [0] * n_hosts,
-                       telemetry=opts["telemetry"], check=check,
-                       forensics=forensics, recycle=recycle)
-        payloads = _drive_inline(config, shard, telemetry_dir)
-    else:
-        payloads = _drive_pool(config, shards, opts, telemetry_dir)
+    egress_dir = tempfile.mkdtemp(prefix="repro-cluster-")
+    try:
+        if len(shards) == 1:
+            egress = _phase1(config, range(n_hosts), egress_dir)
+            ends = _epoch_ends(config, egress)
+            counts = {hid: e[1:] for hid, e in egress.items()}
+            payloads = _phase2(config, range(n_hosts), ends, counts,
+                               egress_dir, opts)
+        else:
+            payloads = _map_pool(config, shards, egress_dir, opts)
+    finally:
+        shutil.rmtree(egress_dir, ignore_errors=True)
 
     hosts = [payloads[hid] for hid in range(n_hosts)]
     result = ClusterResult(
@@ -326,124 +335,67 @@ def run_cluster(config: ClusterConfig,
 
 
 def _drive_epochs(config: ClusterConfig, step_fn) -> None:
-    """Shared barrier loop: epoch schedule + horizon extension.
+    """The epoch schedule and its horizon rule, in one place.
 
-    ``step_fn(end, incoming) -> (latest, outgoing)`` advances every
-    shard to ``end``.  ``incoming`` is the ``outgoing`` the previous
-    step returned (``None`` before the first epoch): the envelopes
-    emitted during the last epoch, in whatever form the step forwards
-    them.  ``latest`` is the latest ``arrive_time`` among the envelopes
-    emitted during this epoch, ``None`` when there were none.  The
-    horizon starts at the nominal run end and is pushed out whenever an
-    envelope's arrival (plus one epoch of settling) falls beyond it, so
-    every envelope is delivered and accounted before the run closes --
-    the cross-shard conservation identity is exact, not best-effort.
+    ``step_fn(end, start) -> latest`` is called once per epoch
+    ``[start, end)``, in order.  ``latest`` is the latest
+    ``arrive_time`` among the envelopes sent during the epoch, ``None``
+    when there were none.  The horizon starts at the nominal run end and
+    is pushed out whenever an envelope's arrival (plus one epoch of
+    settling) falls beyond it, so every envelope is delivered and
+    accounted before the run closes -- the cross-host conservation
+    identity is exact, not best-effort.
     """
     L = config.epoch_length()
     horizon = config.horizon()
     t = 0.0
-    in_flight = None
     latest = None
     while t < horizon or latest is not None:
         end = min(t + L, horizon) if t < horizon else t + L
-        latest, in_flight = step_fn(end, in_flight)
+        latest = step_fn(end, t)
         if latest is not None and latest + L > horizon:
             horizon = latest + L
         t = end
 
 
-def _drive_inline(config: ClusterConfig, shard: _Shard,
-                  telemetry_dir: Optional[str]) -> Dict[int, Dict]:
-    def step(end: float, incoming: Optional[List[Bucket]]):
-        return shard.run_epoch(end, incoming or ())
+def _shard_task(cluster_dict: Dict, egress_dir: str, opts: Dict,
+                task: Tuple):
+    """Pool task body: ``(1, host_ids)`` or ``(2, host_ids, ends,
+    counts)`` runs that phase for one shard."""
+    cluster = ClusterConfig.from_dict(cluster_dict)
+    if task[0] == 1:
+        return _phase1(cluster, task[1], egress_dir)
+    return _phase2(cluster, task[1], task[2], task[3], egress_dir, opts)
 
-    _drive_epochs(config, step)
-    return shard.finalize(telemetry_dir)
 
-
-def _drive_pool(config: ClusterConfig, shards: List[List[int]],
-                opts: Dict, telemetry_dir: Optional[str]) -> Dict[int, Dict]:
-    # Fork is preferred (cheap, inherits the warm capacity-calibration
-    # cache); spawn works too since the worker body is importable.
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in methods else None
-    )
-    shard_of_host = [0] * config.n_hosts
-    for si, ids in enumerate(shards):
-        for hid in ids:
-            shard_of_host[hid] = si
-    cluster_dict = config.to_dict()
-    conns, procs = [], []
+def _map_pool(config: ClusterConfig, shards: List[List[int]],
+              egress_dir: str, opts: Dict) -> Dict[int, Dict]:
+    # Workers fork with the calibration cache warm.
+    prime_capacity_cache(h.scenario for h in config.hosts)
+    task = functools.partial(_shard_task, config.to_dict(), egress_dir, opts)
+    phase = 1
     try:
-        for ids in shards:
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(child_conn, cluster_dict, ids, shard_of_host, opts),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            conns.append(parent_conn)
-            procs.append(proc)
-
-        def send(si: int, msg: Tuple, when: str) -> None:
-            try:
-                conns[si].send(msg)
-            except OSError:  # broken pipe: the worker is gone
-                raise lost(si, when) from None
-
-        def recv(si: int, when: str):
-            try:
-                tag, payload = conns[si].recv()
-            except (EOFError, OSError):
-                raise lost(si, when) from None
-            if tag == "error":
-                raise ClusterExecutionError(
-                    f"{_shard_name(si, shards)} failed {when}: {payload}")
-            return payload
-
-        def lost(si: int, when: str) -> ClusterExecutionError:
-            procs[si].join(timeout=5)
-            return ClusterExecutionError(
-                f"{_shard_name(si, shards)} died {when} "
-                f"(exit code {procs[si].exitcode})")
-
-        def step(end: float, incoming: Optional[List[List[bytes]]]):
-            # Buckets cross the parent as pickled blobs, never opened.
-            when = f"in the epoch ending at t={end:.3f}us"
-            for si in range(len(shards)):
-                send(si, ("epoch", end, incoming[si] if incoming else []),
-                     when)
-            outgoing: List[List[bytes]] = [[] for _ in shards]
-            latest = None
-            for si in range(len(shards)):
-                shard_latest, blobs = recv(si, when)
-                for dst, blob in enumerate(blobs):
-                    if blob is not None:
-                        outgoing[dst].append(blob)
-                if shard_latest is not None and (
-                        latest is None or shard_latest > latest):
-                    latest = shard_latest
-            return latest, outgoing
-
-        _drive_epochs(config, step)
-
-        payloads: Dict[int, Dict] = {}
-        for si in range(len(shards)):
-            send(si, ("finalize", telemetry_dir), "while finalizing")
-        for si in range(len(shards)):
-            payloads.update(recv(si, "while finalizing"))
-        return payloads
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            proc.join(timeout=30)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-                proc.join(timeout=5)
+        with TaskPool(task, len(shards)) as pool:
+            egress: Dict[int, Egress] = {}
+            for _, part in pool.imap_unordered([(1, ids) for ids in shards]):
+                egress.update(part)
+            ends = _epoch_ends(config, egress)
+            phase = 2
+            payloads: Dict[int, Dict] = {}
+            for _, part in pool.imap_unordered([
+                    (2, ids, ends, {hid: egress[hid][1:] for hid in ids})
+                    for ids in shards]):
+                payloads.update(part)
+            return payloads
+    except TaskFailed as exc:
+        who = f"cluster worker for hosts {shards[exc.index]}"
+        if exc.error is not None:
+            raise ClusterExecutionError(
+                f"{who} failed in phase {phase}: "
+                f"{type(exc.error).__name__}: {exc.error}") from exc.error
+        raise ClusterExecutionError(
+            f"{who} died in phase {phase} (exit code {exc.exitcode})"
+        ) from None
 
 
 def _cluster_totals(config: ClusterConfig, hosts: List[Dict]) -> Dict:

@@ -1,24 +1,32 @@
 """Per-host cluster router: the seam between source, fabric and host.
 
 In a cluster run each host's traffic source no longer feeds the host's
-NIC directly -- it feeds this router (via the ``sink`` override of
-:func:`repro.bench.scenarios.build_runtime`).  The router assigns every
+NIC directly -- it feeds this router.  The router assigns every
 **flow** a destination host per the cluster pattern, then either
+delivers the packet into its own host (local flow) or sends it across
+the fabric.  It runs once in each of the engine's two phases (see
+:mod:`repro.cluster.engine`):
 
-* delivers the packet into its own host's data plane (local flow), or
-* steers it across the fabric (:class:`~repro.net.fabric.FabricSteering`
-  picks spine, delay and loss) and emits a schema-versioned envelope
-  that the shard engine forwards at the next epoch barrier.
+* **phase 1** (built with a fabric config): the source runs alone, and
+  every remote packet is steered (:class:`~repro.net.fabric.FabricSteering`
+  picks spine, delay and loss) and encoded as a schema-versioned
+  envelope in :attr:`ClusterRouter.outgoing`;
+* **phase 2** (built without one): the full host runs, local packets
+  enter its data plane, remote packets are discarded -- their envelopes
+  exist already -- and the envelopes addressed to this host arrive
+  through :meth:`ClusterRouter.inject`.
 
+Both phases draw destinations from the host's ``cluster.route`` stream
+in the same order, so they agree on every packet's destination.
 Destination assignment is per-flow, not per-packet: a flow's packets
 all land on one host, so per-flow sequence numbers stay gap-free and
 the destination's reorder buffer sees a normal flow.
 
-Conservation across the shard boundary is exact and testable: for every
-host pair ``(i, j)``, ``sent_i[j] == received_j[i] +
-fabric_dropped_j[i]`` -- lost packets still travel as envelopes flagged
-``dropped`` and are *accounted* (never delivered) at the receiver, so
-no packet can silently vanish between shards (see
+Conservation across hosts is exact and testable: for every host pair
+``(i, j)``, ``sent_i[j] == received_j[i] + fabric_dropped_j[i]`` --
+lost packets still travel as envelopes flagged ``dropped`` and are
+*accounted* (never delivered) at the receiver, so no packet can
+silently vanish between hosts (see
 :func:`repro.check.cluster.check_cluster_conservation`).
 """
 
@@ -39,31 +47,32 @@ from ..net.fabric import FabricSteering
 class ClusterRouter:
     """Routes one host's generated flows to local or remote hosts.
 
-    Created *before* the host runtime (it is the source's sink), then
-    :meth:`bind`-ed to the built runtime.  All randomness (flow
-    destinations, fabric steering) comes from the bound host's own RNG
-    registry, so routing is a pure function of the host's derived seed.
+    Created *before* the packets' simulator (it is the source's sink),
+    then :meth:`bind`-ed to it.  All randomness (flow destinations,
+    fabric steering) comes from the host's own RNG registry, so routing
+    is a pure function of the host's derived seed.
     """
 
     __slots__ = ("host_id", "n_hosts", "pattern", "incast_target",
                  "steering", "sim", "factory", "local_sink", "_route_rng",
-                 "_dst_by_tuple", "outgoing", "_env_seq",
-                 "generated", "local", "sent", "received", "fabric_dropped")
+                 "_dst_by_tuple", "outgoing", "_env_seq", "generated",
+                 "local", "sent", "received", "fabric_dropped", "by_spine")
 
     def __init__(self, host_id: int, n_hosts: int, pattern: str,
-                 incast_target: int, fabric_config) -> None:
+                 incast_target: int, fabric_config=None) -> None:
         self.host_id = host_id
         self.n_hosts = n_hosts
         self.pattern = pattern
         self.incast_target = incast_target
-        self.steering = FabricSteering(fabric_config)
+        #: Phase 1 only: spine/delay/loss decisions for remote packets.
+        self.steering = (FabricSteering(fabric_config)
+                         if fabric_config is not None else None)
         self.sim = None
         self.factory = None
         self.local_sink = None
         self._route_rng = None
         self._dst_by_tuple: Dict = {}
-        #: Envelopes emitted this epoch by destination host, in emission
-        #: order; the shard swaps in a fresh dict at each barrier.
+        #: Phase 1: envelopes by destination host, in emission order.
         self.outgoing: Dict[int, List[Tuple]] = {}
         self._env_seq = 0
         self.generated = 0
@@ -71,14 +80,19 @@ class ClusterRouter:
         self.sent: Dict[int, int] = {}
         self.received: Dict[int, int] = {}
         self.fabric_dropped: Dict[int, int] = {}
+        self.by_spine: Dict[int, int] = (self.steering.by_spine
+                                         if self.steering is not None
+                                         else {})
 
-    def bind(self, runtime) -> None:
-        """Attach the built host runtime (simulator, factory, ingress)."""
-        self.sim = runtime.sim
-        self.factory = runtime.host.factory
-        self.local_sink = runtime.host.input
-        self._route_rng = runtime.rngs.stream("cluster.route")
-        self.steering.rng = runtime.rngs.stream("cluster.fabric")
+    def bind(self, sim, factory, rngs, local_sink) -> None:
+        """Attach the simulator, packet factory, RNG registry and the
+        callable that takes local packets."""
+        self.sim = sim
+        self.factory = factory
+        self.local_sink = local_sink
+        self._route_rng = rngs.stream("cluster.route")
+        if self.steering is not None:
+            self.steering.rng = rngs.stream("cluster.fabric")
 
     # ------------------------------------------------------------------
     # Egress: the traffic source's sink
@@ -94,19 +108,20 @@ class ClusterRouter:
             self.local += 1
             self.local_sink(pkt)
             return
-        now = self.sim._now
-        _spine, delay, lost = self.steering.transit(
-            self.host_id, pkt.flow_id, now
-        )
-        env = encode_envelope(pkt, self.host_id, dst, self._env_seq,
-                              now, now + delay, _spine, lost)
-        self._env_seq += 1
-        self.sent[dst] = self.sent.get(dst, 0) + 1
-        out = self.outgoing.get(dst)
-        if out is None:
-            self.outgoing[dst] = [env]
-        else:
-            out.append(env)
+        if self.steering is not None:
+            now = self.sim._now
+            spine, delay, lost = self.steering.transit(
+                self.host_id, pkt.flow_id, now
+            )
+            env = encode_envelope(pkt, self.host_id, dst, self._env_seq,
+                                  now, now + delay, spine, lost)
+            self._env_seq += 1
+            self.sent[dst] = self.sent.get(dst, 0) + 1
+            out = self.outgoing.get(dst)
+            if out is None:
+                self.outgoing[dst] = [env]
+            else:
+                out.append(env)
         # The packet object never leaves this process; the envelope
         # carries everything, so the carcass can feed the local pool.
         self.factory.recycle(pkt)
@@ -119,10 +134,10 @@ class ClusterRouter:
         return int(self._route_rng.integers(self.n_hosts))
 
     # ------------------------------------------------------------------
-    # Ingress: envelopes forwarded by the shard engine at barriers
+    # Ingress: envelopes addressed to this host, injected at barriers
     # ------------------------------------------------------------------
     def inject(self, envs: List[Tuple]) -> None:
-        """Queue this barrier's incoming envelopes for arrival.
+        """Queue one barrier's incoming envelopes for arrival.
 
         ``envs`` must be in canonical ``(arrive_time, src_host,
         env_seq)`` order.  Goes through
@@ -152,5 +167,5 @@ class ClusterRouter:
             "fabric_dropped": {str(k): v for k, v
                                in sorted(self.fabric_dropped.items())},
             "by_spine": {str(k): v for k, v
-                         in sorted(self.steering.by_spine.items()) if v},
+                         in sorted(self.by_spine.items()) if v},
         }

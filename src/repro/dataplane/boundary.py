@@ -10,8 +10,9 @@ exactly the header fields the destination host needs to rebuild an
 equivalent packet, and nothing that depends on the source host's
 runtime state.
 
-Envelopes travel over ``multiprocessing`` pipes as plain tuples (cheap
-to pickle, order-stable); :func:`envelope_to_dict` produces the
+Envelopes are plain tuples in memory and numpy structured arrays
+(:data:`ENVELOPE_DTYPE`, one column per field) on disk between the
+cluster engine's two phases; :func:`envelope_to_dict` produces the
 JSON/schema form used by artifacts and ``repro.schemas``.
 
 Identity remapping at decode time is deterministic and collision-free:
@@ -28,6 +29,8 @@ Identity remapping at decode time is deterministic and collision-free:
 from __future__ import annotations
 
 from typing import Dict, Tuple
+
+import numpy as np
 
 from ..net.packet import FiveTuple, Packet, PacketFactory
 
@@ -60,11 +63,18 @@ ENVELOPE_FIELDS = (
     "dropped",      # True: lost in-fabric; receiver accounts, not delivers
 )
 
-#: Index of ``arrive_time`` in the tuple form (barrier-exchange sort key).
+#: Columnar form of the tuple layout, field for field: ``tolist()`` on
+#: an array of this dtype gives back the tuples, with plain Python
+#: values.
+ENVELOPE_DTYPE = np.dtype(list(zip(ENVELOPE_FIELDS, (
+    "<i8", "<i4", "<i4", "<i8", "<i8", "<i4", "<i4", "<i4", "<i4",
+    "<f8", "<f8", "<f8", "<i4", "?",
+))))
+
+#: Index of ``arrive_time`` in the tuple form (canonical sort key).
 ARRIVE_IDX = ENVELOPE_FIELDS.index("arrive_time")
 SRC_IDX = ENVELOPE_FIELDS.index("src_host")
 DST_IDX = ENVELOPE_FIELDS.index("dst_host")
-SEQ_IDX = ENVELOPE_FIELDS.index("env_seq")
 DROPPED_IDX = ENVELOPE_FIELDS.index("dropped")
 
 

@@ -25,7 +25,8 @@ _EXPORTS = {
     "repro.sweep.cache": ("ResultCache", "code_fingerprint",
                           "DEFAULT_CACHE_DIR"),
     "repro.sweep.result": ("CellResult", "SweepResult", "measure"),
-    "repro.sweep.orchestrator": ("run_sweep", "resolve_jobs"),
+    "repro.sweep.orchestrator": ("SweepExecutionError", "resolve_jobs",
+                                 "run_sweep"),
 }
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -2,11 +2,13 @@
 
 :func:`run_sweep` expands a :class:`~repro.sweep.spec.SweepSpec`, serves
 every cell it can from the content-hash cache, and fans the misses out
-across a ``multiprocessing`` pool.  Each cell is an independent
+across a :class:`~repro.sweep.pool.TaskPool`.  Each cell is an independent
 simulation with its own :class:`~repro.sim.rng.RngRegistry` seeded from
 the cell config, so results are bit-identical whatever the worker count
 -- parallelism changes only *when* a cell runs, never *what* it computes.
 Cells are reassembled in expansion order regardless of completion order.
+A worker that dies mid-cell stops the sweep with a
+:class:`SweepExecutionError` naming the cell.
 
 Worker-count resolution: an explicit ``jobs`` argument wins, else the
 ``REPRO_SWEEP_JOBS`` env var, else ``min(n_cells, cpu_count)``.  Caching
@@ -63,12 +65,15 @@ def _run_config_dict(config_dict: Dict,
     return payload
 
 
-def _worker(item: Tuple[int, Dict, Optional[str], Optional[object]]
-            ) -> Tuple[int, Dict]:
-    """Pool entry point: (index, config dict, telemetry dir, check spec)
-    -> (index, payload)."""
-    index, config_dict, telemetry_dir, check = item
-    return index, _run_config_dict(config_dict, telemetry_dir, check)
+def _worker(item: Tuple[Dict, Optional[str], Optional[object]]) -> Dict:
+    """Pool entry point: (config dict, telemetry dir, check spec) ->
+    payload."""
+    return _run_config_dict(*item)
+
+
+class SweepExecutionError(RuntimeError):
+    """A sweep worker died; the message names the cell index, its
+    params and the worker's exit code."""
 
 
 def resolve_jobs(jobs: Optional[int], n_cells: int) -> int:
@@ -182,22 +187,29 @@ def run_sweep(
         if progress is not None:
             progress(len(done), total, done[cell.index])
 
-    by_index = {cell.index: cell for cell in misses}
     if misses and (jobs == 1 or len(misses) == 1):
         for cell in misses:
             finish(cell,
                    _run_config_dict(cell.config_dict, tel_dir, check_spec))
     elif misses:
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else None
-        )
-        with ctx.Pool(processes=min(jobs, len(misses))) as pool:
-            work = [(cell.index, cell.config_dict, tel_dir, check_spec)
-                    for cell in misses]
-            for index, payload in pool.imap_unordered(_worker, work,
-                                                      chunksize=1):
-                finish(by_index[index], payload)
+        from repro.bench.scenarios import ScenarioConfig, prime_capacity_cache
+        from repro.sweep.pool import TaskFailed, TaskPool
+
+        # Workers fork with the calibration cache warm.
+        prime_capacity_cache(ScenarioConfig.from_dict(cell.config_dict)
+                             for cell in misses)
+        work = [(cell.config_dict, tel_dir, check_spec) for cell in misses]
+        with TaskPool(_worker, min(jobs, len(misses))) as pool:
+            try:
+                for i, payload in pool.imap_unordered(work):
+                    finish(misses[i], payload)
+            except TaskFailed as exc:
+                if exc.error is not None:
+                    raise exc.error from None
+                cell = misses[exc.index]
+                raise SweepExecutionError(
+                    f"sweep worker died running cell {cell.index} "
+                    f"{cell.params} (exit code {exc.exitcode})") from None
 
     return SweepResult(
         spec=spec.to_dict(),

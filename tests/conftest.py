@@ -1,5 +1,8 @@
 """Shared fixtures."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -44,3 +47,23 @@ def mk_packet(factory, ftuple):
         return make_packet(factory, ftuple, **kw)
 
     return _mk
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(seconds):`` raises ``TimeoutError`` in a block
+    that runs too long, so a hang fails the test instead of stalling
+    the suite (POSIX only: uses ``SIGALRM``)."""
+    @contextlib.contextmanager
+    def guard(seconds: float):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds}s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    return guard

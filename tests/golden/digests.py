@@ -114,8 +114,9 @@ def _cluster(make: Callable[[], ClusterConfig],
     return lambda: repro.run(make(), RunOptions(workers=workers)).to_dict()
 
 
-#: Reference run name -> payload builder.  Clusters run at one and two
-#: workers and both must match the one committed digest per cluster.
+#: Reference run name -> payload function.  Clusters run at one, two and
+#: four workers (four: one host per process) and all must match the one
+#: committed digest per cluster.
 RUNS: Dict[str, Callable[[], object]] = {
     "single": _single("single"),
     "adaptive": _single("adaptive"),
@@ -128,8 +129,10 @@ RUNS: Dict[str, Callable[[], object]] = {
     "sweep_4": _sweep,
     "cluster_ecmp@1": _cluster(_ecmp_cluster, 1),
     "cluster_ecmp@2": _cluster(_ecmp_cluster, 2),
+    "cluster_ecmp@4": _cluster(_ecmp_cluster, 4),
     "cluster_flowlet_lossy_incast@1": _cluster(_lossy_incast_cluster, 1),
     "cluster_flowlet_lossy_incast@2": _cluster(_lossy_incast_cluster, 2),
+    "cluster_flowlet_lossy_incast@4": _cluster(_lossy_incast_cluster, 4),
 }
 
 

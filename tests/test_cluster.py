@@ -13,6 +13,7 @@ The two load-bearing guarantees pinned here:
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 
 import pytest
@@ -268,28 +269,117 @@ class TestClusterRun:
         s = merge_summaries([], [])
         assert s.count == 0
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the patched shard reaches the workers only through fork")
-    def test_killed_worker_is_named(self, monkeypatch):
+    @staticmethod
+    def _kill_host0_in(phase, monkeypatch, tmp_path, deadline):
+        """Run 4 hosts on 2 workers, SIGKILL the worker of host 0 in
+        ``phase``; return the error the run raised."""
+        import tempfile
+
         from repro.cluster import ClusterExecutionError, engine
 
-        cc = small_cluster(4)
-        kill_at = 2 * cc.epoch_length()
-        original = engine._Shard.run_epoch
+        name = f"_phase{phase}"
+        original = getattr(engine, name)
 
-        def run_epoch(shard, end, incoming):
-            if 0 in shard.host_ids and end >= kill_at:
+        def killing(cluster, host_ids, *args):
+            if 0 in host_ids:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return original(shard, end, incoming)
+            return original(cluster, host_ids, *args)
 
-        monkeypatch.setattr(engine._Shard, "run_epoch", run_epoch)
-        with pytest.raises(ClusterExecutionError) as info:
-            run_cluster(cc, workers=2)
-        assert str(info.value) == (
-            f"cluster worker for shard 0 (hosts [0, 1]) died in the epoch "
-            f"ending at t={kill_at:.3f}us (exit code {-signal.SIGKILL})")
+        monkeypatch.setattr(engine, name, killing)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with deadline(10), pytest.raises(ClusterExecutionError) as info:
+            run_cluster(small_cluster(4), workers=2)
         assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == []  # egress files removed
+        return str(info.value)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched phase reaches the workers only through fork")
+    def test_killed_worker_is_named(self, monkeypatch, tmp_path, deadline):
+        assert self._kill_host0_in(2, monkeypatch, tmp_path, deadline) == (
+            f"cluster worker for hosts [0, 1] died in phase 2 "
+            f"(exit code {-signal.SIGKILL})")
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched phase reaches the workers only through fork")
+    def test_killed_phase1_worker_is_named(self, monkeypatch, tmp_path,
+                                           deadline):
+        assert self._kill_host0_in(1, monkeypatch, tmp_path, deadline) == (
+            f"cluster worker for hosts [0, 1] died in phase 1 "
+            f"(exit code {-signal.SIGKILL})")
+
+    def test_workers_prime_capacity_in_parent(self, monkeypatch):
+        from repro.bench import scenarios
+
+        cc = small_cluster(2)
+        want = payload(run_cluster(cc, workers=1))
+        monkeypatch.setattr(scenarios, "_CAPACITY_CACHE", {})
+        assert payload(run_cluster(cc, workers=2)) == want
+        s = cc.hosts[0].scenario
+        assert list(scenarios._CAPACITY_CACHE) == [
+            (s.chain, s.packet_size, s.n_flows)]
+
+
+class TestEgressContract:
+    """A host's egress never depends on its ingress.
+
+    This is the premise of the two-phase map: with every incoming
+    envelope dropped, a fully simulated host still sends exactly the
+    envelopes that its source and router alone produce.
+    """
+
+    CLUSTERS = {
+        "ecmp-uniform": lambda: small_cluster(
+            4, fabric=FabricConfig(steering="ecmp"), seed=15),
+        "flowlet-lossy-incast": lambda: small_cluster(
+            4, fabric=FabricConfig(steering="flowlet", loss_prob=0.01,
+                                   jitter_scale=2.0),
+            pattern="incast", incast_target=2, seed=16),
+    }
+
+    @staticmethod
+    def _full_host_egress(cc, hid, arrivals, ends):
+        """Envelopes a fully simulated host sends, given its arrivals."""
+        from repro.bench.scenarios import build_runtime
+        from repro.cluster import engine
+        from repro.cluster.router import ClusterRouter
+
+        router = ClusterRouter(hid, cc.n_hosts, cc.pattern,
+                               cc.incast_target, cc.fabric)
+        rt = build_runtime(engine._host_scenario(cc, hid), sink=router)
+        router.bind(rt.sim, rt.host.factory, rt.rngs, rt.host.input)
+        rt.start()
+        for k, end in enumerate(ends):
+            rt.sim.run_epoch(end)
+            if k in arrivals:
+                router.inject(arrivals[k])
+        return router, pickle.dumps(router.outgoing)
+
+    @pytest.mark.parametrize("name", sorted(CLUSTERS))
+    def test_dropping_ingress_keeps_egress_identical(self, name, tmp_path):
+        import numpy as np
+
+        from repro.cluster import engine
+        from repro.dataplane.boundary import ENVELOPE_DTYPE
+
+        cc = self.CLUSTERS[name]()
+        egress = engine._phase1(cc, range(cc.n_hosts), str(tmp_path))
+        ends = engine._epoch_ends(cc, egress)
+        received = 0
+        for hid in range(cc.n_hosts):
+            arrivals = dict(engine._arrivals(cc, hid, ends, str(tmp_path)))
+            fed, with_ingress = self._full_host_egress(cc, hid, arrivals,
+                                                       ends)
+            _, without = self._full_host_egress(cc, hid, {}, ends)
+            assert with_ingress == without, f"host {hid}"
+            received += sum(fed.received.values())
+            alone = {dst: np.fromfile(
+                engine._egress_path(str(tmp_path), hid, dst),
+                dtype=ENVELOPE_DTYPE).tolist() for dst in fed.outgoing}
+            assert pickle.dumps(alone) == with_ingress, f"host {hid}"
+        assert received > 0  # the ingress really was there to drop
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,9 @@ content-hash cache.
 """
 
 import json
+import multiprocessing
+import os
+import signal
 
 import pytest
 
@@ -193,6 +196,54 @@ class TestRunSweepDeterminism:
         run_sweep(tiny_spec(), jobs=1, cache=False,
                   progress=lambda done, total, cell: seen.append((done, total)))
         assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
+
+
+    def test_pool_primes_capacity_in_parent(self, monkeypatch):
+        from repro.bench import scenarios
+
+        spec = tiny_spec()
+        want = run_sweep(spec, jobs=1, cache=False).identity()
+        monkeypatch.setattr(scenarios, "_CAPACITY_CACHE", {})
+        assert run_sweep(spec, jobs=2, cache=False).identity() == want
+        assert list(scenarios._CAPACITY_CACHE) == [
+            (TINY["chain"], ScenarioConfig().packet_size, TINY["n_flows"])]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched cell reaches the workers only through fork")
+    def test_killed_worker_is_named(self, monkeypatch, deadline):
+        from repro.sweep import SweepExecutionError, orchestrator
+
+        original = orchestrator._run_config_dict
+
+        def killing(config_dict, *args):
+            if config_dict["load"] == 0.8:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(config_dict, *args)
+
+        monkeypatch.setattr(orchestrator, "_run_config_dict", killing)
+        spec = tiny_spec(axes=[Axis("load", [0.4, 0.8])])
+        with deadline(10), pytest.raises(SweepExecutionError) as info:
+            run_sweep(spec, jobs=2, cache=False)
+        assert str(info.value) == (
+            f"sweep worker died running cell 1 {{'load': 0.8}} "
+            f"(exit code {-signal.SIGKILL})")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched cell reaches the workers only through fork")
+    def test_worker_exception_is_reraised(self, monkeypatch):
+        from repro.sweep import orchestrator
+
+        def failing(config_dict, *args):
+            raise ValueError(f"bad cell at load {config_dict['load']}")
+
+        monkeypatch.setattr(orchestrator, "_run_config_dict", failing)
+        spec = tiny_spec(axes=[Axis("load", [0.4, 0.8])])
+        with pytest.raises(ValueError, match="bad cell at load 0.[48]"):
+            run_sweep(spec, jobs=2, cache=False)
+        assert multiprocessing.active_children() == []
 
 
 class TestSweepResult:
