@@ -31,10 +31,8 @@ import pathlib
 import resource
 import sys
 
-from repro.bench.runner import scaled_duration
-from repro.bench.scenarios import ScenarioConfig
+from repro.bench.cluster_figures import _fabric, _host_template
 from repro.cluster import ClusterConfig, run_cluster
-from repro.net.fabric import FabricConfig
 
 RESULTS = pathlib.Path(__file__).resolve().parent / "results"
 #: Required workers=4 speedup on a >=4-core host; below the 4x ideal
@@ -46,12 +44,9 @@ LOAD = 0.6
 
 
 def _config() -> ClusterConfig:
-    d = scaled_duration(25_000.0)
-    template = ScenarioConfig(policy="adaptive", n_paths=4, load=LOAD,
-                              duration=d, warmup=0.15 * d)
+    """C1's host template and fabric at 8 hosts and load 0.6."""
     return ClusterConfig.uniform_hosts(
-        N_HOSTS, template,
-        FabricConfig(n_spines=4, base_latency=50.0, spine_skew=5.0),
+        N_HOSTS, _host_template(25_000.0, load=LOAD), _fabric(),
         pattern="uniform", seed=42,
     )
 

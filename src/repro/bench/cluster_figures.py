@@ -22,9 +22,10 @@
   has an infinite p99 over *offered* packets however its survivors
   fare -- the paper's last-mile argument, reproduced at rack scale.
 
-Both experiments run through :func:`repro.cluster.run_cluster`, so the
-numbers here are the same bit-identical payloads the determinism gate
-checks at ``workers=1`` vs ``workers=4``.
+Both experiments are cluster-base sweeps (one
+:func:`repro.cluster.run_cluster` per cell), so the numbers here are the
+same bit-identical payloads the determinism gate checks at ``workers=1``
+vs ``workers=4``.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ from typing import Dict, Tuple
 
 from repro.bench.runner import scaled_duration
 from repro.bench.scenarios import ScenarioConfig
-from repro.cluster import ClusterConfig, run_cluster
+from repro.cluster import ClusterConfig
 from repro.metrics.report import Table
 from repro.net.fabric import FabricConfig
+from repro.sweep import Axis, SweepSpec, run_sweep
 
 
 def _host_template(duration: float, *, policy: str = "adaptive",
@@ -63,7 +65,6 @@ def c1_cluster_scale(
     duration: float = 25_000.0,
     hosts=(2, 4, 8),
     loads=(0.4, 0.7),
-    workers=None,
 ) -> Tuple[str, Dict]:
     """Cluster-wide tail and aggregate delivered pps, hosts x load.
 
@@ -72,6 +73,14 @@ def c1_cluster_scale(
     driven; every envelope sent is received (uniform pattern, lossless
     fabric).
     """
+    base = ClusterConfig.uniform_hosts(
+        hosts[0], _host_template(duration, load=loads[0]), _fabric(),
+        pattern="uniform", seed=42,
+    )
+    sr = run_sweep(SweepSpec(
+        name="C1-cluster-scale", base=base.to_dict(),
+        axes=[Axis("hosts", list(hosts)), Axis("load", list(loads))],
+    ))
     t = Table(
         ["hosts", "load", "delivered", "pps (M/s)", "remote %",
          "p50 (us)", "p99 (us)", "p99.9 (us)"],
@@ -81,33 +90,19 @@ def c1_cluster_scale(
     cells = []
     for n in hosts:
         for load in loads:
-            cfg = ClusterConfig.uniform_hosts(
-                n, _host_template(duration, load=load), _fabric(),
-                pattern="uniform", seed=42,
-            )
-            res = run_cluster(cfg, workers=workers)
-            c = res.cluster
-            pps = res.delivered_pps()
-            remote = 100.0 * c["envelopes_sent"] / max(c["offered"], 1)
-            s = res.summary
-            cell = {
-                "hosts": n,
-                "load": load,
-                "offered": c["offered"],
-                "delivered": c["delivered"],
-                "delivery_ratio": c["delivery_ratio"],
-                "delivered_pps": pps,
+            cell = sr.get(hosts=n, load=load)
+            c, s = cell.stats, cell.summary  # stats: the cluster totals
+            cells.append({
+                **c, "hosts": n, "load": load,
+                "delivered_pps": cell.delivered_pps,
                 "remote_fraction": c["envelopes_sent"] / max(c["offered"], 1),
-                "envelopes_sent": c["envelopes_sent"],
-                "envelopes_received": c["envelopes_received"],
-                "fabric_dropped": c["fabric_dropped"],
                 "p50": s.p50, "p99": s.p99, "p999": s.p999,
-                "workers": res.workers,
-                "wall_s": res.wall_s,
-            }
-            cells.append(cell)
-            t.add_row([n, f"{load:.2f}", c["delivered"], pps / 1e6,
-                       remote, s.p50, s.p99, s.p999])
+                "wall_s": cell.wall_s,
+            })
+            t.add_row([n, f"{load:.2f}", c["delivered"],
+                       cell.delivered_pps / 1e6,
+                       100.0 * c["envelopes_sent"] / max(c["offered"], 1),
+                       s.p50, s.p99, s.p999])
     return t.render(), {"hosts": list(hosts), "loads": list(loads),
                         "cells": cells}
 
@@ -145,29 +140,27 @@ def c2_incast_fanin(
         title=f"C2  incast fan-in: {n_hosts - 1} senders -> host0, "
               f"latency (us)",
     )
+    base = ClusterConfig.uniform_hosts(
+        n_hosts,
+        _host_template(duration, policy=policies[0], load=load,
+                       floor=20_000.0),
+        _fabric(), pattern="incast", incast_target=0, seed=42,
+    )
+    # The single-path row keeps all four paths: same hosts, other policy.
+    sr = run_sweep(SweepSpec(
+        name="C2-incast-fanin", base=base.to_dict(),
+        axes=[Axis("policy", list(policies))], single_path_baseline=False,
+    ))
     cells = []
     for policy in policies:
-        cfg = ClusterConfig.uniform_hosts(
-            n_hosts,
-            _host_template(duration, policy=policy, load=load,
-                           floor=20_000.0),
-            _fabric(), pattern="incast", incast_target=0, seed=42,
-        )
-        res = run_cluster(cfg)
-        target = res.hosts[0]["summary"]
-        c = res.cluster
-        cell = {
-            "policy": policy,
-            "target_p50": target["p50"],
-            "target_p99": target["p99"],
-            "target_p999": target["p999"],
-            "cluster_p99": res.p99,
-            "delivered": c["delivered"],
-            "delivery_ratio": c["delivery_ratio"],
-            "envelopes_sent": c["envelopes_sent"],
-            "fabric_dropped": c["fabric_dropped"],
-        }
-        cells.append(cell)
+        cell = sr.get(policy=policy)
+        c = cell.stats
+        target = c["hosts"][0]["summary"]
+        cells.append({
+            **c, "policy": policy, "target_p50": target["p50"],
+            "target_p99": target["p99"], "target_p999": target["p999"],
+            "cluster_p99": cell.summary.p99,
+        })
         t.add_row([policy, target["p50"], target["p99"], target["p999"],
                    c["delivered"], 100.0 * c["delivery_ratio"]])
     return t.render(), {"n_hosts": n_hosts, "load": load,

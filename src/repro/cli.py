@@ -38,10 +38,10 @@
   annotated exemplar timelines (see docs/FORENSICS.md);
 * ``cluster`` -- rack-scale sharded simulation (see docs/CLUSTER.md):
   ``cluster run`` simulates N hosts behind a multipath fabric across a
-  worker pool and prints per-host + cluster-wide tails, ``cluster
-  sweep`` crosses cluster axes (``hosts``, scenario fields,
-  ``fabric.*``) into a ``cluster_sweep`` artifact; both accept a
-  ClusterConfig ``--spec`` and ``--jobs`` workers;
+  worker pool and prints per-host + cluster-wide tails (ClusterConfig
+  ``--spec`` or inline flags, ``--jobs`` workers).  Cluster grids run
+  through ``sweep`` with a ClusterConfig base; ``cluster sweep`` is a
+  deprecated alias that builds that spec from its flags;
 * ``ledger`` -- the append-only cross-run regression ledger
   (``benchmarks/results/LEDGER.jsonl``): ``ledger record`` appends one
   instrumented run, ``ledger list`` shows the trajectory, ``ledger
@@ -92,22 +92,26 @@ def _scenario_parent() -> argparse.ArgumentParser:
     return p
 
 
+def _load_config(path: str, cls):
+    """``cls.from_dict`` of the JSON file at ``path``."""
+    import json
+
+    if os.path.isdir(path):
+        raise ValueError(
+            f"{path} is a directory, not a {cls.__name__} JSON file; to "
+            f"inspect an exported bundle use `python -m repro report {path}`"
+        )
+    with open(path) as fh:
+        return cls.from_dict(json.load(fh))
+
+
 def _scenario_from_args(args, spec_path: Optional[str] = None):
     """The ScenarioConfig a subcommand should run: the JSON file at
     ``spec_path`` when given, the shared inline flags otherwise."""
-    import json
-
     from repro.bench.scenarios import ScenarioConfig
 
     if spec_path is not None:
-        if os.path.isdir(spec_path):
-            raise ValueError(
-                f"{spec_path} is a directory, not a ScenarioConfig JSON "
-                f"file; to inspect an exported bundle use "
-                f"`python -m repro report {spec_path}`"
-            )
-        with open(spec_path) as fh:
-            return ScenarioConfig.from_dict(json.load(fh))
+        return _load_config(spec_path, ScenarioConfig)
     return ScenarioConfig(
         policy=args.policy, n_paths=args.paths, load=args.load,
         traffic=args.traffic, duration=args.duration * 1000.0,
@@ -169,11 +173,10 @@ def _cmd_faults(args) -> int:
     import math
 
     from repro.bench.scenarios import run_scenario
-    from repro.faults import FaultSchedule
     from repro.metrics.report import Table
 
     try:
-        sched = _build_schedule(args, FaultSchedule)
+        sched = _build_schedule(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -217,58 +220,75 @@ def _cmd_faults(args) -> int:
             for t, action, kind, target in av["timeline"]:
                 print(f"  {t:12.1f}  {action:<5}  {kind:<12}  target={target}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(res.to_dict(), fh, indent=1)
-            fh.write("\n")
-        print(f"\nwrote {args.out}")
+        print()
+        _write_json(args.out, res.to_dict())
     return 0
 
 
-def _build_schedule(args, FaultSchedule):
-    import json
+def _build_schedule(args):
+    from repro.faults import FaultSchedule
 
     if args.spec is not None:
-        with open(args.spec) as fh:
-            sched = FaultSchedule.from_dict(json.load(fh))
+        return _load_config(args.spec, FaultSchedule)
+    return _quick_faults(args, args.kind, args.target, args.at,
+                         args.magnitude, mtbf=args.mtbf)
+
+
+def _quick_faults(args, kind, target, at_frac, magnitude, mtbf=None):
+    """An inline fault schedule: one ``kind`` fault on ``target`` from
+    ``at_frac`` of the run for ``--fault-duration`` ms, or with ``mtbf``
+    (ms) a renewal process of them on every path.  Magnitudes default
+    per kind; explicit values validate strictly."""
+    from repro.faults import FaultSchedule
+
+    sched = FaultSchedule()
+    at = at_frac * args.duration * 1000.0
+    dur = args.fault_duration * 1000.0
+    if magnitude is None:
+        magnitude = 4.0 if kind == "degrade" else 1.0
+    if mtbf is not None:
+        for path in range(args.paths):
+            sched.renewal(kind, path=path, mtbf=mtbf * 1000.0, mttr=dur,
+                          magnitude=magnitude)
+    elif kind == "drop_burst":
+        sched.drop_burst(at=at, duration=dur, prob=magnitude)
+    elif kind == "degrade":
+        sched.degrade(target, at=at, duration=dur, factor=magnitude)
     else:
-        sched = FaultSchedule()
-        at = args.at * args.duration * 1000.0
-        dur = args.fault_duration * 1000.0
-        # Per-kind default magnitudes; explicit values validate strictly.
-        magnitude = args.magnitude
-        if magnitude is None:
-            magnitude = 4.0 if args.kind == "degrade" else 1.0
-        if args.mtbf is not None:
-            for path in range(args.paths):
-                sched.renewal(args.kind, path=path, mtbf=args.mtbf * 1000.0,
-                              mttr=dur, magnitude=magnitude)
-        elif args.kind == "drop_burst":
-            sched.drop_burst(at=at, duration=dur, prob=magnitude)
-        elif args.kind == "degrade":
-            sched.degrade(args.target, at=at, duration=dur, factor=magnitude)
-        else:
-            getattr(sched, args.kind)(args.target, at=at, duration=dur)
+        getattr(sched, kind)(target, at=at, duration=dur)
     return sched
 
 
 def _cmd_sweep(args) -> int:
     import json
-    import time
-
-    from repro.sweep import Axis, SweepSpec, run_sweep
-    from repro.metrics.report import Table
 
     try:
-        spec = _build_sweep_spec(args, SweepSpec, Axis)
+        spec = _build_sweep_spec(args)
         if args.seed is not None:
             spec.base = {**spec.base, "seed": args.seed}
-        cells = spec.expand()  # fail fast on bad fields before forking
     except (OSError, TypeError, ValueError, KeyError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return _run_sweep_spec(spec, args)
 
-    total = len(cells)
+
+def _run_sweep_spec(spec, args) -> int:
+    """Run ``spec`` and print the per-cell table, accounting and
+    artifacts; shared by ``sweep`` and the ``cluster sweep`` alias."""
+    import time
+
+    from repro.metrics.report import Table
+    from repro.sweep import run_sweep
+
+    try:
+        total = len(spec.expand())  # fail fast on bad fields before forking
+        if args.check and spec.is_cluster:
+            raise ValueError("--check does not apply to a cluster base; "
+                             "use `repro cluster run --check` per cell")
+    except (TypeError, ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     t0 = time.perf_counter()
 
     def progress(done, _total, cell):
@@ -333,14 +353,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _build_sweep_spec(args, SweepSpec, Axis):
-    import json
-
-    from repro.sweep import coerce_field_value
+def _build_sweep_spec(args):
+    from repro.sweep import SweepSpec, coerce_field_value
 
     if args.spec is not None:
-        with open(args.spec) as fh:
-            spec = SweepSpec.from_dict(json.load(fh))
+        spec = _load_config(args.spec, SweepSpec)
         if not spec.axes:
             raise ValueError(f"spec {args.spec!r} declares no axes")
         return spec
@@ -350,17 +367,25 @@ def _build_sweep_spec(args, SweepSpec, Axis):
             raise ValueError(f"--set expects FIELD=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         base[key] = coerce_field_value(key, value)
+    return SweepSpec(name=args.name, base=base,
+                     axes=_parse_axes(args.axes, coerce_field_value),
+                     seed_mode=args.seed_mode)
+
+
+def _parse_axes(items, coerce):
+    """``--axis FIELD=V1,V2,...`` flags as :class:`Axis` objects, each
+    value parsed by ``coerce(field, text)``."""
+    from repro.sweep import Axis
+
     axes = []
-    for item in args.axes:
+    for item in items:
         if "=" not in item:
             raise ValueError(f"--axis expects FIELD=V1,V2,..., got {item!r}")
         key, _, values = item.partition("=")
-        axes.append(Axis(key, [coerce_field_value(key, v)
-                               for v in values.split(",")]))
+        axes.append(Axis(key, [coerce(key, v) for v in values.split(",")]))
     if not axes:
         raise ValueError("nothing to sweep: give --spec FILE or --axis flags")
-    return SweepSpec(name=args.name, base=base, axes=axes,
-                     seed_mode=args.seed_mode)
+    return axes
 
 
 def _cmd_trace(args) -> int:
@@ -483,22 +508,8 @@ def _why_schedule(args):
     run; spec files can instead carry faults inside the config)."""
     if args.fault is None:
         return None
-    from repro.faults import FaultSchedule
-
-    sched = FaultSchedule()
-    at = args.fault_at * args.duration * 1000.0
-    dur = args.fault_duration * 1000.0
-    magnitude = args.fault_magnitude
-    if magnitude is None:
-        magnitude = 4.0 if args.fault == "degrade" else 1.0
-    if args.fault == "drop_burst":
-        sched.drop_burst(at=at, duration=dur, prob=magnitude)
-    elif args.fault == "degrade":
-        sched.degrade(args.fault_target, at=at, duration=dur,
-                      factor=magnitude)
-    else:
-        getattr(sched, args.fault)(args.fault_target, at=at, duration=dur)
-    return sched
+    return _quick_faults(args, args.fault, args.fault_target, args.fault_at,
+                         args.fault_magnitude)
 
 
 def _cmd_why(args) -> int:
@@ -702,21 +713,12 @@ def _cluster_from_args(args):
     """The ClusterConfig a cluster subcommand should run: the JSON file
     at ``--spec`` when given, N uniform hosts from the shared inline
     scenario flags plus the fabric flags otherwise."""
-    import json
-
     from repro.bench.scenarios import ScenarioConfig
     from repro.cluster import ClusterConfig
     from repro.net.fabric import FabricConfig
 
     if args.spec is not None:
-        if os.path.isdir(args.spec):
-            raise ValueError(
-                f"{args.spec} is a directory, not a ClusterConfig JSON "
-                f"file; to inspect an exported bundle use "
-                f"`python -m repro report {args.spec}`"
-            )
-        with open(args.spec) as fh:
-            return ClusterConfig.from_dict(json.load(fh))
+        return _load_config(args.spec, ClusterConfig)
     template = ScenarioConfig(
         policy=args.policy, n_paths=args.paths, load=args.load,
         traffic=args.traffic, duration=args.duration * 1000.0,
@@ -791,136 +793,26 @@ def _cmd_cluster_run(args) -> int:
     return 0
 
 
-#: Cluster-level sweep axes (everything else is a per-host scenario field).
-_CLUSTER_AXIS_INTS = ("hosts", "incast_target", "seed")
-
-
-def _coerce_cluster_value(name: str, raw: str):
-    """Typed value for one cluster sweep axis coordinate."""
-    from repro.sweep import coerce_field_value
-
-    if name in _CLUSTER_AXIS_INTS:
-        return int(raw)
-    if name == "pattern":
-        return raw
-    if name == "epoch":
-        return float(raw)
-    if name.startswith("fabric."):
-        import dataclasses
-
-        from repro.net.fabric import FabricConfig
-
-        field = name[len("fabric."):]
-        names = {f.name for f in dataclasses.fields(FabricConfig)}
-        if field not in names:
-            raise ValueError(
-                f"unknown fabric field {field!r}; "
-                f"valid: {sorted(names)}"
-            )
-        if field == "steering":
-            return raw
-        return int(raw) if field == "n_spines" else float(raw)
-    return coerce_field_value(name, raw)
-
-
-def _apply_cluster_params(base, params):
-    """One sweep cell: ``base`` with the axis coordinates applied.
-
-    Plain names are per-host ScenarioConfig fields (set on every host),
-    ``fabric.X`` names fabric fields, and ``hosts``/``pattern``/
-    ``incast_target``/``seed``/``epoch`` are cluster-level."""
-    import dataclasses
-
-    from repro.cluster import ClusterConfig
-
-    cfg = ClusterConfig.from_dict(base.to_dict())  # deep, aliasing-free copy
-    for name, value in params.items():
-        if name == "hosts":
-            cfg = ClusterConfig.uniform_hosts(
-                int(value), cfg.hosts[0].scenario, cfg.fabric,
-                pattern=cfg.pattern, incast_target=cfg.incast_target,
-                seed=cfg.seed, epoch=cfg.epoch,
-            )
-        elif name in ("pattern", "incast_target", "seed", "epoch"):
-            setattr(cfg, name, value)
-        elif name.startswith("fabric."):
-            setattr(cfg.fabric, name[len("fabric."):], value)
-        else:
-            for h in cfg.hosts:
-                h.scenario = dataclasses.replace(h.scenario, **{name: value})
-    return cfg
-
-
 def _cmd_cluster_sweep(args) -> int:
-    import itertools
+    """Deprecated alias: build the cluster-base :class:`SweepSpec` from
+    the flags and forward to ``repro sweep``."""
     import json
-    import time
 
-    from repro.cluster import run_cluster
-    from repro.metrics.report import Table
+    from repro.sweep import SweepSpec
+    from repro.sweep.spec import coerce_cluster_value
 
+    print("warning: `repro cluster sweep` is deprecated; write a sweep "
+          "spec whose base is a ClusterConfig and run `repro sweep "
+          "--spec FILE` (docs/CLUSTER.md, Sweeps)", file=sys.stderr)
     try:
-        base = _cluster_from_args(args)
-        axes = []
-        for item in args.axes:
-            if "=" not in item:
-                raise ValueError(
-                    f"--axis expects FIELD=V1,V2,..., got {item!r}")
-            key, _, values = item.partition("=")
-            axes.append((key, [_coerce_cluster_value(key, v)
-                               for v in values.split(",")]))
-        if not axes:
-            raise ValueError(
-                "nothing to sweep: give at least one --axis "
-                "(e.g. --axis hosts=2,4,8 --axis load=0.5,0.7)")
-        names = [n for n, _ in axes]
-        combos = list(itertools.product(*[v for _, v in axes]))
-        cells = []
-        t0 = time.perf_counter()
-        for i, combo in enumerate(combos):
-            params = dict(zip(names, combo))
-            cfg = _apply_cluster_params(base, params)
-            cell_t0 = time.perf_counter()
-            res = run_cluster(cfg, workers=args.jobs)
-            if not args.quiet:
-                coords = " ".join(f"{k}={v}" for k, v in params.items())
-                print(f"[{i + 1}/{len(combos)}] {coords}  "
-                      f"p99={res.p99:.1f}us  "
-                      f"({time.perf_counter() - cell_t0:.1f}s)",
-                      file=sys.stderr)
-            cells.append({
-                "params": params,
-                "summary": res.to_dict()["summary"],
-                "cluster": res.cluster,
-                "sim_time": res.sim_time,
-            })
+        spec = SweepSpec(name=args.name,
+                         base=_cluster_from_args(args).to_dict(),
+                         axes=_parse_axes(args.axes, coerce_cluster_value),
+                         single_path_baseline=False)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    table = Table(
-        names + ["delivered %", "p50 (us)", "p99 (us)", "p99.9 (us)"],
-        title=f"cluster sweep: {args.name} ({len(cells)} cells)",
-    )
-    for cell in cells:
-        s = cell["summary"]
-        table.add_row([cell["params"][n] for n in names]
-                      + [100.0 * cell["cluster"]["delivery_ratio"],
-                         s["p50"], s["p99"], s["p999"]])
-    print(table.render())
-    print(f"\n{len(cells)} cells in {time.perf_counter() - t0:.1f}s wall")
-    if args.out:
-        from repro import schemas
-
-        payload = {
-            "schema_version": schemas.version_for("cluster_sweep"),
-            "name": args.name,
-            "cluster_config": base.to_dict(),
-            "axes": dict(axes),
-            "cells": cells,
-        }
-        _write_json(args.out, payload)
-    return 0
+    return _run_sweep_spec(spec, args)
 
 
 def _cmd_slo(args) -> int:
@@ -946,8 +838,7 @@ def _cmd_slo(args) -> int:
 
     try:
         if args.spec is not None:
-            with open(args.spec) as fh:
-                spec = SloSpec.from_dict(json.load(fh))
+            spec = _load_config(args.spec, SloSpec)
         else:
             objectives = args.objectives or ["p99 <= 500us"]
             spec = SloSpec(
@@ -994,10 +885,8 @@ def _cmd_slo(args) -> int:
                         "; ".join(w["violations"]) or "-"])
         print(wt.render())
     if args.out is not None:
-        with open(args.out, "w") as fh:
-            json.dump(rep, fh, indent=1)
-            fh.write("\n")
-        print(f"\nwrote {args.out}")
+        print()
+        _write_json(args.out, rep)
     return 0
 
 
@@ -1184,8 +1073,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep",
                           help="run a parameter sweep (parallel, cached)")
     p_sw.add_argument("--spec", default=None,
-                      help="SweepSpec JSON file (see docs/SWEEPS.md); "
-                           "overrides the inline --axis/--set flags")
+                      help="SweepSpec JSON file (docs/SWEEPS.md; a "
+                           "ClusterConfig base sweeps clusters); overrides "
+                           "the inline --axis/--set flags")
     p_sw.add_argument("--axis", action="append", default=[], dest="axes",
                       metavar="FIELD=V1,V2,...",
                       help="swept ScenarioConfig field (repeatable; cross "
@@ -1514,8 +1404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_clr.set_defaults(func=_cmd_cluster_run, duration=20.0)
 
     p_cls = cl_sub.add_parser("sweep", parents=[cluster_parent],
-                              help="sweep cluster axes (hosts, load, "
-                                   "pattern, fabric.*) sequentially")
+                              help="deprecated alias of `repro sweep` "
+                                   "over a cluster base (--jobs: cells)")
     p_cls.add_argument("--axis", action="append", default=[], dest="axes",
                        metavar="FIELD=V1,V2,...",
                        help="swept field (repeatable; scenario fields, "
@@ -1526,8 +1416,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--quiet", action="store_true",
                        help="suppress per-cell progress lines")
     p_cls.add_argument("--out", default=None,
-                       help="write the cluster_sweep JSON artifact here")
-    p_cls.set_defaults(func=_cmd_cluster_sweep, duration=20.0)
+                       help="write the sweep_result JSON artifact here")
+    p_cls.set_defaults(func=_cmd_cluster_sweep, duration=20.0,
+                       no_cache=False, cache_dir=None, telemetry=False,
+                       check=False)
 
     p_demo = sub.add_parser("demo", help="quick single-vs-multipath comparison")
     p_demo.add_argument("--duration", type=float, default=100.0,

@@ -174,6 +174,38 @@ class ClusterConfig:
                    fabric=fabric if fabric is not None else FabricConfig(),
                    **kw)
 
+    def with_overrides(self, overrides: Dict) -> "ClusterConfig":
+        """A copy with one sweep cell's overrides applied.
+
+        ``pattern``/``incast_target``/``seed``/``epoch`` set that
+        cluster field, ``fabric.<field>`` a fabric field, and any other
+        name a scenario field on every host.  ``hosts`` goes last: it
+        rebuilds that many hosts from the scenario they all share, and
+        raises ``ValueError`` when their scenarios differ.
+        """
+        cfg = ClusterConfig.from_dict(self.to_dict())  # no aliasing
+        for name, value in overrides.items():
+            if name in ("pattern", "incast_target", "seed", "epoch"):
+                setattr(cfg, name, value)
+            elif name.startswith("fabric."):
+                cfg.fabric = dataclasses.replace(
+                    cfg.fabric, **{name[len("fabric."):]: value})
+            elif name != "hosts":
+                for h in cfg.hosts:
+                    h.scenario = dataclasses.replace(h.scenario,
+                                                     **{name: value})
+        if "hosts" in overrides:
+            shared = cfg.hosts[0].scenario
+            if any(h.scenario.to_dict() != shared.to_dict()
+                   for h in cfg.hosts):
+                raise ValueError(
+                    "sweeping 'hosts' rebuilds every host from one shared "
+                    "scenario, but these hosts differ in scenario; edit "
+                    "the host list in the spec's base instead")
+            cfg.hosts = ClusterConfig.uniform_hosts(
+                int(overrides["hosts"]), shared).hosts
+        return cfg
+
     # -- derived quantities --------------------------------------------
     @property
     def n_hosts(self) -> int:

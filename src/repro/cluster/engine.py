@@ -38,7 +38,6 @@ the full :class:`ClusterResult` payload.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import os
 import shutil
 import tempfile
@@ -52,7 +51,7 @@ from ..bench.scenarios import (ScenarioConfig, build_runtime, build_source,
                                prime_capacity_cache)
 from ..dataplane.boundary import ENVELOPE_DTYPE
 from ..sim.engine import warn_scheduler_ignored
-from ..sweep.pool import TaskFailed, TaskPool
+from ..sweep.pool import TaskFailed, TaskPool, resolve_processes
 from .config import ClusterConfig, derived_host_seed
 from .result import ClusterResult, merge_summaries, retained_samples
 from .router import ClusterRouter
@@ -69,26 +68,10 @@ _SLICE_US = 1_000.0
 
 
 def resolve_workers(workers: Optional[int], n_hosts: int) -> int:
-    """Worker-count resolution, mirroring the sweep orchestrator rules.
-
-    Explicit argument wins; else the ``REPRO_CLUSTER_WORKERS`` env var;
-    else ``min(n_hosts, cpu_count)``.  Nested inside a daemonized pool
-    worker the count is forced to 1 (no grandchild processes).
-    """
-    if workers is None:
-        env = os.environ.get("REPRO_CLUSTER_WORKERS")
-        if env is not None:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_CLUSTER_WORKERS must be an int, got {env!r}"
-                ) from None
-    if workers is None or workers <= 0:
-        workers = min(n_hosts, os.cpu_count() or 1) or 1
-    if multiprocessing.current_process().daemon:
-        return 1  # nested inside a pool worker: no grandchild processes
-    return max(1, min(workers, n_hosts or 1))
+    """Worker count: the sweep orchestrator's rules
+    (:func:`~repro.sweep.pool.resolve_processes`) over the hosts, with
+    ``REPRO_CLUSTER_WORKERS`` as the environment default."""
+    return resolve_processes(workers, n_hosts, "REPRO_CLUSTER_WORKERS")
 
 
 def partition_hosts(n_hosts: int, workers: int) -> List[List[int]]:

@@ -7,6 +7,8 @@ simulation with its own :class:`~repro.sim.rng.RngRegistry` seeded from
 the cell config, so results are bit-identical whatever the worker count
 -- parallelism changes only *when* a cell runs, never *what* it computes.
 Cells are reassembled in expansion order regardless of completion order.
+A cluster-base cell runs :func:`~repro.cluster.run_cluster`: sharded
+when run inline, in one process on a pool worker, to the same payload.
 A worker that dies mid-cell stops the sweep with a
 :class:`SweepExecutionError` naming the cell.
 
@@ -18,12 +20,13 @@ defaults on; disable per call (``cache=False``) or globally with
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import schemas
 from repro.sweep.cache import ResultCache
+from repro.sweep.pool import resolve_processes
 from repro.sweep.result import CellResult, SweepResult, measure
 from repro.sweep.spec import SweepCell, SweepSpec
 
@@ -39,30 +42,51 @@ def _run_config_dict(config_dict: Dict,
     With ``telemetry_dir`` set, the run is instrumented and its bundle
     (trace.json / events.jsonl / metrics.json / manifest.json /
     forensics.json) is exported under ``<telemetry_dir>/<cache-key>/``
-    -- tail forensics runs over every instrumented cell, so a sweep
-    leaves a per-cell cause attribution behind.  With ``check`` (a
+    -- per host under ``host<k>/`` for a cluster cell.  Tail forensics
+    runs over every instrumented cell, so a sweep leaves a per-cell
+    cause attribution behind.  With ``check`` (a
     :class:`~repro.check.spec.CheckSpec`), the invariant engine runs
     armed and the payload gains a ``check_report``.  The simulated cell
     identity is byte-identical either way -- telemetry, forensics and
     checking are observations, never part of the cell result.
     """
-    from repro.bench.scenarios import ScenarioConfig, run_scenario
-
-    telemetry = None
+    bundle = None
     if telemetry_dir is not None:
-        from repro.obs import Telemetry
+        bundle = os.path.join(telemetry_dir,
+                              ResultCache().key_for(config_dict))
+    telemetry = None
+    t0, c0 = time.perf_counter(), _cpu_s()
+    if schemas.infer_kind(config_dict) == "cluster_config":
+        from repro.cluster import ClusterConfig, run_cluster
 
-        telemetry = Telemetry()
-    t0, c0 = time.perf_counter(), time.process_time()
-    result = run_scenario(ScenarioConfig.from_dict(config_dict),
-                      telemetry=telemetry, check=check,
-                      forensics=telemetry is not None)
+        # Default worker count: 1 inside a pool worker, sharded inline.
+        result = run_cluster(ClusterConfig.from_dict(config_dict),
+                             telemetry_dir=bundle,
+                             forensics=bundle is not None)
+    else:
+        from repro.bench.scenarios import ScenarioConfig, run_scenario
+
+        if bundle is not None:
+            from repro.obs import Telemetry
+
+            telemetry = Telemetry()
+        result = run_scenario(ScenarioConfig.from_dict(config_dict),
+                              telemetry=telemetry, check=check,
+                              forensics=telemetry is not None)
     payload = measure(result, wall_s=time.perf_counter() - t0,
-                      cpu_s=time.process_time() - c0)
+                      cpu_s=_cpu_s() - c0)
     if telemetry is not None:
-        key = ResultCache().key_for(config_dict)
-        telemetry.export(os.path.join(telemetry_dir, key))
+        telemetry.export(bundle)
     return payload
+
+
+def _cpu_s() -> float:
+    """CPU seconds of this process and its reaped children (the shard
+    workers of a cluster cell run inline)."""
+    import resource
+
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + kids.ru_utime + kids.ru_stime
 
 
 def _worker(item: Tuple[Dict, Optional[str], Optional[object]]) -> Dict:
@@ -78,20 +102,7 @@ class SweepExecutionError(RuntimeError):
 
 def resolve_jobs(jobs: Optional[int], n_cells: int) -> int:
     """Apply the worker-count resolution rules (see module docstring)."""
-    if jobs is None:
-        env = os.environ.get("REPRO_SWEEP_JOBS")
-        if env is not None:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_SWEEP_JOBS must be an int, got {env!r}"
-                ) from None
-    if jobs is None or jobs <= 0:
-        jobs = min(n_cells, os.cpu_count() or 1) or 1
-    if multiprocessing.current_process().daemon:
-        return 1  # nested inside a pool worker: no grandchild pools
-    return max(1, min(jobs, n_cells or 1))
+    return resolve_processes(jobs, n_cells, "REPRO_SWEEP_JOBS")
 
 
 def _cache_enabled(cache: Optional[bool]) -> bool:
@@ -145,6 +156,11 @@ def run_sweep(
     if check is not None and check is not False:
         from repro.check.spec import CheckSpec
 
+        if spec.is_cluster:
+            raise ValueError(
+                "check= has no cell report for a cluster base; arm the "
+                "checks on one cell with run_cluster(config, check=True) "
+                "or `repro cluster run --check`")
         check_spec = check if isinstance(check, CheckSpec) else CheckSpec()
     t0 = time.perf_counter()
     cells = spec.expand()
@@ -192,12 +208,14 @@ def run_sweep(
             finish(cell,
                    _run_config_dict(cell.config_dict, tel_dir, check_spec))
     elif misses:
-        from repro.bench.scenarios import ScenarioConfig, prime_capacity_cache
+        from repro.bench.scenarios import prime_capacity_cache
         from repro.sweep.pool import TaskFailed, TaskPool
 
         # Workers fork with the calibration cache warm.
-        prime_capacity_cache(ScenarioConfig.from_dict(cell.config_dict)
-                             for cell in misses)
+        configs = [cell.config() for cell in misses]
+        prime_capacity_cache(
+            [h.scenario for c in configs for h in c.hosts]
+            if spec.is_cluster else configs)
         work = [(cell.config_dict, tel_dir, check_spec) for cell in misses]
         with TaskPool(_worker, min(jobs, len(misses))) as pool:
             try:

@@ -19,9 +19,30 @@ pickled, and everything the parent set up before starting the pool
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 from multiprocessing.connection import wait
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+
+
+def resolve_processes(requested: Optional[int], n_items: int,
+                      env_var: str) -> int:
+    """Worker count for ``n_items`` tasks: ``requested``, else the
+    ``env_var`` environment variable, else ``min(n_items, cpu_count)``;
+    capped at ``n_items``, and 1 inside a daemonized pool worker."""
+    if requested is None:
+        env = os.environ.get(env_var)
+        if env is not None:
+            try:
+                requested = int(env)
+            except ValueError:
+                raise ValueError(
+                    f"{env_var} must be an int, got {env!r}") from None
+    if requested is None or requested <= 0:
+        requested = min(n_items, os.cpu_count() or 1) or 1
+    if multiprocessing.current_process().daemon:
+        return 1
+    return max(1, min(requested, n_items or 1))
 
 
 class TaskFailed(RuntimeError):

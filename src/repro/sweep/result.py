@@ -122,27 +122,42 @@ def measure(result: SimulationResult, wall_s: float,
 
     The returned dict is a :meth:`CellResult.to_dict` fragment (no
     index/params/config) -- exactly what crosses the worker-pool pickle
-    boundary and what the cache stores.
+    boundary and what the cache stores.  A ``ClusterResult`` maps onto
+    the same keys (docs/SWEEPS.md, "Cluster bases").
     """
+    if not isinstance(result, SimulationResult):
+        return _measure_cluster(result, wall_s, cpu_s)
     rd = result.to_dict()
-    out = {
-        "summary": rd["summary"],
-        "stats": rd["stats"],
-        "exact": rd["exact"],
-        "offered": rd["offered"],
-        "delivered": rd["delivered"],
-        "sim_time": rd["sim_time"],
-        "goodput_gbps": rd["goodput_gbps"],
-        "delivered_pps": rd["delivered_pps"],
-        "availability": rd["availability"],
+    out = {key: rd[key] for key in _PAYLOAD_KEYS}
+    out.update(wall_s=wall_s, cpu_s=cpu_s)
+    for key in ("slo_report", "check_report"):
+        if key in rd:
+            out[key] = rd[key]
+    return out
+
+
+#: The :meth:`SimulationResult.to_dict` keys a cell payload carries.
+_PAYLOAD_KEYS = ("summary", "stats", "exact", "offered", "delivered",
+                 "sim_time", "goodput_gbps", "delivered_pps", "availability")
+
+
+def _measure_cluster(result, wall_s: float, cpu_s: float) -> Dict:
+    summary, hosts = result.summary.to_dict(), result.hosts
+    return {
+        "summary": summary,
+        "stats": {**result.cluster,
+                  "hosts": [{"name": h["name"], "summary": h["summary"]}
+                            for h in hosts]},
+        "exact": {k: summary[k] for _, k in SimulationResult.EXACT_KEYS},
+        "offered": result.cluster["offered"],
+        "delivered": result.cluster["delivered"],
+        "sim_time": result.sim_time,
+        "goodput_gbps": sum(h["goodput_gbps"] for h in hosts),
+        "delivered_pps": result.delivered_pps(),
+        "availability": None,
         "wall_s": wall_s,
         "cpu_s": cpu_s,
     }
-    if "slo_report" in rd:
-        out["slo_report"] = rd["slo_report"]
-    if "check_report" in rd:
-        out["check_report"] = rd["check_report"]
-    return out
 
 
 @dataclass

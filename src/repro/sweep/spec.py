@@ -9,6 +9,11 @@ several field overrides for coupled parameters -- e.g. path-count
 scaling at fixed aggregate load sweeps ``{"n_paths": k, "load": 0.8/k}``
 under one labelled axis.
 
+A ``base`` that is a full ``ClusterConfig.to_dict()`` payload makes a
+*cluster* sweep: each cell is one cluster, its axes name
+:meth:`~repro.cluster.ClusterConfig.with_overrides` overrides, and a
+derived seed is the cluster seed.
+
 Seed-derivation contract
 ------------------------
 ``seed_mode="fixed"`` (default) gives every cell the base seed, exactly
@@ -28,8 +33,9 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
+from repro import schemas
 from repro.bench.scenarios import ScenarioConfig
 
 
@@ -121,8 +127,13 @@ class SweepCell:
     #: Canonical full config dict (every field, serialized form).
     config_dict: Dict
 
-    def config(self) -> ScenarioConfig:
-        """Materialize the runnable :class:`ScenarioConfig`."""
+    def config(self):
+        """Materialize the runnable :class:`ScenarioConfig`, or the
+        :class:`~repro.cluster.ClusterConfig` of a cluster cell."""
+        if schemas.infer_kind(self.config_dict) == "cluster_config":
+            from repro.cluster import ClusterConfig
+
+            return ClusterConfig.from_dict(self.config_dict)
         return ScenarioConfig.from_dict(self.config_dict)
 
 
@@ -133,7 +144,8 @@ class SweepSpec:
     ``single_path_baseline`` mirrors the convention of
     :func:`repro.bench.runner.policy_comparison`: a cell whose policy is
     ``"single"`` runs with ``n_paths=1`` (it *is* the one-lane baseline)
-    unless the cell's own axis overrides pin ``n_paths`` explicitly.
+    unless the cell's own axis overrides pin ``n_paths`` explicitly.  In
+    a cluster sweep the rule applies per host.
     """
 
     name: str
@@ -162,8 +174,18 @@ class SweepSpec:
             n *= len(axis.values)
         return n
 
+    @property
+    def is_cluster(self) -> bool:
+        """Whether ``base`` is a full cluster config (module docstring)."""
+        return schemas.infer_kind(self.base) == "cluster_config"
+
     def expand(self) -> List[SweepCell]:
         """Cross-product expansion into runnable cells (row-major)."""
+        cluster = None
+        if self.is_cluster:
+            from repro.cluster import ClusterConfig
+
+            cluster = ClusterConfig.from_dict(self.base)
         cells: List[SweepCell] = []
         axis_points = [axis.points() for axis in self.axes]
         for index, combo in enumerate(itertools.product(*axis_points)):
@@ -172,15 +194,20 @@ class SweepSpec:
             for axis, (label, ov) in zip(self.axes, combo):
                 params[axis.param] = label
                 overrides.update(ov)
-            merged = {**self.base, **overrides}
-            if (self.single_path_baseline and merged.get("policy") == "single"
-                    and "n_paths" not in overrides):
-                merged["n_paths"] = 1
+            if cluster is None:
+                config = ScenarioConfig.from_dict({**self.base, **overrides})
+                scenarios = [config]
+            else:
+                config = cluster.with_overrides(overrides)
+                scenarios = [h.scenario for h in config.hosts]
+            if self.single_path_baseline and "n_paths" not in overrides:
+                for scenario in scenarios:
+                    if scenario.policy == "single":
+                        scenario.n_paths = 1
             if self.seed_mode == "derived" and "seed" not in overrides:
-                base_seed = int(merged.get("seed", ScenarioConfig.seed))
-                merged["seed"] = derive_seed(base_seed, params)
-            config = ScenarioConfig.from_dict(merged).validate()
-            cells.append(SweepCell(index, params, config.to_dict()))
+                config.seed = derive_seed(int(config.seed), params)
+            cells.append(SweepCell(index, params,
+                                   config.validate().to_dict()))
         return cells
 
     # -- serialization --------------------------------------------------
@@ -219,8 +246,8 @@ class SweepSpec:
         )
 
 
-def coerce_field_value(name: str, text: str):
-    """Parse a CLI string into the type of ScenarioConfig field ``name``.
+def coerce_field_value(name: str, text: str, cls=ScenarioConfig):
+    """Parse a CLI string into the type of field ``name`` of ``cls``.
 
     Used by ``repro sweep --axis/--set``: ints and floats by the field's
     declared type, ``jitter`` left as a profile name, JSON accepted for
@@ -232,10 +259,10 @@ def coerce_field_value(name: str, text: str):
     text = text.strip()
     if text.startswith(("{", "[")):
         return json.loads(text)
-    fields = {f.name: f for f in _dc.fields(ScenarioConfig)}
+    fields = {f.name: f for f in _dc.fields(cls)}
     if name not in fields:
         raise ValueError(
-            f"unknown ScenarioConfig field {name!r}; "
+            f"unknown {cls.__name__} field {name!r}; "
             f"valid fields: {sorted(fields)}"
         )
     hint = str(fields[name].type)
@@ -253,3 +280,19 @@ def coerce_field_value(name: str, text: str):
     if text in ("null", "None", "none") and name in ("faults", "slo"):
         return None
     return text
+
+
+def coerce_cluster_value(name: str, text: str):
+    """Parse a CLI string for one cluster-sweep axis name (see
+    :meth:`ClusterConfig.with_overrides
+    <repro.cluster.ClusterConfig.with_overrides>`)."""
+    from repro.cluster import ClusterConfig
+    from repro.net.fabric import FabricConfig
+
+    if name == "hosts":
+        return int(text)
+    if name.startswith("fabric."):
+        return coerce_field_value(name[len("fabric."):], text, FabricConfig)
+    if name in ("pattern", "incast_target", "seed", "epoch"):
+        return coerce_field_value(name, text, ClusterConfig)
+    return coerce_field_value(name, text)

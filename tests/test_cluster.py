@@ -125,6 +125,28 @@ class TestConfigs:
         assert cc.hosts[1].scenario.load == 0.4
         assert [h.name for h in cc.hosts] == ["host0", "host1"]
 
+    def test_with_overrides_names(self):
+        base = small_cluster(2)
+        cfg = base.with_overrides({"load": 0.7, "fabric.n_spines": 8,
+                                   "pattern": "incast", "seed": 9,
+                                   "hosts": 3})
+        assert [h.scenario.load for h in cfg.hosts] == [0.7] * 3
+        assert [h.name for h in cfg.hosts] == ["host0", "host1", "host2"]
+        assert (cfg.fabric.n_spines, cfg.pattern, cfg.seed) == (8, "incast", 9)
+        assert base.to_dict() == small_cluster(2).to_dict()  # untouched
+
+    def test_hosts_override_refuses_heterogeneous_base(self):
+        base = ClusterConfig(hosts=[
+            HostConfig(scenario=small_scenario(load=0.3), name="a"),
+            HostConfig(scenario=small_scenario(load=0.8, policy="hash"),
+                       name="b"),
+        ])
+        with pytest.raises(ValueError, match="differ in scenario.*host list"):
+            base.with_overrides({"hosts": 2})
+        # Without a 'hosts' override a heterogeneous base is fine.
+        cfg = base.with_overrides({"seed": 7})
+        assert [h.scenario.load for h in cfg.hosts] == [0.3, 0.8]
+
     def test_derived_host_seed_stable_and_decorrelated(self):
         s = derived_host_seed(42, 0, 42)
         assert s == derived_host_seed(42, 0, 42)  # pure function
@@ -577,8 +599,31 @@ class TestClusterCli:
                    "--out", str(out)])
         assert rc == 0
         data = json.loads(out.read_text())
-        assert repro.schemas.infer_kind(data) == "cluster_sweep"
+        assert repro.schemas.infer_kind(data) == "sweep_result"
         assert len(data["cells"]) == 2
+
+    def test_cluster_sweep_alias_warns_and_matches_run_cluster(
+            self, capsys, tmp_path, monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        out = tmp_path / "cs.json"
+        rc = main(["cluster", "sweep", "--hosts", "2", "--duration", "12",
+                   "--axis", "policy=single,adaptive", "--quiet",
+                   "--out", str(out)])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert err.count("deprecated") == 1 and "repro sweep --spec" in err
+        sr = repro.sweep.SweepResult.load(str(out))
+        for cell in sr.cells:
+            want = run_cluster(ClusterConfig.from_dict(cell.config),
+                               workers=1)
+            assert cell.summary.to_dict() == want.summary.to_dict()
+            assert cell.delivered == want.cluster["delivered"]
+            assert cell.offered == want.cluster["offered"]
+            # Like the loop it replaces, the alias keeps n_paths for
+            # policy=single.
+            assert want.config.hosts[0].scenario.n_paths == 4
 
     def test_cluster_run_bad_spec_exit_2(self, capsys, tmp_path):
         from repro.cli import main

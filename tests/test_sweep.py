@@ -42,6 +42,14 @@ def tiny_spec(**kw):
     return SweepSpec(**defaults)
 
 
+def tiny_cluster_spec(**kw):
+    """The same grid over a 2-host cluster base."""
+    from repro.cluster import ClusterConfig
+
+    base = ClusterConfig.uniform_hosts(2, ScenarioConfig(**TINY))
+    return tiny_spec(base=base.to_dict(), **kw)
+
+
 class TestSpecExpansion:
     def test_row_major_order_and_cell_count(self):
         spec = tiny_spec()
@@ -159,22 +167,26 @@ class TestSpecSerialization:
 
 class TestRunSweepDeterminism:
     def test_twice_and_across_jobs_bit_identical(self, tmp_path):
-        spec = tiny_spec()
-        serial = run_sweep(spec, jobs=1, cache=False)
-        again = run_sweep(spec, jobs=1, cache=False)
-        pooled = run_sweep(spec, jobs=4, cache=False)
-        assert serial.identity() == again.identity() == pooled.identity()
-        assert pooled.jobs >= 1
-        assert [c.index for c in pooled.cells] == [0, 1, 2, 3]
+        # A cluster cell shards its hosts when run inline, and runs them
+        # in its pool worker otherwise: the payload must not tell.
+        for spec in (tiny_spec(), tiny_cluster_spec()):
+            serial = run_sweep(spec, jobs=1, cache=False)
+            again = run_sweep(spec, jobs=1, cache=False)
+            pooled = run_sweep(spec, jobs=4, cache=False)
+            assert serial.identity() == again.identity() == pooled.identity()
+            assert pooled.jobs >= 1
+            assert [c.index for c in pooled.cells] == [0, 1, 2, 3]
 
     def test_cache_hit_returns_identical_artifact(self, tmp_path):
-        spec = tiny_spec()
-        cold = run_sweep(spec, jobs=1, cache=True, cache_dir=str(tmp_path))
-        warm = run_sweep(spec, jobs=1, cache=True, cache_dir=str(tmp_path))
-        assert cold.cache_misses == 4 and cold.cache_hits == 0
-        assert warm.cache_hits == 4 and warm.cache_misses == 0
-        assert all(c.cached for c in warm.cells)
-        assert warm.identity() == cold.identity()
+        for spec in (tiny_spec(), tiny_cluster_spec()):
+            root = str(tmp_path / spec.to_dict()["base"].get(
+                "pattern", "scenario"))
+            cold = run_sweep(spec, jobs=1, cache=True, cache_dir=root)
+            warm = run_sweep(spec, jobs=1, cache=True, cache_dir=root)
+            assert cold.cache_misses == 4 and cold.cache_hits == 0
+            assert warm.cache_hits == 4 and warm.cache_misses == 0
+            assert all(c.cached for c in warm.cells)
+            assert warm.identity() == cold.identity()
 
     def test_partial_sweep_is_incremental(self, tmp_path):
         small = tiny_spec(axes=[Axis("load", [0.3]),
@@ -244,6 +256,79 @@ class TestRunSweepDeterminism:
         with pytest.raises(ValueError, match="bad cell at load 0.[48]"):
             run_sweep(spec, jobs=2, cache=False)
         assert multiprocessing.active_children() == []
+
+
+class TestClusterBase:
+    def test_kind_comes_from_the_base(self):
+        assert tiny_cluster_spec().is_cluster
+        assert not tiny_spec().is_cluster
+        from repro.cluster import ClusterConfig
+
+        assert all(isinstance(c.config(), ClusterConfig)
+                   for c in tiny_cluster_spec().expand())
+
+    def test_single_path_baseline_applies_per_host(self):
+        for cell in tiny_cluster_spec().expand():
+            want = 1 if cell.params["policy"] == "single" else 4
+            assert [h["scenario"]["n_paths"]
+                    for h in cell.config_dict["hosts"]] == [want, want]
+        for cell in tiny_cluster_spec(single_path_baseline=False).expand():
+            assert cell.config_dict["hosts"][0]["scenario"]["n_paths"] == 4
+
+    def test_derived_mode_derives_the_cluster_seed(self):
+        cells = tiny_cluster_spec(seed_mode="derived").expand()
+        assert [c.config_dict["seed"] for c in cells] == [
+            derive_seed(42, c.params) for c in cells]
+        # Host scenarios keep their own seed (the per-host salt).
+        assert {c.config_dict["hosts"][1]["scenario"]["seed"]
+                for c in cells} == {42}
+
+    def test_payload_maps_the_cluster_result(self):
+        from repro.cluster import ClusterConfig, run_cluster
+
+        spec = tiny_cluster_spec(axes=[Axis("hosts", [3])])
+        cell = run_sweep(spec, jobs=1, cache=False).cells[0]
+        want = run_cluster(ClusterConfig.from_dict(cell.config), workers=1)
+        assert cell.summary == want.summary
+        assert cell.exact["p999"] == want.p999
+        assert (cell.offered, cell.delivered) == (
+            want.cluster["offered"], want.cluster["delivered"])
+        assert cell.delivered_pps == want.delivered_pps()
+        assert [h["name"] for h in cell.stats["hosts"]] == [
+            "host0", "host1", "host2"]
+        assert cell.stats["envelopes_sent"] == want.cluster["envelopes_sent"]
+
+    def test_telemetry_bundle_per_cell(self, tmp_path):
+        spec = tiny_cluster_spec(axes=[Axis("load", [0.3])])
+        run_sweep(spec, jobs=1, cache=False, telemetry_dir=str(tmp_path))
+        (bundle,) = tmp_path.iterdir()
+        assert (bundle / "manifest.json").exists()
+        assert (bundle / "host1" / "trace.json").exists()
+
+    def test_check_is_refused(self):
+        with pytest.raises(ValueError, match="cluster base"):
+            run_sweep(tiny_cluster_spec(), jobs=1, cache=False, check=True)
+
+    def test_scenario_sweep_imports_no_cluster_module(self):
+        import subprocess
+        import sys
+
+        script = (
+            "import sys, repro\n"
+            "from repro.sweep import Axis, SweepSpec, run_sweep\n"
+            f"spec = SweepSpec('s', base={TINY!r}, "
+            "axes=[Axis('load', [0.3, 0.6])])\n"
+            "run_sweep(spec, jobs=2, cache=False)\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.cluster')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestSweepResult:
