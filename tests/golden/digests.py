@@ -109,14 +109,17 @@ def _lossy_incast_cluster() -> ClusterConfig:
                                        incast_target=2, seed=16)
 
 
-def _cluster(make: Callable[[], ClusterConfig],
-             workers: int) -> Callable[[], Dict]:
-    return lambda: repro.run(make(), RunOptions(workers=workers)).to_dict()
+def _cluster(make: Callable[[], ClusterConfig], workers: int,
+             **options) -> Callable[[], Dict]:
+    return lambda: repro.run(
+        make(), RunOptions(workers=workers, **options)).to_dict()
 
 
 #: Reference run name -> payload function.  Clusters run at one, two and
 #: four workers (four: one host per process) and all must match the one
-#: committed digest per cluster.
+#: committed digest per cluster.  The forensics-armed cluster is the only
+#: cluster payload that shows packet ids (its tail exemplars), so it is
+#: what pins each host's pid allocation.
 RUNS: Dict[str, Callable[[], object]] = {
     "single": _single("single"),
     "adaptive": _single("adaptive"),
@@ -130,6 +133,8 @@ RUNS: Dict[str, Callable[[], object]] = {
     "cluster_ecmp@1": _cluster(_ecmp_cluster, 1),
     "cluster_ecmp@2": _cluster(_ecmp_cluster, 2),
     "cluster_ecmp@4": _cluster(_ecmp_cluster, 4),
+    "cluster_ecmp_forensics@1": _cluster(_ecmp_cluster, 1, forensics=True),
+    "cluster_ecmp_forensics@2": _cluster(_ecmp_cluster, 2, forensics=True),
     "cluster_flowlet_lossy_incast@1": _cluster(_lossy_incast_cluster, 1),
     "cluster_flowlet_lossy_incast@2": _cluster(_lossy_incast_cluster, 2),
     "cluster_flowlet_lossy_incast@4": _cluster(_lossy_incast_cluster, 4),
