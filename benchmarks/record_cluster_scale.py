@@ -19,7 +19,10 @@ Two gates:
 
 Each side also records its CPU seconds (this process plus its reaped
 workers) and CPU seconds per million delivered packets, next to wall
-seconds: CPU says what the sharding costs, wall what it buys.
+seconds: CPU says what the sharding costs, wall what it buys.  The same
+eight host scenarios are then run alone, one after another
+(``cpu_s_standalone``); ``cluster_tax`` is the inline cluster's CPU over
+theirs, the price of the fabric, routing and the two phases.
 
 Usage:  python benchmarks/record_cluster_scale.py
         (REPRO_BENCH_SCALE scales the simulated duration)
@@ -31,8 +34,10 @@ import pathlib
 import resource
 import sys
 
+import repro
 from repro.bench.cluster_figures import _fabric, _host_template
 from repro.cluster import ClusterConfig, run_cluster
+from repro.cluster.engine import _host_scenario
 
 RESULTS = pathlib.Path(__file__).resolve().parent / "results"
 #: Required workers=4 speedup on a >=4-core host; below the 4x ideal
@@ -73,6 +78,13 @@ def main() -> int:
               f"in {res.wall_s:.2f}s wall, {cpu[workers]:.2f}s CPU "
               f"({res.cluster['delivered'] / res.wall_s:,.0f} pps wall)")
 
+    cpu0 = _cpu_s()
+    for hid in range(cfg.n_hosts):
+        repro.run(_host_scenario(cfg, hid))
+    standalone = _cpu_s() - cpu0
+    print(f"standalone hosts: {standalone:.2f}s CPU "
+          f"(cluster tax {cpu[1] / standalone:.2f}x)")
+
     def per_mpkt(workers: int) -> float:
         return cpu[workers] / runs[workers].cluster["delivered"] * 1e6
 
@@ -97,6 +109,8 @@ def main() -> int:
         "cpu_s_workers_4": cpu[4],
         "cpu_s_per_mpkt_workers_1": per_mpkt(1),
         "cpu_s_per_mpkt_workers_4": per_mpkt(4),
+        "cpu_s_standalone": standalone,
+        "cluster_tax": cpu[1] / standalone,
         "speedup_4_workers": speedup,
         "wall_pps_workers_4": runs[4].cluster["delivered"] / runs[4].wall_s,
         "deterministic_1_vs_4": deterministic,

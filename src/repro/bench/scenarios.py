@@ -496,10 +496,10 @@ class ScenarioRuntime:
     injector/SLO/check/telemetry attachments -- without advancing the
     clock, so callers control the run loop.  ``run_scenario`` drives it
     to completion in one ``sim.run``; the cluster engine
-    (:mod:`repro.cluster`) instead steps it epoch by epoch with
-    :meth:`Simulator.run_epoch`, injecting cross-host envelopes at
-    each barrier.  Splitting build from run is what lets every shard
-    reuse the single-host engine *unmodified*.
+    (:mod:`repro.cluster`) builds it around a replayed ingress stream
+    instead of a traffic source and runs it to the cluster's end.
+    Splitting build from run is what lets every shard reuse the
+    single-host engine *unmodified*.
     """
 
     __slots__ = ("config", "sim", "rngs", "host", "tracker", "src",
@@ -536,7 +536,7 @@ class ScenarioRuntime:
         """Close out the run and build the :class:`SimulationResult`.
 
         Call exactly once, after the event loop has been driven to the
-        horizon (by ``sim.run`` or a sequence of ``run_epoch`` calls).
+        horizon (``sim.run``).
         """
         if self._finalized:
             raise RuntimeError("ScenarioRuntime.finalize() called twice")
@@ -594,13 +594,13 @@ def build_runtime(config: ScenarioConfig,
                   check=None,
                   recycle: bool = True,
                   forensics=None,
-                  sink=None) -> ScenarioRuntime:
+                  ingress=None) -> ScenarioRuntime:
     """Build (but do not run) one scenario host; see :class:`ScenarioRuntime`.
 
-    ``sink`` overrides where the traffic source delivers packets
-    (default: the host's own data-plane ingress).  The cluster engine
-    passes its per-host router here, which keeps local flows and
-    discards remote ones; single-host runs leave it ``None``.
+    ``ingress`` (an unbound :class:`~repro.dataplane.boundary.IngressReplay`)
+    replaces the traffic source; the cluster engine passes each host's
+    merged ingress here.  Single-host
+    runs leave it ``None``.
     """
     forensics_spec = None
     if forensics is not None and forensics is not False:
@@ -678,8 +678,11 @@ def build_runtime(config: ScenarioConfig,
         slo_tracker = SloTracker(sim, config.slo, host, warmup=config.warmup)
         slo_tracker.start()
 
-    src = _make_source(sim, host.factory, rngs, config, tracker,
-                       sink if sink is not None else host.input)
+    if ingress is None:
+        src = _make_source(sim, host.factory, rngs, config, tracker,
+                           host.input)
+    else:
+        src = ingress.bind(sim, host)
     return ScenarioRuntime(config, sim, rngs, host, tracker, src, engine,
                            telemetry, injector, slo_tracker, forensics_spec,
                            wall_start)
@@ -738,7 +741,8 @@ def build_source(config: ScenarioConfig, sink):
     The source draws from the same named RNG stream as under
     :func:`build_runtime`, so ``sink`` receives exactly the packets (by
     value) the full host would generate.  The cluster engine uses this
-    to produce a host's egress without simulating the host.  Returns
+    to route everything a host generates without simulating the host.
+    Returns
     ``(sim, rngs, factory, src)``; call ``src.start()`` then ``sim.run()``.
     """
     config.validate()

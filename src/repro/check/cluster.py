@@ -12,10 +12,10 @@ the router counters each host reports:
   never materializing; any mismatch means the engine dropped or
   duplicated an envelope between its two phases.
 * **per-host generation split** -- every generated packet went exactly
-  one way: ``generated_i == local_i + sum_j sent_i[j]``.  ``sent`` is
-  counted in the engine's egress phase and ``generated``/``local`` in
-  its simulation phase, so this also checks that the two phases routed
-  every packet alike.
+  one way: ``generated_i == local_i + sum_j sent_i[j]``.  ``generated``
+  and ``sent`` are counted in the engine's routing phase and ``local``
+  from the local rows its simulation phase replayed, so this also
+  checks that every local emission reached the host's data plane.
 
 :func:`check_cluster_conservation` is pure post-run arithmetic over the
 result payload (no runtime hooks), so it can run on a live

@@ -2,11 +2,14 @@
 
 Runs a :class:`ClusterConfig` (N hosts + a fabric topology) as an exact
 two-phase map over a worker pool, one contiguous shard of hosts per
-worker: phase 1 computes every host's fabric egress (open-loop traffic
-makes it independent of the host's ingress), and phase 2 simulates each
-host in full against its arrivals, injected at conservative epoch
-barriers no longer than the fabric's minimum inter-host latency (the
-lookahead).  Each host runs the existing single-host engine unmodified,
+worker: phase 1 runs every host's traffic source and router once and
+writes each packet down as an envelope row (open-loop traffic makes a
+host's egress independent of its ingress), and phase 2 simulates each
+host in full against one merged stream of its local emissions and the
+envelopes addressed to it, replayed at their exact times.  Every
+envelope arrives at least one lookahead (the fabric's minimum
+inter-host latency) after it was sent.  Each host runs the existing
+single-host engine unmodified,
 so the paper's intra-host ("last-mile") multipath composes with fabric
 multipath (ECMP/flowlet); cross-host sends travel as schema-versioned
 envelopes and merge into one :class:`ClusterResult`.

@@ -7,24 +7,30 @@ fabric is latency plus loss with no shared queue state (the contract
 :meth:`HostConfig.validate` enforces).  So :func:`run_cluster` needs no
 lockstep between hosts; it runs three steps:
 
-1. **Egress, per host, on the workers.**  Each host's source and
-   :class:`ClusterRouter` run alone, without a data plane.  The egress
-   is written as envelope columns to a per-run temporary directory, one
-   file per source->destination pair.  The ``(send_time,
-   arrive_time)`` of every envelope that can reach the run's horizon
-   goes back to the parent.
+1. **Routing, per host, on the workers.**  Each host's source and
+   :class:`ClusterRouter` run alone, without a data plane -- the only
+   time any source, router or fabric steering runs.  Every emission is
+   written to a per-run temporary directory as envelope columns, one
+   file per source->destination pair; a local emission goes to the
+   host's own ``h-h`` file.  A vectorized check holds each envelope to
+   the lookahead ``arrive_time - send_time >= L``, and the
+   ``(send_time, arrive_time)`` of every envelope that can reach the
+   run's horizon goes back to the parent.
 2. **Grid, in the parent.**  :func:`_drive_epochs` replays the epoch
    schedule over those pairs: epochs of length ``L <=
    fabric.min_latency()`` (the lookahead), with the horizon pushed out
-   until every envelope has arrived.
-3. **Hosts, per host, on the workers.**  Each host is built in full and
-   stepped through the same epoch ends with :meth:`Simulator.run_epoch`.
-   An envelope emitted during an epoch is injected at the barrier after
-   it, in canonical ``(arrive_time, src_host, env_seq)`` order.  Because
-   the fabric's latency is at least ``L``, that is before the envelope
-   arrives -- and it is exactly where and in what order a lockstep of
-   barrier epochs would have delivered it, so event sequence numbers
-   and packet ids are allocated as in that lockstep.
+   until every envelope has arrived.  The last epoch end is the run's
+   end; the grid also fixes ``sim_time``.
+3. **Hosts, per host, on the workers.**  Each host is built in full with
+   one ingress stream instead of a source: its local emissions plus the
+   envelopes addressed to it, merged in numpy in canonical
+   ``(arrive_time, src_host, env_seq)`` order
+   (:func:`~repro.dataplane.boundary.host_ingress`) and replayed at
+   their exact times (:class:`~repro.dataplane.boundary.IngressReplay`),
+   straight to the run's end.  Dropped envelopes are counted in bulk.
+   Packet ids are allocated as if the host's source were running: the
+   host's own fabric-bound emissions still advance its pid counter
+   (:class:`~repro.dataplane.boundary.ClusterPacketFactory`).
 
 Determinism is structural: each host has its own :class:`Simulator`,
 RNG registry (seeded by :func:`derived_host_seed`) and packet factory,
@@ -43,23 +49,24 @@ import shutil
 import tempfile
 import time as _time
 from bisect import bisect_left
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..bench.scenarios import (ScenarioConfig, build_runtime, build_source,
                                prime_capacity_cache)
-from ..dataplane.boundary import ENVELOPE_DTYPE
+from ..dataplane.boundary import ENVELOPE_DTYPE, IngressReplay, host_ingress
 from ..sim.engine import warn_scheduler_ignored
+from ..sim.errors import SimulationError
 from ..sweep.pool import TaskFailed, TaskPool, resolve_processes
 from .config import ClusterConfig, derived_host_seed
 from .result import ClusterResult, merge_summaries, retained_samples
-from .router import ClusterRouter
+from .router import ClusterRouter, host_router_stats
 
 #: Phase-1 output for one host: the ``(send_time, arrive_time)`` of
-#: each envelope that can reach the horizon (see :func:`_phase1`),
-#: envelopes sent per destination, and packets steered per spine.
-Egress = Tuple[List[Tuple[float, float]], Dict[int, int], Dict[int, int]]
+#: each envelope that can reach the horizon (see :func:`_phase1`), and
+#: the router's counters (:meth:`ClusterRouter.stats`).
+Egress = Tuple[List[Tuple[float, float]], Dict]
 
 #: Phase 1 runs each source in slices of this many µs and appends the
 #: slice's envelopes to the egress files as columns, so few are ever
@@ -99,7 +106,7 @@ def _egress_path(egress_dir: str, src: int, dst: int) -> str:
 
 def _phase1(cluster: ClusterConfig, host_ids: Iterable[int],
             egress_dir: str) -> Dict[int, Egress]:
-    """Run each host's source and router alone; write its egress.
+    """Run each host's source and router alone; write its rows.
 
     Only envelopes with ``arrive_time + L >= cluster.horizon()`` report
     their times.  The epoch grid reads an epoch's latest arrival only to
@@ -108,6 +115,7 @@ def _phase1(cluster: ClusterConfig, host_ids: Iterable[int],
     an envelope arrives at or past the horizon, since the fabric's
     latency is at least ``L``.  The horizon never falls below
     ``cluster.horizon()``, so no other envelope can change the grid.
+    Local rows never reach the grid.
     """
     L, horizon = cluster.epoch_length(), cluster.horizon()
     out: Dict[int, Egress] = {}
@@ -116,76 +124,76 @@ def _phase1(cluster: ClusterConfig, host_ids: Iterable[int],
                                cluster.incast_target, cluster.fabric)
         sim, rngs, factory, src = build_source(_host_scenario(cluster, hid),
                                                router)
-        router.bind(sim, factory, rngs, factory.recycle)
+        router.bind(sim, factory, rngs)
         src.start()
         late: List[Tuple[float, float]] = []
         while sim.pending_count:
             sim.run(until=sim.now + _SLICE_US)
-            for dst, envs in router.outgoing.items():
-                cols = np.array(envs, dtype=ENVELOPE_DTYPE)
+            for dst, rows in router.outgoing.items():
+                cols = np.array(rows, dtype=ENVELOPE_DTYPE)
                 with open(_egress_path(egress_dir, hid, dst), "ab") as fh:
                     cols.tofile(fh)
+                if dst == hid:
+                    continue
+                _check_lookahead(cols, L)
                 tail = cols[cols["arrive_time"] + L >= horizon]
                 late.extend(zip(tail["send_time"].tolist(),
                                 tail["arrive_time"].tolist()))
             router.outgoing = {}
-        out[hid] = (late, router.sent, router.by_spine)
+        out[hid] = (late, router.stats())
     return out
 
 
-def _epoch_ends(config: ClusterConfig, egress: Dict[int, Egress]
-                ) -> List[float]:
-    """The epoch ends a lockstep over this egress would step through."""
+def _check_lookahead(cols: np.ndarray, L: float) -> None:
+    """Raise unless every envelope arrives at least ``L`` after it was
+    sent: the epoch grid is a lockstep only under that bound."""
+    bad = np.flatnonzero(cols["arrive_time"] < cols["send_time"] + L)
+    if len(bad):
+        env = cols[bad[0]]
+        raise SimulationError(
+            f"envelope {int(env['env_seq'])} from host "
+            f"{int(env['src_host'])} to host {int(env['dst_host'])} "
+            f"arrives {float(env['arrive_time'] - env['send_time'])}µs "
+            f"after it was sent, under the {L}µs lookahead: the fabric's "
+            f"latency must be at least the epoch length")
+
+
+def _run_end(config: ClusterConfig, egress: Dict[int, Egress]) -> float:
+    """The last epoch end a lockstep over this egress would step to."""
     late = sorted(pair for e in egress.values() for pair in e[0])
     sends = [send for send, _ in late]
-    ends: List[float] = []
+    last = [0.0]
 
     def step(end: float, start: float) -> Optional[float]:
         lo, hi = bisect_left(sends, start), bisect_left(sends, end)
-        ends.append(end)
+        last[0] = end
         return max(arrive for _, arrive in late[lo:hi]) if hi > lo else None
 
     _drive_epochs(config, step)
-    return ends
+    return last[0]
 
 
-def _arrivals(cluster: ClusterConfig, hid: int, ends: List[float],
-              egress_dir: str) -> Iterator[Tuple[int, List[Tuple]]]:
-    """``(epoch, envelopes)`` for every epoch that sent ``hid`` any, in
-    epoch order, each batch in canonical injection order."""
-    parts = []
-    for src in range(cluster.n_hosts):
-        path = _egress_path(egress_dir, src, hid)
-        if os.path.exists(path):
-            parts.append(np.fromfile(path, dtype=ENVELOPE_DTYPE))
-    if not parts:
-        return
-    cols = np.concatenate(parts)
-    del parts
-    # An event at exactly an epoch end runs in the next epoch.
-    epoch = np.searchsorted(np.asarray(ends), cols["send_time"],
-                            side="right")
-    order = np.lexsort((cols["env_seq"], cols["src_host"],
-                        cols["arrive_time"], epoch))
-    epoch = epoch[order]
-    starts = np.flatnonzero(np.diff(epoch)) + 1
-    for lo, hi in zip([0, *starts.tolist()], [*starts.tolist(), len(cols)]):
-        yield int(epoch[lo]), cols[order[lo:hi]].tolist()
+def _host_ingress(cluster: ClusterConfig, hid: int, egress_dir: str,
+                  offered: int) -> IngressReplay:
+    """Merge every row addressed to ``hid`` (:func:`host_ingress`)."""
+    hosts = range(cluster.n_hosts)
+    return host_ingress(
+        [_egress_path(egress_dir, src, hid) for src in hosts],
+        [_egress_path(egress_dir, hid, dst) for dst in hosts if dst != hid],
+        hid, offered)
 
 
-def _phase2(cluster: ClusterConfig, host_ids: Iterable[int],
-            ends: List[float], counts: Dict[int, Tuple[Dict, Dict]],
-            egress_dir: str, opts: Dict) -> Dict[int, Dict]:
-    """Simulate each host in full against its arrivals; return payloads.
+def _phase2(cluster: ClusterConfig, host_ids: Iterable[int], end: float,
+            counts: Dict[int, Dict], egress_dir: str,
+            opts: Dict) -> Dict[int, Dict]:
+    """Simulate each host in full against its ingress, up to ``end``;
+    return payloads.
 
-    ``counts`` holds each host's phase-1 ``(sent, by_spine)``.
+    ``counts`` holds each host's phase-1 :meth:`ClusterRouter.stats`.
     """
     payloads: Dict[int, Dict] = {}
     telemetry_dir = opts["telemetry_dir"]
     for hid in host_ids:
-        router = ClusterRouter(hid, cluster.n_hosts, cluster.pattern,
-                               cluster.incast_target)
-        router.sent, router.by_spine = counts[hid]
         tel = None
         if telemetry_dir is not None:
             from repro.obs import Telemetry
@@ -193,23 +201,17 @@ def _phase2(cluster: ClusterConfig, host_ids: Iterable[int],
             tel = Telemetry()
         rt = build_runtime(_host_scenario(cluster, hid), telemetry=tel,
                            check=opts["check"], recycle=opts["recycle"],
-                           forensics=opts["forensics"], sink=router)
-        router.bind(rt.sim, rt.host.factory, rt.rngs, rt.host.input)
+                           forensics=opts["forensics"],
+                           ingress=_host_ingress(cluster, hid, egress_dir,
+                                                 counts[hid]["generated"]))
         rt.start()
-        arrivals = _arrivals(cluster, hid, ends, egress_dir)
-        batch = next(arrivals, None)
-        run_epoch = rt.sim.run_epoch
-        for k, end in enumerate(ends):
-            run_epoch(end)
-            if batch is not None and batch[0] == k:
-                router.inject(batch[1])
-                batch = next(arrivals, None)
+        rt.sim.run(until=end)
 
         result = rt.finalize()
         payload = result.to_dict()
         payload["host_id"] = hid
         payload["name"] = cluster.hosts[hid].name or f"host{hid}"
-        payload["router"] = router.stats()
+        payload["router"] = host_router_stats(counts[hid], rt.src)
         payload["latency_samples"] = retained_samples(
             result.host.sink.recorder.values()
         )
@@ -280,9 +282,9 @@ def run_cluster(config: ClusterConfig,
     try:
         if len(shards) == 1:
             egress = _phase1(config, range(n_hosts), egress_dir)
-            ends = _epoch_ends(config, egress)
-            counts = {hid: e[1:] for hid, e in egress.items()}
-            payloads = _phase2(config, range(n_hosts), ends, counts,
+            end = _run_end(config, egress)
+            counts = {hid: e[1] for hid, e in egress.items()}
+            payloads = _phase2(config, range(n_hosts), end, counts,
                                egress_dir, opts)
         else:
             payloads = _map_pool(config, shards, egress_dir, opts)
@@ -343,7 +345,7 @@ def _drive_epochs(config: ClusterConfig, step_fn) -> None:
 
 def _shard_task(cluster_dict: Dict, egress_dir: str, opts: Dict,
                 task: Tuple):
-    """Pool task body: ``(1, host_ids)`` or ``(2, host_ids, ends,
+    """Pool task body: ``(1, host_ids)`` or ``(2, host_ids, end,
     counts)`` runs that phase for one shard."""
     cluster = ClusterConfig.from_dict(cluster_dict)
     if task[0] == 1:
@@ -362,11 +364,11 @@ def _map_pool(config: ClusterConfig, shards: List[List[int]],
             egress: Dict[int, Egress] = {}
             for _, part in pool.imap_unordered([(1, ids) for ids in shards]):
                 egress.update(part)
-            ends = _epoch_ends(config, egress)
+            end = _run_end(config, egress)
             phase = 2
             payloads: Dict[int, Dict] = {}
             for _, part in pool.imap_unordered([
-                    (2, ids, ends, {hid: egress[hid][1:] for hid in ids})
+                    (2, ids, end, {hid: egress[hid][1] for hid in ids})
                     for ids in shards]):
                 payloads.update(part)
             return payloads

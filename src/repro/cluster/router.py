@@ -1,23 +1,24 @@
-"""Per-host cluster router: the seam between source, fabric and host.
+"""Per-host cluster router: the seam between source and fabric.
 
-In a cluster run each host's traffic source no longer feeds the host's
-NIC directly -- it feeds this router.  The router assigns every
-**flow** a destination host per the cluster pattern, then either
-delivers the packet into its own host (local flow) or sends it across
-the fabric.  It runs once in each of the engine's two phases (see
-:mod:`repro.cluster.engine`):
+In a cluster run each host's traffic source does not feed the host's
+NIC directly -- it feeds this router, in the engine's first phase (see
+:mod:`repro.cluster.engine`), with no data plane attached.  The router
+assigns every **flow** a destination host per the cluster pattern and
+writes each packet down as a row of envelope columns in
+:attr:`ClusterRouter.outgoing`:
 
-* **phase 1** (built with a fabric config): the source runs alone, and
-  every remote packet is steered (:class:`~repro.net.fabric.FabricSteering`
-  picks spine, delay and loss) and encoded as a schema-versioned
-  envelope in :attr:`ClusterRouter.outgoing`;
-* **phase 2** (built without one): the full host runs, local packets
-  enter its data plane, remote packets are discarded -- their envelopes
-  exist already -- and the envelopes addressed to this host arrive
-  through :meth:`ClusterRouter.inject`.
+* a **local** packet (destination is its own host) becomes a local row,
+  ``dst_host == src_host`` and ``arrive_time == send_time``, which the
+  host's phase-2 replay feeds back to its NIC at emission time;
+* a **remote** packet is steered (:class:`~repro.net.fabric.FabricSteering`
+  picks spine, delay and loss) and becomes a schema-versioned envelope
+  for its destination.
 
-Both phases draw destinations from the host's ``cluster.route`` stream
-in the same order, so they agree on every packet's destination.
+Phase 2 never runs a router: each host replays one merged stream of its
+local rows and the envelopes addressed to it
+(:func:`~repro.dataplane.boundary.host_ingress`), and counts the
+envelopes it received or lost in bulk.
+
 Destination assignment is per-flow, not per-packet: a flow's packets
 all land on one host, so per-flow sequence numbers stay gap-free and
 the destination's reorder buffer sees a normal flow.
@@ -34,13 +35,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..dataplane.boundary import (
-    ARRIVE_IDX,
-    DROPPED_IDX,
-    SRC_IDX,
-    decode_envelope,
-    encode_envelope,
-)
+from ..dataplane.boundary import encode_envelope
 from ..net.fabric import FabricSteering
 
 
@@ -54,76 +49,67 @@ class ClusterRouter:
     """
 
     __slots__ = ("host_id", "n_hosts", "pattern", "incast_target",
-                 "steering", "sim", "factory", "local_sink", "_route_rng",
+                 "steering", "sim", "factory", "_route_rng",
                  "_dst_by_tuple", "outgoing", "_env_seq", "generated",
-                 "local", "sent", "received", "fabric_dropped", "by_spine")
+                 "local", "sent", "by_spine")
 
     def __init__(self, host_id: int, n_hosts: int, pattern: str,
-                 incast_target: int, fabric_config=None) -> None:
+                 incast_target: int, fabric_config) -> None:
         self.host_id = host_id
         self.n_hosts = n_hosts
         self.pattern = pattern
         self.incast_target = incast_target
-        #: Phase 1 only: spine/delay/loss decisions for remote packets.
-        self.steering = (FabricSteering(fabric_config)
-                         if fabric_config is not None else None)
+        #: Spine/delay/loss decisions for remote packets.
+        self.steering = FabricSteering(fabric_config)
         self.sim = None
         self.factory = None
-        self.local_sink = None
         self._route_rng = None
         self._dst_by_tuple: Dict = {}
-        #: Phase 1: envelopes by destination host, in emission order.
+        #: Rows by destination host (this host: local rows), in
+        #: emission order.
         self.outgoing: Dict[int, List[Tuple]] = {}
         self._env_seq = 0
         self.generated = 0
         self.local = 0
         self.sent: Dict[int, int] = {}
-        self.received: Dict[int, int] = {}
-        self.fabric_dropped: Dict[int, int] = {}
-        self.by_spine: Dict[int, int] = (self.steering.by_spine
-                                         if self.steering is not None
-                                         else {})
+        self.by_spine: Dict[int, int] = self.steering.by_spine
 
-    def bind(self, sim, factory, rngs, local_sink) -> None:
-        """Attach the simulator, packet factory, RNG registry and the
-        callable that takes local packets."""
+    def bind(self, sim, factory, rngs) -> None:
+        """Attach the simulator, packet factory and RNG registry."""
         self.sim = sim
         self.factory = factory
-        self.local_sink = local_sink
         self._route_rng = rngs.stream("cluster.route")
-        if self.steering is not None:
-            self.steering.rng = rngs.stream("cluster.fabric")
+        self.steering.rng = rngs.stream("cluster.fabric")
 
-    # ------------------------------------------------------------------
-    # Egress: the traffic source's sink
-    # ------------------------------------------------------------------
     def __call__(self, pkt) -> None:
+        """The traffic source's sink: write ``pkt`` down as a row."""
         self.generated += 1
         ft = pkt.ftuple
         dst = self._dst_by_tuple.get(ft)
         if dst is None:
             dst = self._assign_dst()
             self._dst_by_tuple[ft] = dst
+        now = self.sim._now
         if dst == self.host_id:
             self.local += 1
-            self.local_sink(pkt)
-            return
-        if self.steering is not None:
-            now = self.sim._now
+            # env_seq: the envelopes sent before this local emission,
+            # which its replay needs to allocate the same pid.
+            row = encode_envelope(pkt, dst, dst, self._env_seq, now, now,
+                                  -1, False)
+        else:
             spine, delay, lost = self.steering.transit(
                 self.host_id, pkt.flow_id, now
             )
-            env = encode_envelope(pkt, self.host_id, dst, self._env_seq,
+            row = encode_envelope(pkt, self.host_id, dst, self._env_seq,
                                   now, now + delay, spine, lost)
             self._env_seq += 1
             self.sent[dst] = self.sent.get(dst, 0) + 1
-            out = self.outgoing.get(dst)
-            if out is None:
-                self.outgoing[dst] = [env]
-            else:
-                out.append(env)
-        # The packet object never leaves this process; the envelope
-        # carries everything, so the carcass can feed the local pool.
+        out = self.outgoing.get(dst)
+        if out is None:
+            self.outgoing[dst] = [row]
+        else:
+            out.append(row)
+        # The row carries everything, so the packet can feed the pool.
         self.factory.recycle(pkt)
 
     def _assign_dst(self) -> int:
@@ -133,39 +119,32 @@ class ClusterRouter:
             return self.incast_target
         return int(self._route_rng.integers(self.n_hosts))
 
-    # ------------------------------------------------------------------
-    # Ingress: envelopes addressed to this host, injected at barriers
-    # ------------------------------------------------------------------
-    def inject(self, envs: List[Tuple]) -> None:
-        """Queue one barrier's incoming envelopes for arrival.
-
-        ``envs`` must be in canonical ``(arrive_time, src_host,
-        env_seq)`` order.  Goes through
-        :meth:`Simulator.external_events`, which enforces the lookahead
-        contract (arrival at or after the current epoch floor) once,
-        against the earliest arrival.
-        """
-        self.sim.external_events(self._arrive, envs, ARRIVE_IDX)
-
-    def _arrive(self, env: Tuple) -> None:
-        src = env[SRC_IDX]
-        if env[DROPPED_IDX]:
-            self.fabric_dropped[src] = self.fabric_dropped.get(src, 0) + 1
-            return
-        self.received[src] = self.received.get(src, 0) + 1
-        self.local_sink(decode_envelope(env, self.factory))
-
-    # ------------------------------------------------------------------
     def stats(self) -> Dict:
-        """JSON-friendly routing/conservation counters for this host."""
+        """JSON-friendly phase-1 counters: generated, local, sent and
+        steered per spine."""
         return {
             "generated": self.generated,
             "local": self.local,
-            "sent": {str(k): v for k, v in sorted(self.sent.items())},
-            "received": {str(k): v
-                         for k, v in sorted(self.received.items())},
-            "fabric_dropped": {str(k): v for k, v
-                               in sorted(self.fabric_dropped.items())},
+            "sent": _str_keys(self.sent),
             "by_spine": {str(k): v for k, v
                          in sorted(self.by_spine.items()) if v},
         }
+
+
+def _str_keys(counts: Dict[int, int]) -> Dict[str, int]:
+    return {str(k): v for k, v in sorted(counts.items())}
+
+
+def host_router_stats(phase1: Dict, ingress) -> Dict:
+    """A host's ``router`` payload: its phase-1 :meth:`ClusterRouter.stats`
+    with ``local`` and the per-source ``received``/``fabric_dropped``
+    counts of its phase-2
+    :class:`~repro.dataplane.boundary.IngressReplay`."""
+    return {
+        "generated": phase1["generated"],
+        "local": ingress.local,
+        "sent": phase1["sent"],
+        "received": _str_keys(ingress.received),
+        "fabric_dropped": _str_keys(ingress.fabric_dropped),
+        "by_spine": phase1["by_spine"],
+    }

@@ -12,32 +12,38 @@ runtime state.
 
 Envelopes are plain tuples in memory and numpy structured arrays
 (:data:`ENVELOPE_DTYPE`, one column per field) on disk between the
-cluster engine's two phases; :func:`envelope_to_dict` produces the
-JSON/schema form used by artifacts and ``repro.schemas``.
+cluster engine's two phases.  A host's *local* emissions travel in the
+same columns as rows with ``dst_host == src_host`` and ``arrive_time ==
+send_time``, so :func:`host_ingress` can merge everything a host takes
+in into one stream, which :class:`IngressReplay` feeds to its NIC.
 
-Identity remapping at decode time is deterministic and collision-free:
+Identity remapping is deterministic and collision-free, and done in
+numpy by :func:`host_ingress`:
 
 * ``ftuple`` becomes ``(REMOTE_BASE + src_host, REMOTE_BASE + dst_host,
   sport, dport)`` so classifiers on the destination see a distinct
-  address space per source host,
+  address space per source host; a local row gets back the source's own
+  ``(LOCAL_SRC, LOCAL_DST, sport, dport)``,
 * ``flow_id`` becomes ``FLOW_STRIDE * (src_host + 1) + flow_id`` so
   remote flows never collide with the destination's local flows (local
-  flow ids stay well under :data:`FLOW_STRIDE`) and per-flow seq
-  ordering survives the crossing intact.
+  flow ids stay well under :data:`FLOW_STRIDE`, and keep their value)
+  and per-flow seq ordering survives the crossing intact.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import os
+from collections import Counter
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..net.packet import FiveTuple, Packet, PacketFactory
+from ..net.traffic import SourceStats
+from ..sim.engine import _SEQ_BITS, NORMAL
 
 _NAN = Packet.NAN
-
-#: Envelope wire-format version (bump on any field change).
-ENVELOPE_VERSION = "1.0"
+_NORMAL_KEY = NORMAL << _SEQ_BITS
 
 #: Offset added to host indices to form remote ftuple addresses.
 REMOTE_BASE = 1000
@@ -45,12 +51,18 @@ REMOTE_BASE = 1000
 #: Stride separating per-source-host remote flow-id ranges.
 FLOW_STRIDE = 1_000_000
 
+#: Addresses a scenario's traffic source stamps into every five-tuple
+#: (the :class:`~repro.net.traffic._BaseSource` defaults); a local row's
+#: packet is rebuilt with them.
+LOCAL_SRC, LOCAL_DST = 0, 1
+
 #: Positional layout of the tuple form (doc + test introspection).
 ENVELOPE_FIELDS = (
-    "env_seq",      # per-source-host monotonic sequence number
+    "env_seq",      # per-source-host monotonic sequence number; on a
+                    # local row, the envelopes its host sent before it
     "src_host",
     "dst_host",
-    "flow_id",      # source-local flow id (remapped at decode)
+    "flow_id",      # source-local flow id (remapped on arrival)
     "seq",          # per-flow sequence number, preserved end to end
     "size",
     "priority",
@@ -70,12 +82,6 @@ ENVELOPE_DTYPE = np.dtype(list(zip(ENVELOPE_FIELDS, (
     "<i8", "<i4", "<i4", "<i8", "<i8", "<i4", "<i4", "<i4", "<i4",
     "<f8", "<f8", "<f8", "<i4", "?",
 ))))
-
-#: Index of ``arrive_time`` in the tuple form (canonical sort key).
-ARRIVE_IDX = ENVELOPE_FIELDS.index("arrive_time")
-SRC_IDX = ENVELOPE_FIELDS.index("src_host")
-DST_IDX = ENVELOPE_FIELDS.index("dst_host")
-DROPPED_IDX = ENVELOPE_FIELDS.index("dropped")
 
 
 def encode_envelope(
@@ -108,58 +114,268 @@ def encode_envelope(
     )
 
 
-def decode_envelope(env: Tuple, factory: PacketFactory) -> Packet:
-    """Rebuild a destination-local packet from an envelope.
+# ----------------------------------------------------------------------
+# Phase 2: one merged ingress stream per host, replayed at exact times
+# ----------------------------------------------------------------------
+#: One replayed record, in the order :meth:`IngressReplay._tick` unpacks
+#: it: arrival time, pid floor (the host's own envelopes emitted before
+#: it, see :class:`ClusterPacketFactory`), the flow's index in
+#: ``IngressReplay.ftuples``, then the packet's remapped ``flow_id``,
+#: ``seq``, ``size``, ``priority`` and ``t_created``.
+REPLAY_DTYPE = np.dtype([
+    ("time", "<f8"), ("floor", "<i8"), ("flow", "<i4"), ("flow_id", "<i8"),
+    ("seq", "<i8"), ("size", "<i4"), ("priority", "<i4"),
+    ("t_created", "<f8"),
+])
 
-    The packet gets a fresh pid from the *destination's* factory; flow
-    and address identities are remapped per the module contract so the
-    rebuilt packet can enter the destination's last-mile data plane as
-    ordinary ingress.  ``t_created`` is preserved: end-to-end latency is
-    measured from the original source emission.
+#: Records :class:`IngressReplay` converts to Python objects at a time.
+REPLAY_BATCH = 1024
 
-    Like a traffic source, decoding reuses a packet from the factory's
-    free list when one is parked there, resetting every field a fresh
-    packet carries; pid and ``created`` accounting match
-    :meth:`PacketFactory.make` either way.
+
+def host_ingress(incoming: Sequence[str], outgoing: Sequence[str],
+                 host_id: int, offered: int) -> "IngressReplay":
+    """Read and merge one host's ingress into an unbound
+    :class:`IngressReplay`.
+
+    ``incoming`` are the row files addressed to ``host_id``, one per
+    source host in host order (its own local rows among them), each in
+    emission order; ``outgoing`` the files of the envelopes the host
+    sent.  A missing file holds no rows.  Files are read one at a time
+    into one buffer, keeping only what a record needs.  Dropped
+    envelopes are counted, not replayed.  The rest replays in the
+    canonical ``(arrive_time, src_host, env_seq)`` order, a local row
+    ranking as an envelope of its own host; rows equal on all three keep
+    their file order, which for local rows is emission order.
     """
-    (_env_seq, src_host, dst_host, flow_id, seq, size, priority,
-     sport, dport, t_created, _send, _arrive, _spine, _dropped) = env
-    ft = FiveTuple(REMOTE_BASE + src_host, REMOTE_BASE + dst_host,
-                   sport, dport)
-    flow_id = FLOW_STRIDE * (src_host + 1) + flow_id
-    free = factory.free
-    if not free:
-        return factory.make(ft, size, t_created, flow_id=flow_id, seq=seq,
-                            priority=priority)
-    pkt = free.pop()
-    pkt.pid = factory.next_pid()
-    pkt.ftuple = ft
-    pkt.flow_id = flow_id
-    pkt.seq = seq
-    pkt.size = size
-    pkt.priority = priority
-    pkt.t_created = t_created
-    pkt.t_nic = _NAN
-    pkt.t_enq = _NAN
-    pkt.t_deq = _NAN
-    pkt.t_done = _NAN
-    pkt.path_id = -1
-    pkt.copy_of = -1
-    pkt.dropped = None
-    pkt.meta = None
-    return pkt
+    incoming = [p for p in incoming if os.path.exists(p)]
+    outgoing = [p for p in outgoing if os.path.exists(p)]
+    size = {p: os.path.getsize(p) // ENVELOPE_DTYPE.itemsize
+            for p in incoming + outgoing}
+    buf = np.empty(max(size.values(), default=0), dtype=ENVELOPE_DTYPE)
+
+    def read(path: str) -> np.ndarray:
+        raw = buf[:size[path]]
+        with open(path, "rb") as fh:
+            fh.readinto(raw.view(np.uint8))
+        return raw
+
+    ing = IngressReplay(host_id, offered)
+    ing.sends = np.sort(np.concatenate(
+        [np.empty(0)] + [read(p)["send_time"].copy() for p in outgoing]))
+    rows = np.empty(sum(size[p] for p in incoming), dtype=REPLAY_DTYPE)
+    n = 0
+    for path in incoming:
+        n += ing._take(read(path), rows[n:])
+    ing.rows = rows[:n]
+    # Files come in (src_host, env_seq) order, so a stable sort on the
+    # arrival time alone gives the canonical order.
+    ing.order = np.argsort(ing.rows["time"], kind="stable")
+    return ing
 
 
-def envelope_to_dict(env: Tuple) -> Dict:
-    """Schema-versioned dict form of an envelope (artifacts, debugging)."""
-    d = dict(zip(ENVELOPE_FIELDS, env))
-    d["schema_version"] = ENVELOPE_VERSION
-    return d
+class ClusterPacketFactory(PacketFactory):
+    """A cluster host's packet factory in phase 2.
+
+    With its source running, a host would allocate a pid for every packet
+    the source emits, including those it sends across the fabric.
+    Phase 2 never re-creates those, so this factory advances its counter
+    (and ``created``) past them lazily, just before each allocation: to
+    a replayed record's floor (:meth:`catch_up`), or, for a replica, to
+    the host's envelopes sent strictly before now.  It never goes back.
+    """
+
+    __slots__ = ("_sim", "_sends", "_counted")
+
+    def __init__(self, sim, sends: np.ndarray) -> None:
+        super().__init__()
+        self._sim = sim
+        self._sends = sends  # the host's send times, ascending
+        self._counted = 0
+
+    def catch_up(self, floor: int) -> None:
+        gap = floor - self._counted
+        if gap > 0:
+            self._next_pid += gap
+            self.created += gap
+            self._counted = floor
+
+    def next_pid(self) -> int:
+        self.catch_up(int(np.searchsorted(self._sends, self._sim._now)))
+        return PacketFactory.next_pid(self)
 
 
-def envelope_from_dict(data: Dict) -> Tuple:
-    """Inverse of :func:`envelope_to_dict` (drops ``schema_version``)."""
-    missing = [f for f in ENVELOPE_FIELDS if f not in data]
-    if missing:
-        raise ValueError(f"envelope dict missing field(s) {missing}")
-    return tuple(data[f] for f in ENVELOPE_FIELDS)
+class IngressReplay:
+    """A cluster host's phase-2 traffic source: its merged ingress.
+
+    Built by :func:`host_ingress`, then :meth:`bind`-ed to the host.
+    ``rows`` (:data:`REPLAY_DTYPE`) holds the records as read, ``order``
+    lists them in replay order, and records become Python objects
+    :data:`REPLAY_BATCH` at a time, so no sorted copy is ever held; both
+    are let go once the replay ends.  ``ftuples`` has one
+    :class:`~repro.net.packet.FiveTuple` per flow.
+
+    Each record enters the NIC at exactly its time, through the same
+    pooled-packet, inlined-NIC path as a traffic source's ``_emit``.  One
+    event carries every record of one timestamp, back to back in replay
+    order, so an exact tie between a local emission and a fabric arrival
+    follows the canonical order.  ``stats.packets`` is what the host's
+    source generated in phase 1; ``local``, ``received`` and
+    ``fabric_dropped`` count its local rows and, per source host, the
+    envelopes that reached it or were lost on the way.
+    """
+
+    __slots__ = ("host_id", "stats", "local", "received", "fabric_dropped",
+                 "sends", "rows", "order", "ftuples", "sim", "factory",
+                 "nic", "_lo", "_recs", "_i")
+
+    def __init__(self, host_id: int, offered: int) -> None:
+        self.host_id = host_id
+        self.stats = SourceStats()
+        self.stats.packets = offered
+        self.local = 0
+        self.received: Counter = Counter()
+        self.fabric_dropped: Counter = Counter()
+        self.ftuples: List[FiveTuple] = []
+        self._lo = self._i = 0
+        self._recs: List[Tuple] = []
+
+    def _take(self, raw: np.ndarray, out: np.ndarray) -> int:
+        """Count one file's rows and write the ones to replay to the head
+        of ``out``, remapped per the module contract, with one new
+        FiveTuple per flow; returns how many.  A flow's rows all come
+        from one source host, so all sit in one file."""
+        if np.any(np.diff(raw["env_seq"]) < 0):
+            raise ValueError("ingress rows must come in emission order")
+        src, dropped = raw["src_host"], raw["dropped"]
+        local = src == self.host_id
+        self.local += int(np.count_nonzero(local))
+        self.received.update(_counts(src[~local & ~dropped]))
+        self.fabric_dropped.update(_counts(src[dropped]))
+        kept = ~dropped
+        src, local = src[kept], local[kept]
+        out = out[:len(src)]
+        for field in ("flow_id", "seq", "size", "priority", "t_created"):
+            out[field] = raw[field][kept]
+        out["time"] = raw["arrive_time"][kept]
+        # A local row knows its floor; an arrival counts the host's
+        # envelopes sent strictly before it arrives.
+        out["floor"] = np.where(local, raw["env_seq"][kept],
+                                np.searchsorted(self.sends, out["time"]))
+        flow_id = out["flow_id"]
+        flow_id[~local] += FLOW_STRIDE * (src[~local].astype(np.int64) + 1)
+        _, first, flow = np.unique(flow_id, return_index=True,
+                                   return_inverse=True)
+        ports = raw[["sport", "dport"]][kept]
+        if np.any(ports != ports[first][flow]):
+            raise ValueError(f"host {self.host_id}: a flow id arrives with "
+                             f"more than one port pair")
+        out["flow"] = flow + len(self.ftuples)
+        self.ftuples.extend(
+            FiveTuple(LOCAL_SRC, LOCAL_DST, sp, dp) if s == self.host_id
+            else FiveTuple(REMOTE_BASE + s, REMOTE_BASE + self.host_id,
+                           sp, dp)
+            for s, (sp, dp) in zip(src[first].tolist(),
+                                   ports[first].tolist()))
+        return len(out)
+
+    def bind(self, sim, host) -> "IngressReplay":
+        """Make this the traffic source of a freshly built ``host``.  The
+        host's factory becomes a :class:`ClusterPacketFactory` (on the
+        same free list), so every pid it hands out is the one the host
+        would allocate with its source running."""
+        factory = ClusterPacketFactory(sim, self.sends)
+        factory.free = host.factory.free
+        host.factory = host.replicator.factory = self.factory = factory
+        self.sim, self.nic = sim, host.nic
+        return self
+
+    def start(self) -> None:
+        """Schedule the first record."""
+        if self._load():
+            self.sim.call_at(self._recs[0][0], self._tick)
+
+    def _load(self) -> int:
+        """Convert the next batch of records; returns its length."""
+        lo = self._lo
+        hi = self._lo = min(lo + REPLAY_BATCH, len(self.order))
+        batch = self.rows[self.order[lo:hi]]
+        self._recs = list(zip(*[batch[f].tolist()
+                                for f in REPLAY_DTYPE.names]))
+        self._i = 0
+        if hi == lo:  # done: let go of the stream
+            self.rows = self.order = None
+        return hi - lo
+
+    def _tick(self) -> None:
+        sim = self.sim
+        now = sim._now
+        factory = self.factory
+        free = factory.free
+        nic = self.nic
+        ftuples = self.ftuples
+        recs = self._recs
+        i = self._i
+        while True:
+            _, floor, flow, flow_id, seq, size, priority, t_created = recs[i]
+            if floor > factory._counted:
+                factory.catch_up(floor)
+            pid = factory._next_pid
+            factory._next_pid = pid + 1
+            factory.created += 1
+            if free:
+                # Pool hit: reset every field a fresh Packet would carry.
+                pkt = free.pop()
+                pkt.pid = pid
+                pkt.ftuple = ftuples[flow]
+                pkt.flow_id = flow_id
+                pkt.seq = seq
+                pkt.size = size
+                pkt.priority = priority
+                pkt.t_created = t_created
+                pkt.t_nic = _NAN
+                pkt.t_enq = _NAN
+                pkt.t_deq = _NAN
+                pkt.t_done = _NAN
+                pkt.path_id = -1
+                pkt.copy_of = -1
+                pkt.dropped = None
+                pkt.meta = None
+            else:
+                pkt = Packet(pid, ftuples[flow], size, t_created, flow_id,
+                             seq, priority)
+            if now >= nic._fault_until:
+                # Inlined PhysicalNic.on_wire (no active drop burst); the
+                # faulted case falls back to the real method.
+                pkt.t_nic = now
+                ring = nic._ring
+                if len(ring) >= nic.ring_size:
+                    pkt.dropped = f"{nic.name}:ring-overflow"
+                    nic.dropped += 1
+                else:
+                    nic.received += 1
+                    ring.append(pkt)
+                    if not nic._busy:
+                        nic._busy = True
+                        sim._seq = s = sim._seq + 1
+                        sim._push((now + nic.rx_cost, _NORMAL_KEY | s,
+                                   nic._rx_done, ()))
+            else:
+                nic.on_wire(pkt)
+            i += 1
+            if i == len(recs):
+                if not self._load():
+                    return
+                recs = self._recs
+                i = 0
+            t = recs[i][0]
+            if t != now:
+                break
+        self._i = i
+        sim._seq = s = sim._seq + 1
+        sim._push((t, _NORMAL_KEY | s, self._tick, ()))
+
+
+def _counts(hosts: np.ndarray) -> Counter:
+    """``{host: rows}`` over a column of host ids (present hosts only)."""
+    return Counter({h: c for h, c in enumerate(np.bincount(hosts).tolist())
+                    if c})

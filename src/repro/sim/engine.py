@@ -174,7 +174,6 @@ class Simulator:
         "_seq",
         "_running",
         "_processed",
-        "_ext_floor",
         "_dead",
     )
 
@@ -192,10 +191,6 @@ class Simulator:
         self._processed: int = 0
         #: Lazily-deleted (cancelled) entries still on the schedule.
         self._dead: int = 0
-        # Epoch floor for externally injected events (see external_event):
-        # the cluster engine sets this to the end of the last completed
-        # epoch, and external events below it indicate a broken lookahead.
-        self._ext_floor: float = float(start_time)
 
     # ------------------------------------------------------------------
     # Clock
@@ -320,87 +315,6 @@ class Simulator:
             heap[:] = kept
             heapify(heap)
         self._dead = 0
-
-    # ------------------------------------------------------------------
-    # Cluster hooks: epoch runs and externally injected events
-    # ------------------------------------------------------------------
-    def external_event(
-        self,
-        time: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = NORMAL,
-    ) -> None:
-        """Schedule an event injected from *outside* this simulator.
-
-        The sharded cluster engine delivers cross-host packets between
-        epochs through this entry point.  It is :meth:`call_at` plus the
-        **lookahead contract check**: during epoch ``[T, T + L)`` every
-        peer shard may only emit envelopes arriving at ``>= T + L``, so
-        an injection below the current epoch floor means some component
-        violated the fabric's minimum-latency bound and the simulation
-        would be causally wrong.  That is a bug, never load-dependent,
-        so it raises immediately rather than silently reordering time.
-        """
-        if time < self._ext_floor:
-            raise self._lookahead_error(time)
-        self.call_at(time, fn, *args, priority=priority)
-
-    def external_events(
-        self, fn: Callable[[Any], Any], items, time_index: int
-    ) -> None:
-        """Schedule ``fn(item)`` at ``item[time_index]`` for every item.
-
-        The batch form of :meth:`external_event` at ``NORMAL``
-        priority, for the cluster engine's barrier arrivals.  ``items``
-        must be in non-decreasing time order, so the lookahead check
-        (and :meth:`call_at`'s no-past check) runs once, against the
-        first item.  Sequence numbers are allocated in item order,
-        exactly as one ``external_event`` call per item would allocate
-        them, so the schedule ends up with identical entries.  A batch
-        that would exhaust the sequence space raises before pushing
-        anything.
-        """
-        if not items:
-            return
-        first = items[0][time_index]
-        if first < self._ext_floor:
-            raise self._lookahead_error(first)
-        if not first >= self._now:
-            raise SimulationError(
-                f"cannot schedule at {first!r}: not a time at or after "
-                f"now={self._now}"
-            )
-        seq = self._seq
-        if seq + len(items) > _SEQ_MAX:
-            raise _seq_space_error(_SEQ_MAX + 1)
-        key = NORMAL << _SEQ_BITS
-        push = self._push
-        for item in items:
-            seq += 1
-            push((item[time_index], key | seq, fn, (item,)))
-        self._seq = seq
-
-    def _lookahead_error(self, time: float) -> SimulationError:
-        return SimulationError(
-            f"external event at t={time} violates the lookahead "
-            f"contract: epoch floor is {self._ext_floor} (injected "
-            f"events must arrive at or after the current epoch start)"
-        )
-
-    def run_epoch(self, end: float) -> None:
-        """Run one conservative-synchronization epoch ending at ``end``.
-
-        Identical to ``run(until=end)`` -- entries at exactly ``end``
-        stay queued and the clock is left at ``end`` -- and additionally
-        raises the external-event floor to ``end``, arming the lookahead
-        check of :meth:`external_event` for the exchange that follows.
-        Running epochs ``[0, L), [L, 2L), ...`` with envelope exchange
-        at each barrier is exactly the null-message-free conservative
-        protocol described in ``docs/CLUSTER.md``.
-        """
-        self.run(until=end)
-        self._ext_floor = end
 
     # ------------------------------------------------------------------
     # Running

@@ -18,6 +18,7 @@ bit-identical across worker counts and cache hits/misses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -152,7 +153,10 @@ def _measure_cluster(result, wall_s: float, cpu_s: float) -> Dict:
         "offered": result.cluster["offered"],
         "delivered": result.cluster["delivered"],
         "sim_time": result.sim_time,
-        "goodput_gbps": sum(h["goodput_gbps"] for h in hosts),
+        # A host that delivered too little to time (goodput NaN)
+        # contributes nothing, rather than turning the sum into NaN.
+        "goodput_gbps": sum(g for h in hosts
+                            if not math.isnan(g := h["goodput_gbps"])),
         "delivered_pps": result.delivered_pps(),
         "availability": None,
         "wall_s": wall_s,

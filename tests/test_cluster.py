@@ -347,9 +347,10 @@ class TestClusterRun:
 class TestEgressContract:
     """A host's egress never depends on its ingress.
 
-    This is the premise of the two-phase map: with every incoming
-    envelope dropped, a fully simulated host still sends exactly the
-    envelopes that its source and router alone produce.
+    This is the premise of the two-phase map: phase 2 replays each
+    host's ingress without running its source or router, so everything
+    phase 1 wrote and counted for a host must hold whether the host's
+    ingress is replayed in full or dropped.
     """
 
     CLUSTERS = {
@@ -362,22 +363,8 @@ class TestEgressContract:
     }
 
     @staticmethod
-    def _full_host_egress(cc, hid, arrivals, ends):
-        """Envelopes a fully simulated host sends, given its arrivals."""
-        from repro.bench.scenarios import build_runtime
-        from repro.cluster import engine
-        from repro.cluster.router import ClusterRouter
-
-        router = ClusterRouter(hid, cc.n_hosts, cc.pattern,
-                               cc.incast_target, cc.fabric)
-        rt = build_runtime(engine._host_scenario(cc, hid), sink=router)
-        router.bind(rt.sim, rt.host.factory, rt.rngs, rt.host.input)
-        rt.start()
-        for k, end in enumerate(ends):
-            rt.sim.run_epoch(end)
-            if k in arrivals:
-                router.inject(arrivals[k])
-        return router, pickle.dumps(router.outgoing)
+    def _files(egress_dir):
+        return {p.name: p.read_bytes() for p in egress_dir.iterdir()}
 
     @pytest.mark.parametrize("name", sorted(CLUSTERS))
     def test_dropping_ingress_keeps_egress_identical(self, name, tmp_path):
@@ -387,21 +374,117 @@ class TestEgressContract:
         from repro.dataplane.boundary import ENVELOPE_DTYPE
 
         cc = self.CLUSTERS[name]()
-        egress = engine._phase1(cc, range(cc.n_hosts), str(tmp_path))
-        ends = engine._epoch_ends(cc, egress)
+        full, dropped = tmp_path / "full", tmp_path / "dropped"
+        full.mkdir()
+        egress = engine._phase1(cc, range(cc.n_hosts), str(full))
+        end = engine._run_end(cc, egress)
+        counts = {hid: e[1] for hid, e in egress.items()}
+        opts = {"telemetry_dir": None, "check": True, "forensics": None,
+                "recycle": True}
+        written = self._files(full)
         received = 0
         for hid in range(cc.n_hosts):
-            arrivals = dict(engine._arrivals(cc, hid, ends, str(tmp_path)))
-            fed, with_ingress = self._full_host_egress(cc, hid, arrivals,
-                                                       ends)
-            _, without = self._full_host_egress(cc, hid, {}, ends)
-            assert with_ingress == without, f"host {hid}"
-            received += sum(fed.received.values())
-            alone = {dst: np.fromfile(
-                engine._egress_path(str(tmp_path), hid, dst),
-                dtype=ENVELOPE_DTYPE).tolist() for dst in fed.outgoing}
-            assert pickle.dumps(alone) == with_ingress, f"host {hid}"
+            # The same files, less every envelope addressed to ``hid``.
+            dropped.mkdir()
+            for fname, data in written.items():
+                src, dst = map(int, fname[:-len(".env")].split("-"))
+                if dst != hid or src == hid:
+                    (dropped / fname).write_bytes(data)
+            fed = engine._phase2(cc, [hid], end, counts, str(full), opts)
+            alone = engine._phase2(cc, [hid], end, counts, str(dropped),
+                                   opts)
+            assert self._files(full) == written  # phase 2 writes nothing
+            fed, alone = fed[hid]["router"], alone[hid]["router"]
+            assert alone["received"] == alone["fabric_dropped"] == {}
+            received += sum(fed["received"].values())
+            for key in ("generated", "local", "sent", "by_spine"):
+                assert fed[key] == alone[key], (hid, key)
+            sent = {str(dst): len(np.fromfile(
+                engine._egress_path(str(full), hid, dst),
+                dtype=ENVELOPE_DTYPE)) for dst in range(cc.n_hosts)
+                if dst != hid and f"{hid}-{dst}.env" in written}
+            assert fed["sent"] == sent, f"host {hid}"
+            for path in dropped.iterdir():
+                path.unlink()
+            dropped.rmdir()
         assert received > 0  # the ingress really was there to drop
+
+
+class TestPhaseOneChecks:
+    def test_envelope_under_the_lookahead_is_named(self, monkeypatch,
+                                                   tmp_path):
+        from repro.cluster import engine
+        from repro.sim import SimulationError
+
+        transit = FabricSteering.transit
+
+        def too_fast(self, src_host, flow_id, now):
+            spine, delay, lost = transit(self, src_host, flow_id, now)
+            return spine, delay * 0.5, lost
+
+        monkeypatch.setattr(FabricSteering, "transit", too_fast)
+        cc = small_cluster(2, seed=3)
+        with pytest.raises(SimulationError,
+                           match=r"envelope 0 from host 0 to host 1 "
+                                 r"arrives [0-9.]+µs after it was sent, "
+                                 r"under the 50\.0µs lookahead"):
+            engine._phase1(cc, [0], str(tmp_path))
+
+    def test_each_source_runs_once(self, monkeypatch):
+        """Every host's source emits exactly ``generated`` packets over
+        both phases: all of them in phase 1, none in phase 2."""
+        from repro.bench import scenarios
+
+        emitted = {}
+        make_source = scenarios._make_source
+
+        def counting(sim, factory, rngs, cfg, tracker, sink):
+            src = make_source(sim, factory, rngs, cfg, tracker, sink)
+            emitted.setdefault(cfg.seed, []).append(src.stats)
+            return src
+
+        monkeypatch.setattr(scenarios, "_make_source", counting)
+        cc = small_cluster(3, pattern="incast", incast_target=1, seed=5)
+        res = run_cluster(cc, workers=1)
+        for h in res.hosts:
+            seed = derived_host_seed(cc.seed, h["host_id"],
+                                     cc.hosts[h["host_id"]].scenario.seed)
+            (stats,) = emitted.pop(seed)
+            assert stats.packets == h["router"]["generated"] == h["offered"]
+        assert emitted == {}
+
+
+class TestClusterDifferential:
+    """Seeded draws of small clusters: one and two workers give the same
+    payload digest, with per-host and cross-host conservation armed."""
+
+    @staticmethod
+    def _draw(rng):
+        n = int(rng.integers(2, 6))
+        fabric = FabricConfig(steering=str(rng.choice(["ecmp", "flowlet"])),
+                              loss_prob=float(rng.uniform(0.0, 0.05)),
+                              jitter_scale=float(rng.choice([0.0, 2.0])))
+        pattern = str(rng.choice(["uniform", "incast"]))
+        host = small_scenario(load=float(rng.uniform(0.2, 0.8)),
+                              duration=1_500.0, warmup=100.0, drain=500.0,
+                              seed=int(rng.integers(1000)))
+        return ClusterConfig.uniform_hosts(
+            n, host, fabric, pattern=pattern,
+            incast_target=int(rng.integers(n)), seed=int(rng.integers(1000)))
+
+    def test_workers_agree(self):
+        import hashlib
+
+        rng = __import__("numpy").random.default_rng(2026)
+        for _ in range(10):
+            cc = self._draw(rng)
+            digests = []
+            for workers in (1, 2):
+                res = run_cluster(cc, workers=workers, check=True)
+                assert res.cluster["conservation"]["ok"]
+                digests.append(hashlib.sha256(
+                    payload(res).encode()).hexdigest())
+            assert digests[0] == digests[1], cc.to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -452,126 +535,6 @@ class TestRunDispatch:
         for hid in range(2):
             assert (out / f"host{hid}" / "events.jsonl").exists()
         assert res.n_hosts == 2
-
-
-# ----------------------------------------------------------------------
-# Engine hooks on the simulator
-# ----------------------------------------------------------------------
-class TestExternalEvents:
-    def test_external_event_below_floor_raises(self):
-        from repro.sim import SimulationError, Simulator
-
-        sim = Simulator()
-        sim.run_epoch(100.0)
-        with pytest.raises(SimulationError):
-            sim.external_event(99.0, lambda: None)
-        fired = []
-        sim.external_event(100.0, fired.append, 1)
-        sim.run_epoch(200.0)
-        assert fired == [1]
-
-
-class TestBatchInjection:
-    """``Simulator.external_events`` against per-item ``external_event``."""
-
-    ITEMS = [(100.0, "a"), (100.0, "b"), (125.5, "c"), (180.0, "d"),
-             (180.0, "e"), (199.9, "f")]
-
-    def _pair(self):
-        from repro.sim import Simulator
-
-        sims = []
-        for _ in range(2):
-            sim = Simulator()
-            sim.call_at(150.0, lambda: None)  # an entry already queued
-            sim.run_epoch(100.0)
-            sims.append(sim)
-        return sims
-
-    def test_same_entries_as_per_item_calls(self):
-        one, batch = self._pair()
-        fired = {id(one): [], id(batch): []}
-        for item in self.ITEMS:
-            one.external_event(item[0], fired[id(one)].append, item)
-        batch.external_events(fired[id(batch)].append, self.ITEMS, 0)
-        assert batch._seq == one._seq
-
-        def entries(sim):  # time, ordering key and args match
-            return [(e[0], e[1], e[3]) for e in sorted(sim._heap)]
-        assert entries(batch) == entries(one)
-        for sim in (one, batch):
-            sim.run_epoch(300.0)
-        assert fired[id(batch)] == fired[id(one)] == self.ITEMS
-        assert batch.processed_count == one.processed_count
-
-    def test_lookahead_violation_raises(self):
-        from repro.sim import SimulationError, Simulator
-
-        sim = Simulator()
-        sim.run_epoch(100.0)
-        with pytest.raises(SimulationError, match="lookahead"):
-            sim.external_events(print, [(99.0,), (150.0,)], 0)
-        assert sim.pending_count == 0
-        sim.external_events(print, [], 0)  # an empty batch is a no-op
-        assert sim._seq == 0
-
-    def test_sequence_space_guard(self):
-        from repro.sim import SimulationError, Simulator
-        from repro.sim.engine import _SEQ_MAX
-
-        sim = Simulator()
-        sim._seq = _SEQ_MAX - 1
-        with pytest.raises(SimulationError,
-                           match="sequence space exhausted"):
-            sim.external_events(print, [(1.0,), (2.0,)], 0)
-        assert sim.pending_count == 0 and sim._seq == _SEQ_MAX - 1
-        sim.external_events(print, [(1.0,)], 0)  # exactly fits
-        assert sim._seq == _SEQ_MAX
-
-
-class TestPooledDecode:
-    """``decode_envelope`` from the free list against ``make()``."""
-
-    def _envelopes(self):
-        from repro.dataplane.boundary import encode_envelope
-        from repro.net.packet import FiveTuple, PacketFactory
-
-        src = PacketFactory()
-        envs = []
-        for i in range(6):
-            pkt = src.make(FiveTuple(1, 2, 1024 + i, 80), 64 + i, 3.5 * i,
-                           flow_id=i % 3, seq=i, priority=i % 2)
-            envs.append(encode_envelope(pkt, 1, 2, i, 10.0 * i,
-                                        10.0 * i + 50.0, i % 4, False))
-        return envs
-
-    def test_pool_hits_match_fresh_packets(self):
-        from repro.dataplane.boundary import decode_envelope
-        from repro.net.packet import FiveTuple, PacketFactory
-
-        fresh, pooled = PacketFactory(), PacketFactory()
-        for factory in (fresh, pooled):
-            factory.make(FiveTuple(9, 9, 9, 9), 100, 0.0)  # pids in use
-        for i in range(3):  # dirty carcasses on the free list
-            dead = pooled.make(FiveTuple(7, 7, 7, 7), 1500, 1.0, flow_id=99)
-            dead.t_nic = dead.t_enq = dead.t_deq = dead.t_done = 2.0
-            dead.path_id, dead.copy_of = 3, 5
-            dead.dropped, dead.meta = "q:overflow", {"x": i}
-            pooled.recycle(dead)
-        fresh._next_pid = pooled._next_pid
-        fresh.created = pooled.created
-        for env in self._envelopes():
-            want = decode_envelope(env, fresh)
-            reused = pooled.free[-1] if pooled.free else None
-            got = decode_envelope(env, pooled)
-            if reused is not None:
-                assert got is reused
-            for field in Packet.__slots__:
-                a, b = getattr(got, field), getattr(want, field)
-                assert a == b or (a != a and b != b), field  # nan == nan
-            assert (pooled._next_pid, pooled.created) == (
-                fresh._next_pid, fresh.created)
-        assert not pooled.free
 
 
 # ----------------------------------------------------------------------

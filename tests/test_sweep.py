@@ -305,6 +305,24 @@ class TestClusterBase:
         assert (bundle / "manifest.json").exists()
         assert (bundle / "host1" / "trace.json").exists()
 
+    def test_goodput_skips_hosts_that_deliver_nothing(self):
+        import math
+
+        from repro.cluster import ClusterConfig
+
+        # Incast on host 0: hosts 1 and 2 send everything away and
+        # deliver nothing, so their own goodput is NaN.
+        base = ClusterConfig.uniform_hosts(3, ScenarioConfig(**TINY),
+                                           pattern="incast",
+                                           incast_target=0)
+        sr = run_sweep(tiny_spec(base=base.to_dict(),
+                                 axes=[Axis("load", [0.3, 0.5])]),
+                       jobs=1, cache=False)
+        for cell in sr.cells:
+            assert cell.delivered > 0
+            assert math.isfinite(cell.goodput_gbps)
+            assert cell.goodput_gbps > 0
+
     def test_check_is_refused(self):
         with pytest.raises(ValueError, match="cluster base"):
             run_sweep(tiny_cluster_spec(), jobs=1, cache=False, check=True)
