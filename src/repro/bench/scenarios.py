@@ -597,10 +597,10 @@ def build_runtime(config: ScenarioConfig,
                   ingress=None) -> ScenarioRuntime:
     """Build (but do not run) one scenario host; see :class:`ScenarioRuntime`.
 
-    ``ingress`` (an unbound :class:`~repro.dataplane.boundary.IngressReplay`)
-    replaces the traffic source; the cluster engine passes each host's
-    merged ingress here.  Single-host
-    runs leave it ``None``.
+    ``ingress`` (an unbound
+    :class:`~repro.dataplane.boundary.IngressReplay`) replaces the
+    traffic source; the cluster engine passes each host's merged ingress
+    here.  Single-host runs leave it ``None``.
     """
     forensics_spec = None
     if forensics is not None and forensics is not False:
@@ -742,8 +742,8 @@ def build_source(config: ScenarioConfig, sink):
     :func:`build_runtime`, so ``sink`` receives exactly the packets (by
     value) the full host would generate.  The cluster engine uses this
     to route everything a host generates without simulating the host.
-    Returns
-    ``(sim, rngs, factory, src)``; call ``src.start()`` then ``sim.run()``.
+    Returns ``(sim, rngs, factory, src)``; call ``src.start()`` then
+    ``sim.run()``.
     """
     config.validate()
     sim = Simulator()

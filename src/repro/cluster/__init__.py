@@ -9,10 +9,10 @@ host in full against one merged stream of its local emissions and the
 envelopes addressed to it, replayed at their exact times.  Every
 envelope arrives at least one lookahead (the fabric's minimum
 inter-host latency) after it was sent.  Each host runs the existing
-single-host engine unmodified,
-so the paper's intra-host ("last-mile") multipath composes with fabric
-multipath (ECMP/flowlet); cross-host sends travel as schema-versioned
-envelopes and merge into one :class:`ClusterResult`.
+single-host engine unmodified, so the paper's intra-host ("last-mile")
+multipath composes with fabric multipath (ECMP/flowlet); cross-host
+sends travel as schema-versioned envelopes and merge into one
+:class:`ClusterResult`.
 
 Quickstart::
 

@@ -120,12 +120,11 @@ def encode_envelope(
 #: One replayed record, in the order :meth:`IngressReplay._tick` unpacks
 #: it: arrival time, pid floor (the host's own envelopes emitted before
 #: it, see :class:`ClusterPacketFactory`), the flow's index in
-#: ``IngressReplay.ftuples``, then the packet's remapped ``flow_id``,
-#: ``seq``, ``size``, ``priority`` and ``t_created``.
+#: ``IngressReplay.flows``, then the packet's ``seq``, ``size``,
+#: ``priority`` and ``t_created``.
 REPLAY_DTYPE = np.dtype([
-    ("time", "<f8"), ("floor", "<i8"), ("flow", "<i4"), ("flow_id", "<i8"),
-    ("seq", "<i8"), ("size", "<i4"), ("priority", "<i4"),
-    ("t_created", "<f8"),
+    ("time", "<f8"), ("floor", "<i8"), ("flow", "<i4"), ("seq", "<i8"),
+    ("size", "<i4"), ("priority", "<i4"), ("t_created", "<f8"),
 ])
 
 #: Records :class:`IngressReplay` converts to Python objects at a time.
@@ -211,8 +210,8 @@ class IngressReplay:
     ``rows`` (:data:`REPLAY_DTYPE`) holds the records as read, ``order``
     lists them in replay order, and records become Python objects
     :data:`REPLAY_BATCH` at a time, so no sorted copy is ever held; both
-    are let go once the replay ends.  ``ftuples`` has one
-    :class:`~repro.net.packet.FiveTuple` per flow.
+    are let go once the replay ends.  ``flows`` holds each flow's
+    remapped ``(FiveTuple, flow_id)``.
 
     Each record enters the NIC at exactly its time, through the same
     pooled-packet, inlined-NIC path as a traffic source's ``_emit``.  One
@@ -225,7 +224,7 @@ class IngressReplay:
     """
 
     __slots__ = ("host_id", "stats", "local", "received", "fabric_dropped",
-                 "sends", "rows", "order", "ftuples", "sim", "factory",
+                 "sends", "rows", "order", "flows", "sim", "factory",
                  "nic", "_lo", "_recs", "_i")
 
     def __init__(self, host_id: int, offered: int) -> None:
@@ -235,15 +234,15 @@ class IngressReplay:
         self.local = 0
         self.received: Counter = Counter()
         self.fabric_dropped: Counter = Counter()
-        self.ftuples: List[FiveTuple] = []
+        self.flows: List[Tuple[FiveTuple, int]] = []
         self._lo = self._i = 0
         self._recs: List[Tuple] = []
 
     def _take(self, raw: np.ndarray, out: np.ndarray) -> int:
         """Count one file's rows and write the ones to replay to the head
         of ``out``, remapped per the module contract, with one new
-        FiveTuple per flow; returns how many.  A flow's rows all come
-        from one source host, so all sit in one file."""
+        entry in ``flows`` per flow; returns how many.  A flow's rows all
+        come from one source host, so all sit in one file."""
         if np.any(np.diff(raw["env_seq"]) < 0):
             raise ValueError("ingress rows must come in emission order")
         src, dropped = raw["src_host"], raw["dropped"]
@@ -254,28 +253,31 @@ class IngressReplay:
         kept = ~dropped
         src, local = src[kept], local[kept]
         out = out[:len(src)]
-        for field in ("flow_id", "seq", "size", "priority", "t_created"):
+        for field in ("seq", "size", "priority", "t_created"):
             out[field] = raw[field][kept]
         out["time"] = raw["arrive_time"][kept]
         # A local row knows its floor; an arrival counts the host's
         # envelopes sent strictly before it arrives.
         out["floor"] = np.where(local, raw["env_seq"][kept],
                                 np.searchsorted(self.sends, out["time"]))
-        flow_id = out["flow_id"]
+        flow_id = raw["flow_id"][kept]
         flow_id[~local] += FLOW_STRIDE * (src[~local].astype(np.int64) + 1)
         _, first, flow = np.unique(flow_id, return_index=True,
                                    return_inverse=True)
-        ports = raw[["sport", "dport"]][kept]
-        if np.any(ports != ports[first][flow]):
+        sport, dport = raw["sport"][kept], raw["dport"][kept]
+        if (np.any(sport != sport[first][flow])
+                or np.any(dport != dport[first][flow])):
             raise ValueError(f"host {self.host_id}: a flow id arrives with "
                              f"more than one port pair")
-        out["flow"] = flow + len(self.ftuples)
-        self.ftuples.extend(
-            FiveTuple(LOCAL_SRC, LOCAL_DST, sp, dp) if s == self.host_id
-            else FiveTuple(REMOTE_BASE + s, REMOTE_BASE + self.host_id,
-                           sp, dp)
-            for s, (sp, dp) in zip(src[first].tolist(),
-                                   ports[first].tolist()))
+        out["flow"] = flow + len(self.flows)
+        self.flows.extend(
+            (FiveTuple(LOCAL_SRC, LOCAL_DST, sp, dp) if s == self.host_id
+             else FiveTuple(REMOTE_BASE + s, REMOTE_BASE + self.host_id,
+                            sp, dp), fid)
+            for s, fid, sp, dp in zip(src[first].tolist(),
+                                      flow_id[first].tolist(),
+                                      sport[first].tolist(),
+                                      dport[first].tolist()))
         return len(out)
 
     def bind(self, sim, host) -> "IngressReplay":
@@ -312,11 +314,12 @@ class IngressReplay:
         factory = self.factory
         free = factory.free
         nic = self.nic
-        ftuples = self.ftuples
+        flows = self.flows
         recs = self._recs
         i = self._i
         while True:
-            _, floor, flow, flow_id, seq, size, priority, t_created = recs[i]
+            _, floor, flow, seq, size, priority, t_created = recs[i]
+            ft, flow_id = flows[flow]
             if floor > factory._counted:
                 factory.catch_up(floor)
             pid = factory._next_pid
@@ -326,7 +329,7 @@ class IngressReplay:
                 # Pool hit: reset every field a fresh Packet would carry.
                 pkt = free.pop()
                 pkt.pid = pid
-                pkt.ftuple = ftuples[flow]
+                pkt.ftuple = ft
                 pkt.flow_id = flow_id
                 pkt.seq = seq
                 pkt.size = size
@@ -341,8 +344,8 @@ class IngressReplay:
                 pkt.dropped = None
                 pkt.meta = None
             else:
-                pkt = Packet(pid, ftuples[flow], size, t_created, flow_id,
-                             seq, priority)
+                pkt = Packet(pid, ft, size, t_created, flow_id, seq,
+                             priority)
             if now >= nic._fault_until:
                 # Inlined PhysicalNic.on_wire (no active drop burst); the
                 # faulted case falls back to the real method.

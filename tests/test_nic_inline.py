@@ -136,9 +136,9 @@ def _run_replay(tmp_path, inline, pooled):
             # The replay's packet, built the reference way.
             free = factory.free
             pkt = free.pop() if free else Packet.__new__(Packet)
-            Packet.__init__(pkt, factory.next_pid(),
-                            ing.ftuples[int(rec["flow"])], int(rec["size"]),
-                            float(rec["t_created"]), int(rec["flow_id"]),
+            ft, flow_id = ing.flows[int(rec["flow"])]
+            Packet.__init__(pkt, factory.next_pid(), ft, int(rec["size"]),
+                            float(rec["t_created"]), flow_id,
                             int(rec["seq"]), int(rec["priority"]))
             nic.on_wire(pkt)
 
