@@ -130,7 +130,8 @@ def _phase1(cluster: ClusterConfig, host_ids: Iterable[int],
         while sim.pending_count:
             sim.run(until=sim.now + _SLICE_US)
             for dst, rows in router.outgoing.items():
-                cols = np.array(rows, dtype=ENVELOPE_DTYPE)
+                cols = np.fromiter(rows, dtype=ENVELOPE_DTYPE,
+                                   count=len(rows))
                 with open(_egress_path(egress_dir, hid, dst), "ab") as fh:
                     cols.tofile(fh)
                 if dst == hid:
