@@ -13,7 +13,6 @@ The two load-bearing guarantees pinned here:
 import json
 import multiprocessing
 import os
-import pickle
 import signal
 
 import pytest
@@ -31,7 +30,6 @@ from repro.cluster import (
     run_cluster,
 )
 from repro.net.fabric import FabricConfig, FabricSteering, _mix64
-from repro.net.packet import Packet
 
 
 def small_scenario(**kw):
@@ -475,7 +473,9 @@ class TestClusterDifferential:
     def test_workers_agree(self):
         import hashlib
 
-        rng = __import__("numpy").random.default_rng(2026)
+        import numpy as np
+
+        rng = np.random.default_rng(2026)
         for _ in range(10):
             cc = self._draw(rng)
             digests = []
