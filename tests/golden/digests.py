@@ -6,7 +6,9 @@ payload -- for a sweep, of the per-cell identity dicts, which leave out
 wall-clock provenance.  ``DIGESTS.json`` next to this file holds the
 committed digests; ``tests/test_golden_digests.py`` recomputes them, so
 a change that moves any simulated result fails there even when it moves
-every result the same way.
+every result the same way.  Some paper experiments are pinned by the
+sha256 of their rendered table instead, run twice against one fresh
+result cache so a table served from the cache must equal a simulated one.
 
 Usage (from the repository root)::
 
@@ -22,8 +24,10 @@ reason for why they moved, and every reason is kept.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import os
 import pathlib
 import sys
 import tempfile
@@ -115,6 +119,44 @@ def _cluster(make: Callable[[], ClusterConfig], workers: int,
         make(), RunOptions(workers=workers, **options)).to_dict()
 
 
+@contextlib.contextmanager
+def _environ(**values: str):
+    """Set environment variables for the block, then restore them."""
+    saved = {key: os.environ.get(key) for key in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+
+
+#: Experiments whose rendered table is pinned, and the duration scale.
+TABLE_EXPERIMENTS = ("F2", "F8", "F10", "F11", "A3", "SLO1", "SLO2")
+TABLE_SCALE = "0.05"
+
+
+def _table(exp_id: str) -> Callable[[], str]:
+    """Render ``exp_id`` on a cold cache, then again from that cache;
+    the two tables must be equal."""
+    def run() -> str:
+        from repro.bench.figures import ALL_EXPERIMENTS
+
+        with tempfile.TemporaryDirectory(prefix="golden-table-") as cache, \
+                _environ(REPRO_BENCH_SCALE=TABLE_SCALE, REPRO_CACHE_DIR=cache,
+                         REPRO_SWEEP_CACHE="1", REPRO_SWEEP_JOBS="1"):
+            cold, _ = ALL_EXPERIMENTS[exp_id]()
+            warm, _ = ALL_EXPERIMENTS[exp_id]()
+        if warm != cold:
+            raise AssertionError(f"{exp_id}: the table rendered from a warm "
+                                 f"cache differs from the cold one")
+        return cold
+    return run
+
+
 #: Reference run name -> payload function.  Clusters run at one, two and
 #: four workers (four: one host per process) and all must match the one
 #: committed digest per cluster.  The forensics-armed cluster is the only
@@ -138,6 +180,7 @@ RUNS: Dict[str, Callable[[], object]] = {
     "cluster_flowlet_lossy_incast@1": _cluster(_lossy_incast_cluster, 1),
     "cluster_flowlet_lossy_incast@2": _cluster(_lossy_incast_cluster, 2),
     "cluster_flowlet_lossy_incast@4": _cluster(_lossy_incast_cluster, 4),
+    **{f"table_{exp_id}": _table(exp_id) for exp_id in TABLE_EXPERIMENTS},
 }
 
 
