@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.bench.runner import scaled_duration
-from repro.bench.scenarios import ScenarioConfig, run_scenario
+from repro.bench.scenarios import ScenarioConfig, build_runtime, run_scenario
 from repro.sweep import Axis, SweepSpec, run_sweep
 from repro.faults import FaultSchedule
 from repro.core.detector import DetectorConfig, StragglerDetector
@@ -43,16 +43,10 @@ _JITTER_PROFILES = [
 ]
 
 
-def _base(duration: float, **kw) -> ScenarioConfig:
-    defaults = dict(chain="heavy", duration=scaled_duration(duration),
-                    warmup=scaled_duration(duration) * 0.15)
-    defaults.update(kw)
-    return ScenarioConfig(**defaults)
-
-
 def _sweep_base(duration: float, **kw) -> Dict:
-    """Base dict for a declarative :class:`SweepSpec` (same canon as
-    :func:`_base`: heavy chain, 15% warmup, scaled duration)."""
+    """Config fields every experiment starts from: heavy chain, scaled
+    duration, 15% warmup.  A :class:`SweepSpec` base as it stands; the
+    few hand-run experiments build ``ScenarioConfig(**...)`` from it."""
     base = dict(chain="heavy", duration=scaled_duration(duration),
                 warmup=scaled_duration(duration) * 0.15)
     base.update(kw)
@@ -99,36 +93,21 @@ def fig2_breakdown(duration: float = 60_000.0) -> Tuple[str, Dict]:
     shape: at the mean, service dominates; at p99, queue wait + stall
     time dominate -- the tail is a *waiting* problem, not a work problem.
     """
-    stages: Dict[str, List[float]] = {"nic_rx": [], "queue_wait": [], "service+stall": []}
-
-    cfg = _base(duration, policy="single", n_paths=1, load=0.7,
-                jitter=SHARED_CORE)
-    # Collect stamps via a delivery hook.
+    cfg = ScenarioConfig(**_sweep_base(duration, policy="single", n_paths=1,
+                                       load=0.7, jitter=SHARED_CORE))
+    # Collect stamps via a delivery hook; it runs before the sink
+    # recycles the packet.
     samples: List[Tuple[float, float, float]] = []
 
     def collect(pkt):
         samples.append((pkt.t_enq - pkt.t_nic, pkt.t_deq - pkt.t_enq,
                         pkt.t_done - pkt.t_deq))
 
-    from repro.sim.engine import Simulator  # local import for the custom run
-    from repro.sim.rng import RngRegistry
-    from repro.core.mpdp import MpdpConfig, MultipathDataPlane
-    from repro.dataplane.path import PathConfig
-    from repro.bench.scenarios import _make_source
-
-    sim = Simulator()
-    rngs = RngRegistry(seed=cfg.seed)
-    host = MultipathDataPlane(
-        sim,
-        MpdpConfig(n_paths=1, policy="single", chain=cfg.chain,
-                   path=PathConfig(jitter=cfg.jitter), warmup=cfg.warmup),
-        rngs,
-    )
-    host.sink.on_delivery = collect
-    src = _make_source(sim, host.factory, rngs, cfg, None, host.input)
-    src.start()
-    sim.run(until=cfg.duration + cfg.drain)
-    host.finalize()
+    rt = build_runtime(cfg)
+    rt.host.sink.on_delivery = collect
+    rt.start()
+    rt.sim.run(until=rt.horizon)
+    rt.finalize()
 
     arr = np.array(samples)
     arr = arr[int(0.15 * len(arr)):]  # warmup trim
@@ -327,8 +306,9 @@ def fig7_fct(duration: float = 400_000.0) -> Tuple[str, Dict]:
     )
     data = {}
     for p in policies:
-        base = _base(duration, traffic="flows", workload="websearch",
-                     flow_load=0.22)
+        base = ScenarioConfig(**_sweep_base(duration, traffic="flows",
+                                            workload="websearch",
+                                            flow_load=0.22))
         overrides = {"policy": p}
         if p == "single":
             # flow_load scales with n_paths; 0.88 x 1 path == 0.22 x 4
@@ -359,6 +339,13 @@ def fig8_reorder(duration: float = 40_000.0) -> Tuple[str, Dict]:
     reorder; hash never does (buffer unused).
     """
     policies = ("rr", "spray", "leastload", "flowlet", "adaptive")
+    spec = SweepSpec(
+        name="F8-reorder",
+        base=_sweep_base(duration, load=0.7,
+                         mpdp_overrides={"use_reorder": True}),
+        axes=[Axis("policy", list(policies))],
+    )
+    sr = run_sweep(spec)
     t = Table(
         ["policy", "held pkts", "held frac", "mean hold (us)",
          "timeout flushes", "peak occupancy", "p99 (us)"],
@@ -366,13 +353,12 @@ def fig8_reorder(duration: float = 40_000.0) -> Tuple[str, Dict]:
     )
     data = {}
     for p in policies:
-        res = run_scenario(_base(duration, policy=p, load=0.7,
-                             mpdp_overrides={"use_reorder": True}))
-        ro = res.stats["reorder"]
-        held_frac = ro["held"] / max(res.stats["delivered"], 1)
-        data[p] = {**ro, "held_frac": held_frac, "p99": res.summary.p99}
+        cell = sr.get(policy=p)
+        ro = cell.stats["reorder"]
+        held_frac = ro["held"] / max(cell.delivered, 1)
+        data[p] = {**ro, "held_frac": held_frac, "p99": cell.summary.p99}
         t.add_row([p, ro["held"], f"{held_frac:.2%}", ro["mean_hold"],
-                   ro["timeout_flushes"], ro["peak_occupancy"], res.summary.p99])
+                   ro["timeout_flushes"], ro["peak_occupancy"], cell.summary.p99])
     return t.render(), data
 
 
@@ -459,8 +445,9 @@ def ablation1_flowlet_timeout(
     data = {"timeout": list(timeouts), "p99": [], "held_frac": []}
     for to in timeouts:
         policy = FlowletSwitching(timeout=to)
-        res = run_scenario(_base(duration, policy=policy, load=0.7,
-                             mpdp_overrides={"use_reorder": True}))
+        res = run_scenario(ScenarioConfig(**_sweep_base(
+            duration, policy=policy, load=0.7,
+            mpdp_overrides={"use_reorder": True})))
         ro = res.stats["reorder"]
         held_frac = ro["held"] / max(res.stats["delivered"], 1)
         boundaries = policy.table.boundaries / max(res.stats["ingress"], 1)
@@ -493,8 +480,8 @@ def ablation2_detector(
     for thr in hol_thresholds:
         detector = StragglerDetector(DetectorConfig(hol_threshold=thr))
         policy = AdaptiveMultipath(detector=detector)
-        res = run_scenario(_base(duration, policy=policy, load=0.6,
-                             interfere_intensity=4.0))
+        res = run_scenario(ScenarioConfig(**_sweep_base(
+            duration, policy=policy, load=0.6, interfere_intensity=4.0)))
         t.add_row([thr, res.summary.p99, res.summary.p999,
                    detector.straggler_verdicts])
         data["p99"].append(res.summary.p99)
@@ -521,15 +508,23 @@ def ablation3_replication(
         ["budget"] + [f"p99.9 @load {l}" for l in loads] + [f"cpu/pkt @load {l}" for l in loads],
         title="A3  selective-replication budget sweep (200B RPC packets)",
     )
+    spec = SweepSpec(
+        name="A3-replication",
+        base=_sweep_base(duration, packet_size=200),
+        axes=[Axis("load", list(loads)),
+              Axis("budget",
+                   [{"policy": {"name": "adaptive", "replication_budget": b,
+                                "critical_size": 300}} for b in budgets],
+                   labels=list(budgets))],
+    )
+    sr = run_sweep(spec)
     data: Dict = {"budgets": list(budgets)}
     rows = {b: {} for b in budgets}
     for load in loads:
         for b in budgets:
-            policy = AdaptiveMultipath(replication_budget=b, critical_size=300)
-            res = run_scenario(_base(duration, policy=policy, load=load,
-                                 packet_size=200))
-            rows[b][load] = (res.exact_percentile(99.9),
-                             res.stats["cpu_per_delivered"])
+            cell = sr.get(load=load, budget=b)
+            rows[b][load] = (cell.exact["p999"],
+                             cell.stats["cpu_per_delivered"])
     for b in budgets:
         row = [f"{b:.2f}"]
         row += [float(rows[b][l][0]) for l in loads]
@@ -717,7 +712,17 @@ def fig10_faults(duration: float = 100_000.0) -> Tuple[str, Dict]:
     recovery time come from the availability collectors.
     """
     dur = scaled_duration(duration)
-    crash_at, crash_for = 0.30 * dur, 0.25 * dur
+    crash = FaultSchedule().crash(path=0, at=0.30 * dur, duration=0.25 * dur)
+    pairs = (("single", 1), ("hash", 4), ("adaptive", 4), ("redundant2", 4))
+    spec = SweepSpec(
+        name="F10-faults",
+        base=_sweep_base(duration, load=0.55),
+        axes=[Axis("policy", [{"policy": p, "n_paths": k} for p, k in pairs],
+                   labels=[p for p, _ in pairs]),
+              Axis("faults", [{"faults": None}, {"faults": crash.to_dict()}],
+                   labels=["clean", "crash"])],
+    )
+    sr = run_sweep(spec)
 
     t = Table(
         ["policy", "p99.9 clean", "p99 crash", "p99.9 crash", "delivered %",
@@ -726,15 +731,12 @@ def fig10_faults(duration: float = 100_000.0) -> Tuple[str, Dict]:
               "(load 0.55, crash 30%->55% of run)",
     )
     data: Dict = {}
-    for policy, k in (("single", 1), ("hash", 4), ("adaptive", 4),
-                      ("redundant2", 4)):
-        base = _base(duration, policy=policy, n_paths=k, load=0.55)
-        clean = run_scenario(base)
-        sched = FaultSchedule().crash(path=0, at=crash_at, duration=crash_for)
-        fault = run_scenario(dataclasses.replace(base, faults=sched))
-        delivered_frac = fault.stats["delivered"] / fault.offered
+    for policy, _ in pairs:
+        clean = sr.get(policy=policy, faults="clean")
+        fault = sr.get(policy=policy, faults="crash")
+        delivered_frac = fault.delivered / fault.offered
         avail = fault.availability
-        lost = fault.offered - fault.stats["delivered"]
+        lost = fault.offered - fault.delivered
         data[policy] = {
             "clean_p999": clean.summary.p999,
             "fault_p99": fault.summary.p99,
@@ -765,9 +767,30 @@ def fig11_mtbf_sweep(duration: float = 100_000.0) -> Tuple[str, Dict]:
     fraction; adaptive multipath holds near-total delivery and a bounded
     p99.9 because the controller ejects crashed paths and re-steers.
     """
-    dur = scaled_duration(duration)
     mttr = 2_000.0
     mtbfs = [None, 50_000.0, 20_000.0, 10_000.0]
+    pairs = (("single", 1), ("adaptive", 4))
+
+    def crashes(mtbf, k):
+        if mtbf is None:
+            return None
+        sched = FaultSchedule()
+        for path in range(k):
+            sched.renewal("crash", path=path, mtbf=mtbf, mttr=mttr)
+        return sched.to_dict()
+
+    # Each path count gets a crash process per path, so the fault
+    # schedule and the policy vary together on one axis.
+    runs = [(mtbf, p, k) for mtbf in mtbfs for p, k in pairs]
+    spec = SweepSpec(
+        name="F11-mtbf-sweep",
+        base=_sweep_base(duration, load=0.5),
+        axes=[Axis("run", [{"policy": p, "n_paths": k,
+                            "faults": crashes(mtbf, k)}
+                           for mtbf, p, k in runs],
+                   labels=[f"{p} mtbf={mtbf}" for mtbf, p, _ in runs])],
+    )
+    sr = run_sweep(spec)
 
     t = Table(
         ["per-path MTBF", "single del %", "single p99.9", "adaptive del %",
@@ -779,21 +802,13 @@ def fig11_mtbf_sweep(duration: float = 100_000.0) -> Tuple[str, Dict]:
     for mtbf in mtbfs:
         row = [("none" if mtbf is None else f"{mtbf / 1000:.0f} ms")]
         per = {}
-        for policy, k in (("single", 1), ("adaptive", 4)):
-            base = _base(duration, policy=policy, n_paths=k, load=0.5)
-            if mtbf is None:
-                res = run_scenario(base)
-                uptime = 1.0
-            else:
-                sched = FaultSchedule()
-                for path in range(k):
-                    sched.renewal("crash", path=path, mtbf=mtbf, mttr=mttr)
-                res = run_scenario(dataclasses.replace(base, faults=sched))
-                uptime = res.availability["path_uptime_fraction"]
+        for policy, _ in pairs:
+            cell = sr.get(run=f"{policy} mtbf={mtbf}")
             per[policy] = {
-                "delivered_frac": res.stats["delivered"] / res.offered,
-                "p999": res.summary.p999,
-                "uptime": uptime,
+                "delivered_frac": cell.delivered / cell.offered,
+                "p999": cell.summary.p999,
+                "uptime": (1.0 if mtbf is None else
+                           cell.availability["path_uptime_fraction"]),
             }
             data[policy].append(per[policy])
         t.add_row(row + [100.0 * per["single"]["delivered_frac"],

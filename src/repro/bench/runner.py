@@ -1,7 +1,8 @@
-"""Sweep helpers and environment-based scaling.
+"""Environment-based duration scaling and seed replication.
 
-``REPRO_BENCH_SCALE`` (float, default 1.0) multiplies every experiment's
-traffic duration: set 0.2 for a quick smoke pass, 5 for tighter tails.
+Grids of runs go through :func:`repro.run_sweep`.  ``REPRO_BENCH_SCALE``
+(float, default 1.0) multiplies every experiment's traffic duration:
+set 0.2 for a quick smoke pass, 5 for tighter tails.
 All figure functions route their durations through
 :func:`scaled_duration` so one knob scales the whole suite.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Dict
 
 from repro.bench.scenarios import ScenarioConfig, SimulationResult, run_scenario
 
@@ -29,39 +30,6 @@ def bench_scale() -> float:
 def scaled_duration(base_us: float) -> float:
     """Scale a baseline duration by the bench scale factor."""
     return base_us * bench_scale()
-
-
-def sweep(
-    base: ScenarioConfig,
-    param: str,
-    values: Sequence,
-    **fixed_overrides,
-) -> List[SimulationResult]:
-    """Run ``base`` once per value of ``param``; returns results in order.
-
-    ``fixed_overrides`` are applied to every run (dataclass field names).
-    """
-    out = []
-    for v in values:
-        cfg = dataclasses.replace(base, **{param: v}, **fixed_overrides)
-        out.append(run_scenario(cfg))
-    return out
-
-
-def grid(
-    base: ScenarioConfig,
-    param_a: str,
-    values_a: Sequence,
-    param_b: str,
-    values_b: Sequence,
-) -> Dict:
-    """2-D sweep: returns ``{(a, b): result}``."""
-    out = {}
-    for a in values_a:
-        for b in values_b:
-            cfg = dataclasses.replace(base, **{param_a: a, param_b: b})
-            out[(a, b)] = run_scenario(cfg)
-    return out
 
 
 def replicate(
@@ -93,22 +61,3 @@ def replicate(
         "values": values,
     }
 
-
-def policy_comparison(
-    base: ScenarioConfig,
-    policies: Iterable[str],
-    single_path_baseline: bool = True,
-) -> Dict[str, SimulationResult]:
-    """Run the same workload under each policy.
-
-    ``single`` runs with ``n_paths=1`` (it *is* the one-lane baseline);
-    every other policy keeps the base path count.
-    """
-    out: Dict[str, SimulationResult] = {}
-    for policy in policies:
-        overrides = {"policy": policy}
-        if policy == "single" and single_path_baseline:
-            overrides["n_paths"] = 1
-        cfg = dataclasses.replace(base, **overrides)
-        out[policy] = run_scenario(cfg)
-    return out

@@ -248,18 +248,21 @@ class ScenarioConfig:
         Units are the dataclass units: every time in µs, sizes in bytes,
         ``load``/``flow_load`` as utilization fractions.  ``jitter``
         serializes via :meth:`JitterParams.to_dict` and ``faults`` via
-        :meth:`FaultSchedule.to_dict`.  Only by-name policies serialize:
-        configured policy *objects* (custom detectors, timeouts) have no
-        declarative form and raise ``TypeError``.
+        :meth:`FaultSchedule.to_dict`.  A policy serializes as its
+        registry name or its spec mapping; configured policy *objects*
+        (custom detectors, timeouts) have no declarative form and raise
+        ``TypeError``.
         """
         out = {}
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.name == "policy":
-                if not isinstance(value, str):
+                if isinstance(value, dict):
+                    value = dict(value)
+                elif not isinstance(value, str):
                     raise TypeError(
-                        "only by-name policies are serializable; got a "
-                        f"{type(value).__name__} instance"
+                        "only policy names and spec mappings are "
+                        f"serializable; got a {type(value).__name__} instance"
                     )
                 out["policy"] = value
             elif f.name == "jitter":

@@ -25,10 +25,10 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.bench.runner import scaled_duration
-from repro.bench.scenarios import ScenarioConfig, run_scenario
 from repro.faults import FaultSchedule
 from repro.metrics.report import Table
 from repro.slo import SloSpec
+from repro.sweep import Axis, SweepSpec, run_sweep
 
 #: The headline objectives both experiments measure against.
 SLO_OBJECTIVES = ("p99 <= 150us", "delivery >= 99%")
@@ -94,17 +94,24 @@ def slo1_attainment(duration: float = 120_000.0) -> Tuple[str, Dict]:
         title="E-SLO1  SLO attainment vs resource cost "
               f"({'; '.join(SLO_OBJECTIVES)}, k=4)",
     )
+    spec = SweepSpec(
+        name="SLO1-attainment",
+        base=dict(policy="adaptive", n_paths=4, chain="heavy",
+                  duration=dur, warmup=0.15 * dur),
+        axes=[Axis("load", loads),
+              Axis("interfere_intensity", interference),
+              Axis("strategy",
+                   [{"slo": _slo_spec(dur, **knobs).to_dict()}
+                    for _, knobs in strategies],
+                   labels=[name for name, _ in strategies])],
+    )
+    sr = run_sweep(spec)
     data: Dict = {"loads": loads, "interference": interference, "cells": []}
     for load in loads:
         for intensity in interference:
-            for name, knobs in strategies:
-                spec = _slo_spec(dur, **knobs)
-                cfg = ScenarioConfig(
-                    policy="adaptive", n_paths=4, chain="heavy",
-                    load=load, duration=dur, warmup=0.15 * dur,
-                    interfere_intensity=intensity, slo=spec,
-                )
-                res = run_scenario(cfg)
+            for name, _ in strategies:
+                res = sr.get(load=load, interfere_intensity=intensity,
+                             strategy=name)
                 rep = res.slo_report
                 cell = {
                     "load": load,
@@ -150,16 +157,22 @@ def slo2_fault_recovery(duration: float = 120_000.0) -> Tuple[str, Dict]:
         title="E-SLO2  recovery of SLO attainment after a path crash "
               f"(crash at {crash_at:.0f}us for {crash_for:.0f}us, load {load})",
     )
+    strategies = (("static-2", False), ("autotuned", True))
+    crash = FaultSchedule().crash(path=0, at=crash_at, duration=crash_for)
+    spec = SweepSpec(
+        name="SLO2-fault-recovery",
+        base=dict(policy="adaptive", n_paths=4, chain="heavy", load=load,
+                  duration=dur, warmup=0.15 * dur, faults=crash.to_dict()),
+        axes=[Axis("strategy",
+                   [{"slo": _slo_spec(dur, autotune=autotune, start_paths=2,
+                                      min_paths=2).to_dict()}
+                    for _, autotune in strategies],
+                   labels=[name for name, _ in strategies])],
+    )
+    sr = run_sweep(spec)
     data: Dict = {"crash_at": crash_at, "crash_for": crash_for, "load": load}
-    for name, autotune in (("static-2", False), ("autotuned", True)):
-        spec = _slo_spec(dur, autotune=autotune, start_paths=2, min_paths=2)
-        sched = FaultSchedule().crash(path=0, at=crash_at, duration=crash_for)
-        cfg = ScenarioConfig(
-            policy="adaptive", n_paths=4, chain="heavy", load=load,
-            duration=dur, warmup=0.15 * dur, faults=sched, slo=spec,
-        )
-        res = run_scenario(cfg)
-        rep = res.slo_report
+    for name, _ in strategies:
+        rep = sr.get(strategy=name).slo_report
         wins = rep["windows"]
         pre = [w for w in wins if w["end"] <= crash_at]
         during = [w for w in wins if crash_at < w["end"] <= crash_at + crash_for]

@@ -141,11 +141,10 @@ class SweepCell:
 class SweepSpec:
     """A named, declarative experiment grid (see module docstring).
 
-    ``single_path_baseline`` mirrors the convention of
-    :func:`repro.bench.runner.policy_comparison`: a cell whose policy is
-    ``"single"`` runs with ``n_paths=1`` (it *is* the one-lane baseline)
-    unless the cell's own axis overrides pin ``n_paths`` explicitly.  In
-    a cluster sweep the rule applies per host.
+    ``single_path_baseline``: a cell whose policy is ``"single"`` runs
+    with ``n_paths=1`` (it *is* the one-lane baseline) unless the cell's
+    own axis overrides pin ``n_paths`` explicitly.  In a cluster sweep
+    the rule applies per host.
     """
 
     name: str

@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.bench import ScenarioConfig, bench_scale, scaled_duration, run_scenario, sweep
-from repro.bench.runner import grid, policy_comparison
+from repro.bench import ScenarioConfig, bench_scale, scaled_duration, run_scenario
+from repro.core.policies import AdaptiveMultipath
 from repro.dataplane.vcpu import JitterParams
 
 
@@ -68,6 +68,27 @@ class TestScenarioConfig:
     def test_nan_load_run_fails_before_simulating(self):
         with pytest.raises(ValueError, match="load"):
             run_scenario(ScenarioConfig(load=float("nan")))
+
+    def test_policy_spec_mapping_serializes(self):
+        spec = {"name": "adaptive", "replication_budget": 0.1,
+                "critical_size": 300}
+        data = tiny(policy=spec).to_dict()
+        assert data["policy"] == spec and data["policy"] is not spec
+        assert ScenarioConfig.from_dict(data).policy == spec
+
+    def test_built_policy_does_not_serialize(self):
+        with pytest.raises(TypeError, match="AdaptiveMultipath"):
+            tiny(policy=AdaptiveMultipath()).to_dict()
+
+    def test_policy_spec_mapping_runs_as_the_built_policy(self):
+        spec = {"name": "adaptive", "replication_budget": 0.25,
+                "critical_size": 300}
+        a = run_scenario(tiny(policy=spec, packet_size=200))
+        b = run_scenario(tiny(policy=AdaptiveMultipath(
+            replication_budget=0.25, critical_size=300), packet_size=200))
+        assert a.stats["replicas"] > 0
+        assert a.stats == b.stats
+        assert a.exact_percentile(99.9) == b.exact_percentile(99.9)
 
 
 class TestSimulate:
@@ -133,18 +154,3 @@ class TestRunner:
         monkeypatch.setenv("REPRO_BENCH_SCALE", "-1")
         with pytest.raises(ValueError):
             bench_scale()
-
-    def test_sweep_varies_parameter(self):
-        results = sweep(tiny(), "load", [0.2, 0.5])
-        assert len(results) == 2
-        assert results[0].config.load == 0.2
-        assert results[1].config.load == 0.5
-
-    def test_policy_comparison_single_gets_one_path(self):
-        results = policy_comparison(tiny(n_paths=4), ("single", "rr"))
-        assert len(results["single"].host.paths) == 1
-        assert len(results["rr"].host.paths) == 4
-
-    def test_grid(self):
-        out = grid(tiny(), "load", [0.2], "n_paths", [1, 2])
-        assert set(out) == {(0.2, 1), (0.2, 2)}
