@@ -179,6 +179,12 @@ class ScenarioConfig:
                 f"warmup/drain must be >= 0 and finite (µs), got "
                 f"warmup={self.warmup}, drain={self.drain}"
             )
+        if not self.warmup < self.duration:
+            raise ValueError(
+                f"warmup ({self.warmup} µs) must be shorter than duration "
+                f"({self.duration} µs): latency samples before warmup are "
+                f"discarded, so the run would measure almost nothing"
+            )
         if not 0 < self.packet_size < _INF:
             raise ValueError(f"packet_size must be positive bytes, got {self.packet_size}")
         if not self.n_flows >= 1:

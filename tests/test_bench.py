@@ -65,6 +65,17 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=field):
             tiny(traffic=traffic, **{field: float("inf")}).validate()
 
+    @pytest.mark.parametrize("warmup", [3_000.0, 5_000.0])
+    def test_validate_rejects_warmup_not_before_duration(self, warmup):
+        with pytest.raises(ValueError,
+                           match=f"warmup \\({warmup} µs\\).*duration "
+                                 f"\\(3000.0 µs\\)"):
+            tiny(warmup=warmup).validate()
+
+    def test_default_warmup_needs_a_longer_duration(self):
+        with pytest.raises(ValueError, match="warmup"):
+            run_scenario(ScenarioConfig(duration=5_000.0))
+
     def test_nan_load_run_fails_before_simulating(self):
         with pytest.raises(ValueError, match="load"):
             run_scenario(ScenarioConfig(load=float("nan")))

@@ -137,7 +137,7 @@ class TestSloCommand:
     def test_single_run_prints_attainment(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         rc = main(["slo", "--objective", "p99 <= 1ms", "--load", "0.3",
-                   "--duration", "10", "--window", "2",
+                   "--duration", "12", "--window", "2",
                    "--out", str(out_file)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -160,7 +160,7 @@ class TestSloCommand:
 
 
 #: Fast inline scenario flags shared by the check CLI tests.
-CHECK_FAST = ["--duration", "4", "--paths", "3"]
+CHECK_FAST = ["--duration", "12", "--paths", "3"]
 
 
 class TestUnifiedFlags:
@@ -179,6 +179,13 @@ class TestUnifiedFlags:
                     args.duration, args.seed, args.spec) == \
                 ("spray", 2, 0.3, "onoff", 5.0, 9, "x.json")
 
+    @pytest.mark.parametrize("cmd", [["faults"], ["trace"], ["why"],
+                                     ["check", "run"]])
+    def test_duration_within_default_warmup_exits_2(self, capsys, cmd):
+        # Inline scenarios keep the 10 ms default warmup.
+        assert main(cmd + ["--duration", "10"]) == 2
+        assert "must be shorter than duration" in capsys.readouterr().err
+
     def test_per_command_load_defaults(self):
         parser = build_parser()
         assert parser.parse_args(["faults"]).load == 0.55
@@ -190,7 +197,7 @@ class TestUnifiedFlags:
         import json
 
         out = tmp_path / "faults.json"
-        assert main(["faults", "--duration", "10", "--out", str(out)]) == 0
+        assert main(["faults", "--duration", "12", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["schema_version"]
         assert "availability" in payload

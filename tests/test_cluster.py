@@ -86,6 +86,14 @@ class TestConfigs:
         with pytest.raises(ValueError, match="flows"):
             h.validate()
 
+    def test_host_config_rejects_warmup_past_duration(self):
+        h = HostConfig(scenario=small_scenario(duration=6_000.0,
+                                               warmup=10_000.0))
+        with pytest.raises(ValueError, match="10000.0 µs.*6000.0 µs"):
+            h.validate()
+        with pytest.raises(ValueError, match="hosts\\[0\\].*warmup"):
+            ClusterConfig(hosts=[h]).validate()
+
     def test_cluster_round_trip_and_kind(self):
         cc = small_cluster(pattern="incast", incast_target=1, seed=9)
         d = cc.to_dict()

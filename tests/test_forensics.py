@@ -164,8 +164,10 @@ class TestAttribution:
         assert p90["threshold_us"] < p99["threshold_us"]
 
     def test_empty_tail_when_nothing_delivered_after_warmup(self):
-        # Warmup beyond the whole horizon: no packet counts as delivered.
-        result = run_armed(SINGLE, duration=500.0, warmup=1e9, drain=100.0)
+        # The NIC drops every packet, so none is delivered after warmup.
+        drop_all = FaultSchedule().drop_burst(at=0.0, duration=1e9)
+        result = run_armed(SINGLE, faults=drop_all, duration=500.0,
+                           warmup=100.0, drain=100.0)
         report = result.forensics_report
         assert report["delivered_traced"] == 0
         assert report["analyzed"] == 0

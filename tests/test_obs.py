@@ -368,7 +368,7 @@ class TestObsCli:
 
         out_dir = tmp_path / "bundle"
         rc = main(["trace", "--policy", "spray", "--paths", "2",
-                   "--load", "0.5", "--duration", "10",
+                   "--load", "0.5", "--duration", "12",
                    "--out", str(out_dir)])
         assert rc == 0
         out = capsys.readouterr().out
