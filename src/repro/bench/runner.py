@@ -60,4 +60,3 @@ def replicate(
         "max": float(arr.max()),
         "values": values,
     }
-
