@@ -87,6 +87,30 @@ def _forensics() -> Dict:
                      RunOptions(forensics=True)).to_dict()
 
 
+def _onoff_bursty() -> Dict:
+    # The perfbench host-bursty shape on a 4 ms window: replication under
+    # ON/OFF bursts with a degrade, a hang and a scheduler freeze.
+    window = 4_000.0
+    faults = (FaultSchedule()
+              .degrade(1, at=0.20 * window, duration=0.20 * window,
+                       factor=4.0)
+              .hang(2, at=0.45 * window, duration=0.10 * window)
+              .sched_freeze(0, at=0.70 * window, duration=0.05 * window))
+    return repro.run(_host("redundant2", traffic="onoff", burstiness=4.0,
+                           load=0.35, seed=21, faults=faults)).to_dict()
+
+
+def _forensics_redundant2() -> Dict:
+    # Replicas take pids between a packet's NIC arrival and departure;
+    # the tail exemplars show them.
+    return repro.run(_host("redundant2", seed=22, load=0.8),
+                     RunOptions(forensics=True)).to_dict()
+
+
+def _incast() -> Dict:
+    return repro.run(_host(traffic="incast", epoch=500.0, seed=23)).to_dict()
+
+
 def _sweep() -> List[Dict]:
     spec = SweepSpec(
         name="golden-sweep-4",
@@ -111,6 +135,14 @@ def _lossy_incast_cluster() -> ClusterConfig:
                           jitter_scale=2.0)
     return ClusterConfig.uniform_hosts(4, host, fabric, pattern="incast",
                                        incast_target=2, seed=16)
+
+
+def _onoff_cluster() -> ClusterConfig:
+    host = _host(traffic="onoff", load=0.5, duration=2_000.0, warmup=200.0,
+                 drain=1_000.0)
+    fabric = FabricConfig(steering="ecmp", jitter_scale=1.0, loss_prob=0.005)
+    return ClusterConfig.uniform_hosts(4, host, fabric, pattern="uniform",
+                                       seed=24)
 
 
 def _cluster(make: Callable[[], ClusterConfig], workers: int,
@@ -171,6 +203,9 @@ RUNS: Dict[str, Callable[[], object]] = {
     "mtbf_faults": _mtbf_faults,
     "slo_autotune": _slo_autotune,
     "forensics": _forensics,
+    "onoff_bursty_faults": _onoff_bursty,
+    "forensics_redundant2": _forensics_redundant2,
+    "incast": _incast,
     "sweep_4": _sweep,
     "cluster_ecmp@1": _cluster(_ecmp_cluster, 1),
     "cluster_ecmp@2": _cluster(_ecmp_cluster, 2),
@@ -180,6 +215,8 @@ RUNS: Dict[str, Callable[[], object]] = {
     "cluster_flowlet_lossy_incast@1": _cluster(_lossy_incast_cluster, 1),
     "cluster_flowlet_lossy_incast@2": _cluster(_lossy_incast_cluster, 2),
     "cluster_flowlet_lossy_incast@4": _cluster(_lossy_incast_cluster, 4),
+    "cluster_onoff@1": _cluster(_onoff_cluster, 1),
+    "cluster_onoff@2": _cluster(_onoff_cluster, 2),
     **{f"table_{exp_id}": _table(exp_id) for exp_id in TABLE_EXPERIMENTS},
 }
 
