@@ -18,6 +18,11 @@ Modes
                    baseline JSON and exit nonzero on a regression worse
                    than ``--tolerance`` (default 20%).  With ``--quick``
                    the comparison uses the recorded ``quick.pps`` field.
+                   Events per delivered packet (``events_per_pkt``:
+                   ``Simulator.processed_count`` / delivered) is exact
+                   for a given code version and seed, so ``--check``
+                   also fails on any increase over the recorded value,
+                   whatever the machine's timing noise.
 
 The recorded ``baseline_pps`` field is the pre-optimization kernel's
 throughput on the same scenario; ``speedup`` is measured against it.
@@ -36,7 +41,7 @@ import sys
 import time
 
 import repro
-from repro.bench.scenarios import ScenarioConfig
+from repro.bench.scenarios import ScenarioConfig, build_runtime
 
 RESULTS = pathlib.Path(__file__).resolve().parent / "results"
 OUT = RESULTS / "BENCH_KERNEL.json"
@@ -60,18 +65,23 @@ def _scenario(quick: bool) -> ScenarioConfig:
 def _measure(quick: bool, repeats: int) -> dict:
     """Best-of-N wall clock (min rejects scheduler noise)."""
     best_wall = float("inf")
-    delivered = 0
+    delivered = events = 0
     for _ in range(repeats):
         cfg = _scenario(quick)
         t0 = time.perf_counter()
-        result = repro.run(cfg)
+        rt = build_runtime(cfg)  # what repro.run does, keeping the runtime
+        rt.start()
+        rt.sim.run(until=rt.horizon)
+        result = rt.finalize()
         wall = time.perf_counter() - t0
         delivered = result.stats["delivered"]
+        events = rt.sim.processed_count
         best_wall = min(best_wall, wall)
     return {
         "delivered": delivered,
         "wall_s": best_wall,
         "pps": delivered / best_wall,
+        "events_per_pkt": events / delivered,
     }
 
 
@@ -91,7 +101,8 @@ def main(argv=None) -> int:
     measured = _measure(args.quick, repeats)
     mode = "quick" if args.quick else "full"
     print(f"[{mode}] delivered={measured['delivered']} "
-          f"wall={measured['wall_s']:.2f}s pps={measured['pps']:,.0f}")
+          f"wall={measured['wall_s']:.2f}s pps={measured['pps']:,.0f} "
+          f"events/pkt={measured['events_per_pkt']:.4f}")
 
     if args.check:
         if not OUT.exists():
@@ -103,11 +114,18 @@ def main(argv=None) -> int:
         ratio = measured["pps"] / base_pps
         print(f"committed {key} baseline: {base_pps:,.0f} pps; "
               f"measured/baseline = {ratio:.2f}")
+        failed = False
         if ratio < 1.0 - args.tolerance:
             print(f"kernel throughput regressed {1 - ratio:.1%} "
                   f"(> {args.tolerance:.0%} tolerance)", file=sys.stderr)
-            return 1
-        return 0
+            failed = True
+        base_events = committed[key]["events_per_pkt"]
+        print(f"committed {key} events/pkt: {base_events:.4f}")
+        if measured["events_per_pkt"] > base_events:
+            print(f"events per delivered packet rose from {base_events:.4f} "
+                  f"to {measured['events_per_pkt']:.4f}", file=sys.stderr)
+            failed = True
+        return 1 if failed else 0
 
     if args.quick:
         return 0  # quick mode never rewrites the committed baseline
@@ -115,7 +133,8 @@ def main(argv=None) -> int:
     quick_measured = _measure(True, 2)
     print(f"[quick] delivered={quick_measured['delivered']} "
           f"wall={quick_measured['wall_s']:.2f}s "
-          f"pps={quick_measured['pps']:,.0f}")
+          f"pps={quick_measured['pps']:,.0f} "
+          f"events/pkt={quick_measured['events_per_pkt']:.4f}")
 
     record = {
         "name": "kernel-throughput",

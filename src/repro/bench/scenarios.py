@@ -609,7 +609,10 @@ def build_runtime(config: ScenarioConfig,
     ``ingress`` (an unbound
     :class:`~repro.dataplane.boundary.IngressReplay`) replaces the
     traffic source; the cluster engine passes each host's merged ingress
-    here.  Single-host runs leave it ``None``.
+    here.  Single-host runs leave it ``None``.  An open-loop source or
+    ingress is its NIC's only producer unless the fault schedule arms a
+    drop burst on the NIC, and then replays past the NIC
+    (:meth:`repro.net.traffic.Replay.own`).
     """
     forensics_spec = None
     if forensics is not None and forensics is not False:
@@ -692,6 +695,11 @@ def build_runtime(config: ScenarioConfig,
                            host.input)
     else:
         src = ingress.bind(sim, host)
+    if not isinstance(src, FlowSource) and (injector is None or all(
+            ev.kind != "drop_burst" for ev in injector.events)):
+        # Nothing else feeds the NIC: the source computes its receive
+        # stage, one event per arriving packet.
+        src.own(host)
     return ScenarioRuntime(config, sim, rngs, host, tracker, src, engine,
                            telemetry, injector, slo_tracker, forensics_spec,
                            wall_start)
@@ -742,24 +750,6 @@ def _availability_report(injector, host, horizon: float) -> Dict:
     )
     out["timeline"] = list(injector.timeline)
     return out
-
-
-def build_source(config: ScenarioConfig, sink):
-    """Build one scenario's traffic source alone, with no data plane.
-
-    The source draws from the same named RNG stream as under
-    :func:`build_runtime`, so ``sink`` receives exactly the packets (by
-    value) the full host would generate.  The cluster engine uses this
-    to route everything a host generates without simulating the host.
-    Returns ``(sim, rngs, factory, src)``; call ``src.start()`` then
-    ``sim.run()``.
-    """
-    config.validate()
-    sim = Simulator()
-    rngs = RngRegistry(seed=config.seed)
-    factory = PacketFactory()
-    src = _make_source(sim, factory, rngs, config, None, sink)
-    return sim, rngs, factory, src
 
 
 def _make_source(sim, factory, rngs, cfg: ScenarioConfig, tracker, sink):

@@ -680,30 +680,22 @@ def _cmd_ledger_diff(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    from repro import (
-        MpdpConfig, MultipathDataPlane, PathConfig, PoissonSource,
-        RngRegistry, SHARED_CORE, Simulator, Table,
-    )
+    import repro
+    from repro import ScenarioConfig, Table
 
     table = Table(["config", "p50", "p99", "p99.9"],
                   title="demo: single vs multipath (latency, us)")
     for label, policy, k in [("single-path", "single", 1),
                              ("adaptive k=4", "adaptive", 4)]:
-        sim = Simulator()
-        rngs = RngRegistry(seed=7)
-        host = MultipathDataPlane(
-            sim,
-            MpdpConfig(n_paths=k, policy=policy,
-                       path=PathConfig(jitter=SHARED_CORE), warmup=10_000.0),
-            rngs,
-        )
-        src = PoissonSource(sim, host.factory, host.input, rngs.stream("t"),
-                            rate_pps=500_000, n_flows=256,
-                            duration=args.duration * 1000.0)
-        src.start()
-        sim.run(until=args.duration * 1000.0 + 10_000.0)
-        host.finalize()
-        s = host.sink.recorder.summary()
+        # The same offered rate on both hosts: 40% of one path's capacity.
+        cfg = ScenarioConfig(policy=policy, n_paths=k, load=0.4 / k,
+                             duration=args.duration * 1000.0,
+                             drain=10_000.0, seed=7)
+        try:
+            s = repro.run(cfg).summary
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         table.add_row([label, s.p50, s.p99, s.p999])
     print(table.render())
     return 0

@@ -7,12 +7,13 @@ fabric is latency plus loss with no shared queue state (the contract
 :meth:`HostConfig.validate` enforces).  So :func:`run_cluster` needs no
 lockstep between hosts; it runs three steps:
 
-1. **Routing, per host, on the workers.**  Each host's source and
-   :class:`ClusterRouter` run alone, without a data plane -- the only
-   time any source, router or fabric steering runs.  Every emission is
-   written to a per-run temporary directory as envelope columns, one
-   file per source->destination pair; a local emission goes to the
-   host's own ``h-h`` file.  A vectorized check holds each envelope to
+1. **Routing, per host, on the workers, with no simulator.**  Each
+   host's source generates its arrival columns and its
+   :class:`ClusterRouter` routes them in numpy -- the only time any
+   source, router or fabric steering runs.  Every emission is written
+   to a per-run temporary directory as envelope columns, one file per
+   source->destination pair; a local emission goes to the host's own
+   ``h-h`` file.  A vectorized check holds each envelope to
    the lookahead ``arrive_time - send_time >= L``, and the
    ``(send_time, arrive_time)`` of every envelope that can reach the
    run's horizon goes back to the parent.
@@ -25,12 +26,13 @@ lockstep between hosts; it runs three steps:
    one ingress stream instead of a source: its local emissions plus the
    envelopes addressed to it, merged in numpy in canonical
    ``(arrive_time, src_host, env_seq)`` order
-   (:func:`~repro.dataplane.boundary.host_ingress`) and replayed at
-   their exact times (:class:`~repro.dataplane.boundary.IngressReplay`),
-   straight to the run's end.  Dropped envelopes are counted in bulk.
-   Packet ids are allocated as if the host's source were running: the
-   host's own fabric-bound emissions still advance its pid counter
-   (:class:`~repro.dataplane.boundary.ClusterPacketFactory`).
+   (:func:`~repro.dataplane.boundary.host_ingress`) and replayed past
+   the host's NIC by the same tick that feeds a standalone host
+   (:class:`~repro.net.traffic.Replay`), straight to the run's end.
+   Dropped envelopes are counted in bulk.  Packet ids are allocated as
+   if the host's source were running: the host's own fabric-bound
+   emissions still advance its pid counter
+   (:class:`~repro.net.traffic.ReplayFactory`).
 
 Determinism is structural: each host has its own :class:`Simulator`,
 RNG registry (seeded by :func:`derived_host_seed`) and packet factory,
@@ -53,11 +55,13 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..bench.scenarios import (ScenarioConfig, build_runtime, build_source,
+from ..bench import scenarios
+from ..bench.scenarios import (ScenarioConfig, build_runtime,
                                prime_capacity_cache)
 from ..dataplane.boundary import ENVELOPE_DTYPE, IngressReplay, host_ingress
 from ..sim.engine import warn_scheduler_ignored
 from ..sim.errors import SimulationError
+from ..sim.rng import RngRegistry
 from ..sweep.pool import TaskFailed, TaskPool, resolve_processes
 from .config import ClusterConfig, derived_host_seed
 from .result import ClusterResult, merge_summaries, retained_samples
@@ -67,12 +71,6 @@ from .router import ClusterRouter, host_router_stats
 #: each envelope that can reach the horizon (see :func:`_phase1`), and
 #: the router's counters (:meth:`ClusterRouter.stats`).
 Egress = Tuple[List[Tuple[float, float]], Dict]
-
-#: Phase 1 runs each source in slices of this many µs and appends the
-#: slice's envelopes to the egress files as columns, so few are ever
-#: held in memory.
-_SLICE_US = 1_000.0
-
 
 def resolve_workers(workers: Optional[int], n_hosts: int) -> int:
     """Worker count: the sweep orchestrator's rules
@@ -106,7 +104,8 @@ def _egress_path(egress_dir: str, src: int, dst: int) -> str:
 
 def _phase1(cluster: ClusterConfig, host_ids: Iterable[int],
             egress_dir: str) -> Dict[int, Egress]:
-    """Run each host's source and router alone; write its rows.
+    """Generate and route each host's traffic, with no simulator; append
+    its rows to the egress files chunk by chunk.
 
     Only envelopes with ``arrive_time + L >= cluster.horizon()`` report
     their times.  The epoch grid reads an epoch's latest arrival only to
@@ -120,18 +119,16 @@ def _phase1(cluster: ClusterConfig, host_ids: Iterable[int],
     L, horizon = cluster.epoch_length(), cluster.horizon()
     out: Dict[int, Egress] = {}
     for hid in host_ids:
+        scenario = _host_scenario(cluster, hid)
+        rngs = RngRegistry(seed=scenario.seed)
+        src = scenarios._make_source(None, None, rngs, scenario, None, None)
         router = ClusterRouter(hid, cluster.n_hosts, cluster.pattern,
-                               cluster.incast_target, cluster.fabric)
-        sim, rngs, factory, src = build_source(_host_scenario(cluster, hid),
-                                               router)
-        router.bind(sim, factory, rngs)
-        src.start()
+                               cluster.incast_target, cluster.fabric, src,
+                               rngs)
         late: List[Tuple[float, float]] = []
-        while sim.pending_count:
-            sim.run(until=sim.now + _SLICE_US)
-            for dst, rows in router.outgoing.items():
-                cols = np.fromiter(rows, dtype=ENVELOPE_DTYPE,
-                                   count=len(rows))
+        for times, flows, seqs, sizes, _ in src.chunks(0.0):
+            src.stats.packets += len(times)
+            for dst, cols in router.route(times, flows, seqs, sizes).items():
                 with open(_egress_path(egress_dir, hid, dst), "ab") as fh:
                     cols.tofile(fh)
                 if dst == hid:
@@ -140,7 +137,6 @@ def _phase1(cluster: ClusterConfig, host_ids: Iterable[int],
                 tail = cols[cols["arrive_time"] + L >= horizon]
                 late.extend(zip(tail["send_time"].tolist(),
                                 tail["arrive_time"].tolist()))
-            router.outgoing = {}
         out[hid] = (late, router.stats())
     return out
 

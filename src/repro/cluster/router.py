@@ -1,11 +1,11 @@
 """Per-host cluster router: the seam between source and fabric.
 
 In a cluster run each host's traffic source does not feed the host's
-NIC directly -- it feeds this router, in the engine's first phase (see
-:mod:`repro.cluster.engine`), with no data plane attached.  The router
-assigns every **flow** a destination host per the cluster pattern and
-writes each packet down as a row of envelope columns in
-:attr:`ClusterRouter.outgoing`:
+NIC directly -- in the engine's first phase (see
+:mod:`repro.cluster.engine`) its arrival columns go to this router,
+with no simulator and no data plane.  The router assigns every **flow**
+a destination host per the cluster pattern and writes each chunk of
+packets down as envelope rows, by destination:
 
 * a **local** packet (destination is its own host) becomes a local row,
   ``dst_host == src_host`` and ``arrive_time == send_time``, which the
@@ -14,8 +14,11 @@ writes each packet down as a row of envelope columns in
   picks spine, delay and loss) and becomes a schema-versioned envelope
   for its destination.
 
-Phase 2 never runs a router: each host replays one merged stream of its
-local rows and the envelopes addressed to it
+Routing is columnar: destinations are drawn per new flow in first-seen
+order, the ECMP spine is computed once per flow, and jitter and loss
+draws keep their per-packet order on the host's ``cluster.fabric``
+stream.  Phase 2 never runs a router: each host replays one merged
+stream of its local rows and the envelopes addressed to it
 (:func:`~repro.dataplane.boundary.host_ingress`), and counts the
 envelopes it received or lost in bulk.
 
@@ -33,84 +36,99 @@ silently vanish between hosts (see
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
-from ..dataplane.boundary import encode_envelope
+import numpy as np
+
+from ..dataplane.boundary import ENVELOPE_DTYPE
 from ..net.fabric import FabricSteering
 
 
 class ClusterRouter:
-    """Routes one host's generated flows to local or remote hosts.
+    """Routes one host's generated columns to local or remote hosts.
 
-    Created *before* the packets' simulator (it is the source's sink),
-    then :meth:`bind`-ed to it.  All randomness (flow destinations,
-    fabric steering) comes from the host's own RNG registry, so routing
-    is a pure function of the host's derived seed.
+    ``source`` is the host's open-loop traffic source (its pseudo-flow
+    ids, ports and priority label the rows).  All randomness (flow
+    destinations, fabric steering) comes from the host's own RNG
+    registry ``rngs``, so routing is a pure function of the host's
+    derived seed.
     """
 
     __slots__ = ("host_id", "n_hosts", "pattern", "incast_target",
-                 "steering", "sim", "factory", "_route_rng",
-                 "_dst_by_tuple", "outgoing", "_env_seq", "generated",
-                 "local", "sent", "by_spine")
+                 "steering", "priority", "_route_rng", "_dst", "_flow_id",
+                 "_sport", "_dport", "_env_seq", "generated", "local",
+                 "sent", "by_spine")
 
     def __init__(self, host_id: int, n_hosts: int, pattern: str,
-                 incast_target: int, fabric_config) -> None:
+                 incast_target: int, fabric_config, source, rngs) -> None:
         self.host_id = host_id
         self.n_hosts = n_hosts
         self.pattern = pattern
         self.incast_target = incast_target
         #: Spine/delay/loss decisions for remote packets.
-        self.steering = FabricSteering(fabric_config)
-        self.sim = None
-        self.factory = None
-        self._route_rng = None
-        self._dst_by_tuple: Dict = {}
-        #: Rows by destination host (this host: local rows), in
-        #: emission order.
-        self.outgoing: Dict[int, List[Tuple]] = {}
+        self.steering = FabricSteering(fabric_config,
+                                       rngs.stream("cluster.fabric"))
+        self._route_rng = rngs.stream("cluster.route")
+        self.priority = source.priority
+        n = source.n_flows
+        self._flow_id = source.flow_id_base + np.arange(n, dtype=np.int64)
+        self._sport = np.array([ft.sport for ft in source._tuples])
+        self._dport = np.array([ft.dport for ft in source._tuples])
+        #: Destination host per pseudo-flow, -1 until its first packet.
+        self._dst = np.full(n, -1, dtype=np.int64)
         self._env_seq = 0
         self.generated = 0
         self.local = 0
         self.sent: Dict[int, int] = {}
         self.by_spine: Dict[int, int] = self.steering.by_spine
 
-    def bind(self, sim, factory, rngs) -> None:
-        """Attach the simulator, packet factory and RNG registry."""
-        self.sim = sim
-        self.factory = factory
-        self._route_rng = rngs.stream("cluster.route")
-        self.steering.rng = rngs.stream("cluster.fabric")
-
-    def __call__(self, pkt) -> None:
-        """The traffic source's sink: write ``pkt`` down as a row."""
-        self.generated += 1
-        ft = pkt.ftuple
-        dst = self._dst_by_tuple.get(ft)
-        if dst is None:
-            dst = self._assign_dst()
-            self._dst_by_tuple[ft] = dst
-        now = self.sim._now
-        if dst == self.host_id:
-            self.local += 1
-            # env_seq: the envelopes sent before this local emission,
-            # which its replay needs to allocate the same pid.
-            row = encode_envelope(pkt, dst, dst, self._env_seq, now, now,
-                                  -1, False)
-        else:
-            spine, delay, lost = self.steering.transit(
-                self.host_id, pkt.flow_id, now
-            )
-            row = encode_envelope(pkt, self.host_id, dst, self._env_seq,
-                                  now, now + delay, spine, lost)
-            self._env_seq += 1
-            self.sent[dst] = self.sent.get(dst, 0) + 1
-        out = self.outgoing.get(dst)
-        if out is None:
-            self.outgoing[dst] = [row]
-        else:
-            out.append(row)
-        # The row carries everything, so the packet can feed the pool.
-        self.factory.recycle(pkt)
+    def route(self, times: np.ndarray, flows: np.ndarray, seqs: np.ndarray,
+              sizes) -> Dict[int, np.ndarray]:
+        """Write one chunk of emissions (a source's
+        :meth:`~repro.net.traffic._ColumnSource.chunks`) down as rows;
+        returns them by destination host (this host: local rows), each
+        in emission order."""
+        n = len(times)
+        hid = self.host_id
+        self.generated += n
+        dst = self._dst
+        new = dst[flows] < 0
+        if new.any():
+            seen, first = np.unique(flows[new], return_index=True)
+            for f in seen[np.argsort(first)].tolist():
+                dst[f] = self._assign_dst()
+        dst = dst[flows]
+        remote = dst != hid
+        rows = np.empty(n, dtype=ENVELOPE_DTYPE)
+        # A local row carries the envelopes its host sent before it,
+        # which its replay needs to allocate the same pid.
+        rows["env_seq"] = self._env_seq + np.cumsum(remote) - remote
+        rows["src_host"] = hid
+        rows["dst_host"] = dst
+        rows["flow_id"] = self._flow_id[flows]
+        rows["seq"] = seqs
+        rows["size"] = sizes
+        rows["priority"] = self.priority
+        rows["sport"] = self._sport[flows]
+        rows["dport"] = self._dport[flows]
+        rows["t_created"] = rows["send_time"] = rows["arrive_time"] = times
+        rows["spine"] = -1
+        rows["dropped"] = False
+        out = np.flatnonzero(remote)
+        if len(out):
+            spine, delay, lost = self.steering.transit_columns(
+                hid, rows["flow_id"][out], times[out])
+            rows["arrive_time"][out] = times[out] + delay
+            rows["spine"][out] = spine
+            rows["dropped"][out] = lost
+        self._env_seq += len(out)
+        self.local += n - len(out)
+        by_dst = {}
+        for d in np.unique(dst).tolist():
+            by_dst[d] = rows[dst == d]
+            if d != hid:
+                self.sent[d] = self.sent.get(d, 0) + len(by_dst[d])
+        return by_dst
 
     def _assign_dst(self) -> int:
         if self.pattern == "incast":

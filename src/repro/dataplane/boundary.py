@@ -10,9 +10,9 @@ exactly the header fields the destination host needs to rebuild an
 equivalent packet, and nothing that depends on the source host's
 runtime state.
 
-Envelopes are plain tuples in memory and numpy structured arrays
-(:data:`ENVELOPE_DTYPE`, one column per field) on disk between the
-cluster engine's two phases.  A host's *local* emissions travel in the
+Envelopes are rows of numpy structured arrays (:data:`ENVELOPE_DTYPE`,
+one column per field), in memory and on disk between the cluster
+engine's two phases.  A host's *local* emissions travel in the
 same columns as rows with ``dst_host == src_host`` and ``arrive_time ==
 send_time``, so :func:`host_ingress` can merge everything a host takes
 in into one stream, which :class:`IngressReplay` feeds to its NIC.
@@ -38,12 +38,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..net.packet import FiveTuple, Packet, PacketFactory
-from ..net.traffic import SourceStats
-from ..sim.engine import _SEQ_BITS, NORMAL
-
-_NAN = Packet.NAN
-_NORMAL_KEY = NORMAL << _SEQ_BITS
+from ..net.packet import FiveTuple
+from ..net.traffic import Replay, SourceStats
 
 #: Offset added to host indices to form remote ftuple addresses.
 REMOTE_BASE = 1000
@@ -52,11 +48,11 @@ REMOTE_BASE = 1000
 FLOW_STRIDE = 1_000_000
 
 #: Addresses a scenario's traffic source stamps into every five-tuple
-#: (the :class:`~repro.net.traffic._BaseSource` defaults); a local row's
+#: (the defaults of :mod:`repro.net.traffic` sources); a local row's
 #: packet is rebuilt with them.
 LOCAL_SRC, LOCAL_DST = 0, 1
 
-#: Positional layout of the tuple form (doc + test introspection).
+#: Envelope fields, in column order.
 ENVELOPE_FIELDS = (
     "env_seq",      # per-source-host monotonic sequence number; on a
                     # local row, the envelopes its host sent before it
@@ -75,51 +71,20 @@ ENVELOPE_FIELDS = (
     "dropped",      # True: lost in-fabric; receiver accounts, not delivers
 )
 
-#: Columnar form of the tuple layout, field for field: ``tolist()`` on
-#: an array of this dtype gives back the tuples, with plain Python
-#: values.
+#: The envelope columns, field for field.
 ENVELOPE_DTYPE = np.dtype(list(zip(ENVELOPE_FIELDS, (
     "<i8", "<i4", "<i4", "<i8", "<i8", "<i4", "<i4", "<i4", "<i4",
     "<f8", "<f8", "<f8", "<i4", "?",
 ))))
 
 
-def encode_envelope(
-    packet: Packet,
-    src_host: int,
-    dst_host: int,
-    env_seq: int,
-    send_time: float,
-    arrive_time: float,
-    spine: int,
-    dropped: bool,
-) -> Tuple:
-    """Flatten a departing packet into the inter-shard tuple form."""
-    ft = packet.ftuple
-    return (
-        env_seq,
-        src_host,
-        dst_host,
-        packet.flow_id,
-        packet.seq,
-        packet.size,
-        packet.priority,
-        ft.sport,
-        ft.dport,
-        packet.t_created,
-        send_time,
-        arrive_time,
-        spine,
-        dropped,
-    )
-
-
 # ----------------------------------------------------------------------
 # Phase 2: one merged ingress stream per host, replayed at exact times
 # ----------------------------------------------------------------------
-#: One replayed record, in the order :meth:`IngressReplay._tick` unpacks
-#: it: arrival time, pid floor (the host's own envelopes emitted before
-#: it, see :class:`ClusterPacketFactory`), the flow's index in
+#: One replayed record, in the column order of
+#: :class:`~repro.net.traffic.Replay`: arrival time, pid floor (the
+#: host's own envelopes emitted before it, see
+#: :class:`~repro.net.traffic.ReplayFactory`), the flow's index in
 #: ``IngressReplay.flows``, then the packet's ``seq``, ``size``,
 #: ``priority`` and ``t_created``.
 REPLAY_DTYPE = np.dtype([
@@ -127,7 +92,7 @@ REPLAY_DTYPE = np.dtype([
     ("size", "<i4"), ("priority", "<i4"), ("t_created", "<f8"),
 ])
 
-#: Records :class:`IngressReplay` converts to Python objects at a time.
+#: Records an :class:`IngressReplay` converts to Python objects at a time.
 REPLAY_BATCH = 1024
 
 
@@ -172,71 +137,37 @@ def host_ingress(incoming: Sequence[str], outgoing: Sequence[str],
     return ing
 
 
-class ClusterPacketFactory(PacketFactory):
-    """A cluster host's packet factory in phase 2.
-
-    With its source running, a host would allocate a pid for every packet
-    the source emits, including those it sends across the fabric.
-    Phase 2 never re-creates those, so this factory advances its counter
-    (and ``created``) past them lazily, just before each allocation: to
-    a replayed record's floor (:meth:`catch_up`), or, for a replica, to
-    the host's envelopes sent strictly before now.  It never goes back.
-    """
-
-    __slots__ = ("_sim", "_sends", "_counted")
-
-    def __init__(self, sim, sends: np.ndarray) -> None:
-        super().__init__()
-        self._sim = sim
-        self._sends = sends  # the host's send times, ascending
-        self._counted = 0
-
-    def catch_up(self, floor: int) -> None:
-        gap = floor - self._counted
-        if gap > 0:
-            self._next_pid += gap
-            self.created += gap
-            self._counted = floor
-
-    def next_pid(self) -> int:
-        self.catch_up(int(np.searchsorted(self._sends, self._sim._now)))
-        return PacketFactory.next_pid(self)
-
-
-class IngressReplay:
+class IngressReplay(Replay):
     """A cluster host's phase-2 traffic source: its merged ingress.
 
     Built by :func:`host_ingress`, then :meth:`bind`-ed to the host.
-    ``rows`` (:data:`REPLAY_DTYPE`) holds the records as read, ``order``
-    lists them in replay order, and records become Python objects
-    :data:`REPLAY_BATCH` at a time, so no sorted copy is ever held; both
-    are let go once the replay ends.  ``flows`` holds each flow's
-    remapped ``(FiveTuple, flow_id)``.
+    ``rows`` (:data:`REPLAY_DTYPE`) holds the records as read and
+    ``order`` lists them in replay order; they are replayed as columns
+    :data:`REPLAY_BATCH` at a time (see :class:`~repro.net.traffic.Replay`,
+    every record of one timestamp back to back in replay order, so an
+    exact tie between a local emission and a fabric arrival follows the
+    canonical order), so no sorted copy is ever held, and both are let go
+    once the replay ends.  ``flows`` holds each flow's remapped
+    ``(FiveTuple, flow_id)``.  Packet ids are the ones the host would
+    allocate with its source running (pid floors over ``sends``).
 
-    Each record enters the NIC at exactly its time, through the same
-    pooled-packet, inlined-NIC path as a traffic source's ``_emit``.  One
-    event carries every record of one timestamp, back to back in replay
-    order, so an exact tie between a local emission and a fabric arrival
-    follows the canonical order.  ``stats.packets`` is what the host's
-    source generated in phase 1; ``local``, ``received`` and
-    ``fabric_dropped`` count its local rows and, per source host, the
-    envelopes that reached it or were lost on the way.
+    ``stats.packets`` is what the host's source generated in phase 1;
+    ``local``, ``received`` and ``fabric_dropped`` count its local rows
+    and, per source host, the envelopes that reached it or were lost on
+    the way.
     """
 
     __slots__ = ("host_id", "stats", "local", "received", "fabric_dropped",
-                 "sends", "rows", "order", "flows", "sim", "factory",
-                 "nic", "_lo", "_recs", "_i")
+                 "rows", "order")
 
     def __init__(self, host_id: int, offered: int) -> None:
+        super().__init__(None, None, None, [])
         self.host_id = host_id
         self.stats = SourceStats()
         self.stats.packets = offered
         self.local = 0
         self.received: Counter = Counter()
         self.fabric_dropped: Counter = Counter()
-        self.flows: List[Tuple[FiveTuple, int]] = []
-        self._lo = self._i = 0
-        self._recs: List[Tuple] = []
 
     def _take(self, raw: np.ndarray, out: np.ndarray) -> int:
         """Count one file's rows and write the ones to replay to the head
@@ -281,101 +212,19 @@ class IngressReplay:
         return len(out)
 
     def bind(self, sim, host) -> "IngressReplay":
-        """Make this the traffic source of a freshly built ``host``.  The
-        host's factory becomes a :class:`ClusterPacketFactory` (on the
-        same free list), so every pid it hands out is the one the host
-        would allocate with its source running."""
-        factory = ClusterPacketFactory(sim, self.sends)
-        factory.free = host.factory.free
-        host.factory = host.replicator.factory = self.factory = factory
-        self.sim, self.nic = sim, host.nic
+        """Make this the traffic source of a freshly built ``host``,
+        feeding ``host.nic``; the host's factory becomes a
+        :class:`~repro.net.traffic.ReplayFactory` on the same free
+        list."""
+        self.sim, self.sink = sim, host.nic.on_wire
+        self.adopt(host)
         return self
 
-    def start(self) -> None:
-        """Schedule the first record."""
-        if self._load():
-            self.sim.call_at(self._recs[0][0], self._tick)
-
-    def _load(self) -> int:
-        """Convert the next batch of records; returns its length."""
-        lo = self._lo
-        hi = self._lo = min(lo + REPLAY_BATCH, len(self.order))
-        batch = self.rows[self.order[lo:hi]]
-        self._recs = list(zip(*[batch[f].tolist()
-                                for f in REPLAY_DTYPE.names]))
-        self._i = 0
-        if hi == lo:  # done: let go of the stream
-            self.rows = self.order = None
-        return hi - lo
-
-    def _tick(self) -> None:
-        sim = self.sim
-        now = sim._now
-        factory = self.factory
-        free = factory.free
-        nic = self.nic
-        flows = self.flows
-        recs = self._recs
-        i = self._i
-        while True:
-            _, floor, flow, seq, size, priority, t_created = recs[i]
-            ft, flow_id = flows[flow]
-            if floor > factory._counted:
-                factory.catch_up(floor)
-            pid = factory._next_pid
-            factory._next_pid = pid + 1
-            factory.created += 1
-            if free:
-                # Pool hit: reset every field a fresh Packet would carry.
-                pkt = free.pop()
-                pkt.pid = pid
-                pkt.ftuple = ft
-                pkt.flow_id = flow_id
-                pkt.seq = seq
-                pkt.size = size
-                pkt.priority = priority
-                pkt.t_created = t_created
-                pkt.t_nic = _NAN
-                pkt.t_enq = _NAN
-                pkt.t_deq = _NAN
-                pkt.t_done = _NAN
-                pkt.path_id = -1
-                pkt.copy_of = -1
-                pkt.dropped = None
-                pkt.meta = None
-            else:
-                pkt = Packet(pid, ft, size, t_created, flow_id, seq,
-                             priority)
-            if now >= nic._fault_until:
-                # Inlined PhysicalNic.on_wire (no active drop burst); the
-                # faulted case falls back to the real method.
-                pkt.t_nic = now
-                ring = nic._ring
-                if len(ring) >= nic.ring_size:
-                    pkt.dropped = f"{nic.name}:ring-overflow"
-                    nic.dropped += 1
-                else:
-                    nic.received += 1
-                    ring.append(pkt)
-                    if not nic._busy:
-                        nic._busy = True
-                        sim._seq = s = sim._seq + 1
-                        sim._push((now + nic.rx_cost, _NORMAL_KEY | s,
-                                   nic._rx_done, ()))
-            else:
-                nic.on_wire(pkt)
-            i += 1
-            if i == len(recs):
-                if not self._load():
-                    return
-                recs = self._recs
-                i = 0
-            t = recs[i][0]
-            if t != now:
-                break
-        self._i = i
-        sim._seq = s = sim._seq + 1
-        sim._push((t, _NORMAL_KEY | s, self._tick, ()))
+    def _records(self):
+        for lo in range(0, len(self.order), REPLAY_BATCH):
+            batch = self.rows[self.order[lo:lo + REPLAY_BATCH]]
+            yield [batch[f].tolist() for f in REPLAY_DTYPE.names]
+        self.rows = self.order = None
 
 
 def _counts(hosts: np.ndarray) -> Counter:

@@ -58,8 +58,9 @@ class PhysicalNic:
         "rx_cost",
         "_ring",
         "_busy",
-        "received",
-        "dropped",
+        "_received",
+        "_dropped",
+        "_feed",
         "_fault_until",
         "_fault_prob",
         "_fault_rng",
@@ -86,8 +87,12 @@ class PhysicalNic:
         self.rx_cost = rx_cost
         self._ring: Deque[Packet] = deque()
         self._busy = False
-        self.received = 0
-        self.dropped = 0
+        self._received = 0
+        self._dropped = 0
+        #: The :class:`~repro.net.traffic.Replay` that owns this NIC, if
+        #: any: it computes the receive stage from its arrival columns,
+        #: and the counters below are read from it.
+        self._feed = None
         # Fault injection: while now < _fault_until, arrivals are dropped
         # with probability _fault_prob (see inject_drop_burst).
         self._fault_until = -1.0
@@ -129,15 +134,15 @@ class PhysicalNic:
             self._fault_prob >= 1.0 or self._fault_rng.random() < self._fault_prob
         ):
             packet.dropped = f"{self.name}:drop-burst"
-            self.dropped += 1
+            self._dropped += 1
             self.fault_dropped += 1
             return
         ring = self._ring
         if len(ring) >= self.ring_size:
             packet.dropped = f"{self.name}:ring-overflow"
-            self.dropped += 1
+            self._dropped += 1
             return
-        self.received += 1
+        self._received += 1
         ring.append(packet)
         if not self._busy:
             self._busy = True
@@ -162,6 +167,22 @@ class PhysicalNic:
         self.dispatch(pkt)
 
     @property
+    def received(self) -> int:
+        """Packets admitted to the rx ring so far."""
+        if self._feed is None:
+            return self._received
+        return self._received + self._feed.nic_counts()[0]
+
+    @property
+    def dropped(self) -> int:
+        """Arrivals dropped so far (ring overflow and drop bursts)."""
+        if self._feed is None:
+            return self._dropped
+        return self._dropped + self._feed.nic_counts()[1]
+
+    @property
     def ring_occupancy(self) -> int:
         """Packets currently in the rx ring."""
-        return len(self._ring)
+        if self._feed is None:
+            return len(self._ring)
+        return self._feed.nic_counts()[2]

@@ -216,3 +216,59 @@ class FabricSteering:
                     and self.rng.random() < cfg.loss_prob)
         self.by_spine[spine] += 1
         return spine, delay, lost
+
+    def transit_columns(self, src_host: int, flow_ids: np.ndarray,
+                        times: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Steer a column of packets in order: ``(spines, delays, lost)``
+        arrays holding, value for value and draw for draw, what
+        :meth:`transit` returns one packet at a time.
+
+        ECMP is vectorized: the spine is hashed once per flow, and the
+        jitter batches and loss draws keep their per-packet order on the
+        stream (a jitter refill comes before the loss draw of the packet
+        that needs it).  Flowlet steering calls :meth:`transit` per
+        packet.
+        """
+        cfg = self.config
+        if cfg.steering == "flowlet":
+            out = [self.transit(src_host, f, t)
+                   for f, t in zip(flow_ids.tolist(), times.tolist())]
+            spine, delay, lost = zip(*out) if out else ((), (), ())
+            return (np.array(spine, dtype=np.int64),
+                    np.array(delay, dtype=np.float64),
+                    np.array(lost, dtype=bool))
+        ecmp = self._ecmp
+        flows, inverse = np.unique(flow_ids, return_inverse=True)
+        spines = []
+        for f in flows.tolist():
+            spine = ecmp.get((src_host, f))
+            if spine is None:
+                spine = ecmp[(src_host, f)] = (_mix64(src_host, f)
+                                               % cfg.n_spines)
+            spines.append(spine)
+        spine = np.array(spines, dtype=np.int64)[inverse]
+        delay = cfg.base_latency + spine * cfg.spine_skew
+        n = len(spine)
+        lost = np.zeros(n, dtype=bool)
+        jitter = np.empty(n) if cfg.jitter_scale > 0 else None
+        pos = 0
+        while pos < n and (jitter is not None or cfg.loss_prob > 0.0):
+            m = n - pos
+            if jitter is not None:
+                if self._ji >= len(self._jitter):
+                    self._jitter = self.rng.lognormal(0.0, cfg.jitter_sigma,
+                                                      512)
+                    self._ji = 0
+                m = min(m, len(self._jitter) - self._ji)
+                jitter[pos:pos + m] = self._jitter[self._ji:self._ji + m]
+                self._ji += m
+            if cfg.loss_prob > 0.0:
+                lost[pos:pos + m] = self.rng.random(m) < cfg.loss_prob
+            pos += m
+        if jitter is not None:
+            delay = delay + cfg.jitter_scale * jitter
+        for s, c in enumerate(np.bincount(spine, minlength=cfg.n_spines)
+                              .tolist()):
+            self.by_spine[s] += c
+        return spine, delay, lost

@@ -1,18 +1,22 @@
-"""Arrival-process generators.
+"""Arrival-process generators and the replay tick that feeds them to a host.
 
-Every source is a self-rescheduling callback tick that emits packets into
-a *sink* callable (normally the data plane's ingress).  Random draws are
-**pre-sampled in numpy batches** (inter-arrival times, sizes, flow picks)
-rather than drawn one scalar at a time -- the vectorization idiom from the
-HPC guides -- so the per-packet Python work is a tuple index plus the event
-itself.
+Every open-loop source -- Poisson, CBR, on-off, incast, trace replay --
+is a generator of arrival *columns*: it draws its variates from its own
+stream in numpy batches (inter-arrival times, sizes, pseudo-flow picks),
+always in the same order, and yields ``(times, flows, sizes)`` chunks.
+The same columns feed a standalone host and a cluster's routing phase
+(:mod:`repro.cluster.engine`), which runs no simulator.
 
-Sources share infrastructure through :class:`_BaseSource`:
+:class:`Replay` is the one tick that turns columns into packets inside a
+simulation, for these sources and for a cluster host's merged ingress
+(:class:`~repro.dataplane.boundary.IngressReplay`).  By default it hands
+each record to its sink at its arrival time.  As its NIC's only producer
+(:meth:`Replay.own`) it computes the NIC's receive stage from the columns
+and gives each packet to the data plane at its NIC departure time: one
+event per arriving packet instead of two.
 
-* deterministic named RNG usage (callers pass a dedicated stream);
-* per-source emission statistics (:class:`SourceStats`);
-* pseudo-flow management so that hash/flowlet policies see realistic
-  flow structure even for packet-level (non `FlowSource`) traffic.
+:class:`FlowSource` paces each flow's packets and feeds the FCT tracker,
+so it keeps a per-packet tick of its own.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ _NORMAL_KEY = NORMAL << _SEQ_BITS
 #: Number of random variates pre-sampled per refill.
 BATCH = 4096
 
+#: Records a replay has handed over before it cuts them from its window.
+_TRIM = 4096
+
 
 class SourceStats:
     """Counters every source maintains."""
@@ -51,8 +58,331 @@ class SourceStats:
         return f"<SourceStats pkts={self.packets} bytes={self.bytes} flows={self.flows}>"
 
 
+def _arrival(rec) -> float:
+    return rec[1]
+
+
+class ReplayFactory(PacketFactory):
+    """A replayed host's packet factory: each pid is the one the host
+    would allocate with every packet created at its arrival.
+
+    Before any other allocation (a replica), an owning replay gives a pid
+    to every arrival up to now (:meth:`Replay._reserve`).  A cluster
+    host's fabric-bound emissions never reach it but took pids too:
+    ``sends`` holds their times, and the counter skips past them just
+    before each allocation -- to a record's floor (:meth:`catch_up`) or
+    to the sends strictly before now.  It never goes back.
+    """
+
+    __slots__ = ("_replay", "_sends", "_counted")
+
+    def __init__(self, replay: "Replay",
+                 sends: Optional[np.ndarray] = None) -> None:
+        super().__init__()
+        self._replay = replay
+        self._sends = sends
+        self._counted = 0
+
+    def catch_up(self, floor: int) -> None:
+        gap = floor - self._counted
+        if gap > 0:
+            self._next_pid += gap
+            self.created += gap
+            self._counted = floor
+
+    def next_pid(self) -> int:
+        now = self._replay.sim._now
+        if self._replay._nic is not None:
+            self._replay._reserve(now)
+        if self._sends is not None:
+            self.catch_up(int(np.searchsorted(self._sends, now)))
+        return PacketFactory.next_pid(self)
+
+
+class Replay:
+    """The one replay tick: arrival columns in, packets out.
+
+    Subclasses write :meth:`_records`, called once at :meth:`start`: an
+    iterator of column batches ``[time, floor, flow, seq, size, priority,
+    t_created]`` in arrival order, optionally with an eighth column, the
+    time each arrival was scheduled (else the previous arrival scheduled
+    it).  ``floor`` is the pid floor (:class:`ReplayFactory`; 0 for a
+    source) and ``flow`` indexes ``flows``, ``(FiveTuple, flow_id)``
+    pairs.  Batches become Python tuples one at a time.
+
+    By default each record goes to ``sink`` at its arrival time, all
+    records of one timestamp in one event.  After :meth:`own`, the
+    replay runs its host NIC's receive stage -- departure ``d =
+    max(arrival, previous d) + rx_cost``, an arrival finding
+    ``ring_size`` admitted packets not yet departed dropped -- and hands
+    each packet to the NIC's ``dispatch`` at ``d``, stamped ``t_nic`` at
+    arrival, with its ``nic_ring`` span when tracing.  The NIC reads its
+    counters from :meth:`nic_counts`.  An arrival counts in ``_stats``
+    once it has a pid.
+    """
+
+    __slots__ = ("sim", "factory", "sink", "flows", "sends", "_stats",
+                 "_feed", "_recs", "_i", "_k", "_loaded", "_nic", "_out",
+                 "_reserved", "_drop_t", "_drop_g", "_prev", "_pa", "_hp",
+                 "_hidle", "_late", "_counts")
+
+    def __init__(self, sim: Simulator, factory: Optional[PacketFactory],
+                 sink: Callable[[Packet], None], flows: list,
+                 sends: Optional[np.ndarray] = None) -> None:
+        self.sim = sim
+        self.factory = factory
+        self.sink = sink
+        self.flows = flows
+        self.sends = sends
+        self._stats = SourceStats()
+        self._feed = None
+        #: Loaded records ``(when, time, floor, flow, seq, size, priority,
+        #: t_created)``: ``when`` is the event time, ``None`` for a NIC
+        #: drop.
+        self._recs: list = []
+        self._i = self._k = 0  # next record to hand over / to take a pid
+        self._loaded = 0
+        self._nic = None
+        self._drop_t: list = []  # arrival times of NIC drops
+        self._drop_g: list = []  # and their record numbers
+
+    def _records(self):  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    def adopt(self, host) -> None:
+        """Make a :class:`ReplayFactory` on ``host``'s free list the
+        host's (and its replicator's) packet factory."""
+        factory = ReplayFactory(self, self.sends)
+        factory.free = host.factory.free
+        host.factory = host.replicator.factory = self.factory = factory
+
+    def own(self, host) -> None:
+        """Become ``host.nic``'s only producer; the caller guarantees
+        nothing else feeds it and no drop burst is armed on it."""
+        from collections import deque
+
+        if not isinstance(self.factory, ReplayFactory):
+            self.adopt(host)
+        self._nic = host.nic
+        host.nic._feed = self
+        self._out = deque()  # departures of admitted, undeparted arrivals
+        self._reserved = deque()  # pids of arrivals still in the NIC
+        # The latest arrival event's time and when it was scheduled; when
+        # the head departure was scheduled, and whether by an arrival.
+        self._prev = self._pa = self._hp = -float("inf")
+        self._hidle = True
+        self._late = set()  # arrival times a departure there preceded
+
+    def start(self) -> None:
+        """Schedule the first record."""
+        self._feed = self._records()
+        if self._nic is None:
+            self.sim.call_in(0.0, self._wake)
+        elif self._load():
+            self.sim.call_at(self._recs[0][0], self._tick)
+
+    def nic_counts(self):
+        """``(received, dropped, ring occupancy)`` of the owned NIC now:
+        every arrival at or before now has reached it."""
+        from bisect import bisect_left, bisect_right
+
+        now, recs = self.sim._now, self._recs
+        while (not recs or recs[-1][1] <= now) and self._load():
+            pass
+        base = self._loaded - len(recs)
+        dropped = bisect_right(self._drop_t, now)
+        received = base + bisect_right(recs, now, key=_arrival) - dropped
+        gone = base + self._i
+        return received, dropped, received - gone + bisect_left(
+            self._drop_g, gone)
+
+    # ------------------------------------------------------------------
+    def _load(self) -> int:
+        """Append the next non-empty batch to the window; its length, or
+        0 once the columns are done (and let go of)."""
+        while self._feed is not None:
+            cols = next(self._feed, None)
+            if cols is None:
+                self._feed = None
+            elif cols[0]:
+                times = cols[0]
+                when = times if self._nic is None else self._nic_stage(
+                    times, cols[7] if len(cols) > 7 else None)
+                self._recs.extend(zip(when, *cols[:7]))
+                self._loaded += len(times)
+                return len(times)
+        return 0
+
+    def _nic_stage(self, times: list, sched: Optional[list]) -> list:
+        """Each arrival's NIC departure time, or ``None`` if dropped,
+        with arrival and departure events merged as ``on_wire`` and
+        ``_rx_done`` would see them.  A departure is scheduled by the
+        arrival that finds the NIC idle, or else by the departure before
+        it; an exact tie goes to the event scheduled first (at one
+        instant: the departure, unless the departure that scheduled it
+        came after that instant's arrivals)."""
+        out = self._out
+        popleft, push = out.popleft, out.append
+        ring, cost = self._nic.ring_size, self._nic.rx_cost
+        prev, pa, hp, hidle = self._prev, self._pa, self._hp, self._hidle
+        late = self._late
+        g = self._loaded
+        deps = []
+        keep = deps.append
+        for j, a in enumerate(times):
+            if a != prev:
+                pa, prev = prev, a
+                # Departures due first free their slots (the busy test),
+                # each scheduling the next one.
+                while out and a >= out[0]:
+                    if a == out[0]:
+                        at = pa if sched is None else sched[j]
+                        if hp > at or (hp == at and not hidle
+                                       and at not in late):
+                            break
+                        late.add(a)
+                    hp, hidle = popleft(), False
+            if len(out) >= ring:
+                keep(None)
+                self._drop_t.append(a)
+                self._drop_g.append(g)
+            else:
+                if out:
+                    d = out[-1] + cost
+                else:
+                    d = a + cost
+                    hp, hidle = a, True
+                push(d)
+                keep(d)
+            g += 1
+        self._prev, self._pa, self._hp, self._hidle = prev, pa, hp, hidle
+        return deps
+
+    def _reserve(self, now: float) -> None:
+        """Give a pid to every arrival up to ``now`` that has none: those
+        at ``now`` too, unless a departure at ``now`` came first."""
+        recs, k = self._recs, self._k
+        while k < len(recs) or self._load():
+            t = recs[k][1]
+            if t > now or (t == now and t in self._late):
+                break
+            k += 1
+        self._assign(k)
+
+    def _assign(self, end: int) -> None:
+        """Give pids to the records up to ``end``, in arrival order; an
+        admitted one keeps its pid until it leaves the NIC."""
+        factory, stats = self.factory, self._stats
+        for rec in self._recs[self._k:end]:
+            if rec[2] > factory._counted:
+                factory.catch_up(rec[2])
+            pid = factory._next_pid
+            factory._next_pid = pid + 1
+            factory.created += 1
+            stats.packets += 1
+            stats.bytes += rec[5]
+            if rec[0] is not None:
+                self._reserved.append(pid)
+        self._k = max(self._k, end)
+
+    def _wake(self) -> None:
+        """First event of a replay that does not own its NIC."""
+        if self._load():
+            if self._recs[0][0] == self.sim._now:
+                self._tick()
+            else:
+                self.sim.call_at(self._recs[0][0], self._tick)
+
+    def _tick(self) -> None:
+        sim = self.sim
+        now = sim._now
+        factory = self.factory
+        free = factory.free
+        flows = self.flows
+        nic = self._nic
+        recs = self._recs
+        i = self._i
+        while True:
+            _, t, floor, flow, seq, size, priority, t_created = recs[i]
+            if self._k == i:
+                if floor and floor > factory._counted:
+                    factory.catch_up(floor)
+                pid = factory._next_pid
+                factory._next_pid = pid + 1
+                factory.created += 1
+                stats = self._stats
+                stats.packets += 1
+                stats.bytes += size
+                self._k = i + 1
+            else:
+                if self._k < i:  # NIC drops before it still need pids
+                    self._assign(i + 1)
+                pid = self._reserved.popleft()
+            ft, flow_id = flows[flow]
+            if free:
+                # Pool hit: reset every field a fresh Packet would carry.
+                pkt = free.pop()
+                pkt.pid = pid
+                pkt.ftuple = ft
+                pkt.flow_id = flow_id
+                pkt.seq = seq
+                pkt.size = size
+                pkt.priority = priority
+                pkt.t_created = t_created
+                pkt.t_nic = _NAN
+                pkt.t_enq = _NAN
+                pkt.t_deq = _NAN
+                pkt.t_done = _NAN
+                pkt.path_id = -1
+                pkt.copy_of = -1
+                pkt.dropped = None
+                pkt.meta = None
+            else:
+                pkt = Packet(pid, ft, size, t_created, flow_id, seq, priority)
+            # The next record with an event (a NIC drop has none).
+            i += 1
+            while True:
+                if i == len(recs) and not self._load():
+                    when = None
+                    break
+                when = recs[i][0]
+                if when is not None:
+                    break
+                i += 1
+            self._i = i
+            if nic is not None:
+                # Leaving the NIC: the next departure is sequenced before
+                # anything the data plane schedules, as ``_rx_done`` does.
+                pkt.t_nic = t
+                if when is not None:
+                    sim._seq = s = sim._seq + 1
+                    sim._push((when, _NORMAL_KEY | s, self._tick, ()))
+                if nic.tracer.enabled:
+                    nic.tracer.record(now, "nic_ring", pid, now - t)
+                nic.dispatch(pkt)
+                break
+            self.sink(pkt)
+            if when != now:
+                if when is not None:
+                    sim._seq = s = sim._seq + 1
+                    sim._push((when, _NORMAL_KEY | s, self._tick, ()))
+                break
+        if self._i >= _TRIM:
+            cut = min(self._i, self._k)
+            del recs[:cut]
+            self._i -= cut
+            self._k -= cut
+
+
+def _leading(stop: np.ndarray) -> int:
+    """How many arrivals go out before the first one ``stop`` marks."""
+    over = np.flatnonzero(stop)
+    return int(over[0]) if len(over) else len(stop)
+
+
 class _BaseSource:
-    """Common machinery: pseudo-flows, sequence numbers, emission.
+    """Common machinery: pseudo-flows, sequence numbers, statistics.
 
     Parameters
     ----------
@@ -97,8 +427,7 @@ class _BaseSource:
         self.src = src
         self.dst = dst
         self.priority = priority
-        self.stats = SourceStats()
-        self._seq = [0] * n_flows
+        self._stats = SourceStats()
         self._tuples = [
             FiveTuple(src, dst, 1024 + i, 80) for i in range(n_flows)
         ]
@@ -108,123 +437,86 @@ class _BaseSource:
             self._flow_probs: Optional[np.ndarray] = w / w.sum()
         else:
             self._flow_probs = None
-        # Batched flow picks as a plain Python list (converted once per
-        # refill) so per-packet indexing yields Python ints.
-        self._flow_picks: list = []
-        self._flow_pick_i = 0
-        # Resolve the sink back to a PhysicalNic when possible so _emit
-        # can run the inlined rx fast path (one call fewer per packet).
-        from repro.dataplane.nic import PhysicalNic  # local: import cycle
 
-        if isinstance(sink, PhysicalNic):
-            self._nic = sink
-        elif getattr(sink, "__func__", None) is PhysicalNic.on_wire:
-            self._nic = sink.__self__
-        else:
-            self._nic = None
+    @property
+    def stats(self) -> SourceStats:
+        """Emission counters."""
+        return self._stats
 
-    # ------------------------------------------------------------------
-    def start(self):  # pragma: no cover - abstract
-        """Begin emitting: schedule the source's first tick."""
+
+class _ColumnSource(_BaseSource, Replay):
+    """An open-loop source: a generator of arrival columns (subclasses
+    write :meth:`_columns`) and its own replay.
+
+    Pseudo-flows are drawn :data:`BATCH` at a time, exactly when a packet
+    needs one; a flow's ``seq`` counts its packets.
+    """
+
+    def __init__(self, *args, **kw) -> None:
+        _BaseSource.__init__(self, *args, **kw)
+        Replay.__init__(self, self.sim, self.factory, self.sink,
+                        [(ft, self.flow_id_base + i)
+                         for i, ft in enumerate(self._tuples)])
+        self._picks = np.empty(0, dtype=np.int64)
+        self._seqs = np.zeros(self.n_flows, dtype=np.int64)
+
+    start = Replay.start
+
+    @property
+    def stats(self) -> SourceStats:
+        """Emission counters, as of the current time."""
+        if self._nic is not None:  # count the arrivals still in the NIC
+            self._reserve(self.sim._now)
+        return self._stats
+
+    def chunks(self, t0: float):
+        """``(times, flows, seqs, sizes, sched)`` numpy chunks of the
+        emissions of a source started at ``t0``, in order; ``sizes`` may
+        be one int, and ``sched`` is when each arrival was scheduled, or
+        ``None``: by the one before."""
+        for times, flows, sizes, *sched in self._columns(t0):
+            if len(times):
+                yield (times, flows, self._seq_column(flows), sizes,
+                       sched[0] if sched else None)
+
+    def _columns(self, t0: float):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    def _refill_flow_picks(self) -> list:
-        """Draw the next batch of pseudo-flow picks (same draws as ever)."""
-        if self._flow_probs is None:
-            picks = self.rng.integers(0, self.n_flows, BATCH).tolist()
-        else:
-            picks = self.rng.choice(
-                self.n_flows, size=BATCH, p=self._flow_probs
-            ).tolist()
-        self._flow_picks = picks
-        self._flow_pick_i = 0
-        return picks
+    def _records(self):
+        from itertools import repeat
 
-    def _next_flow_index(self) -> int:
-        """Pick the pseudo-flow for the next packet (batch-sampled)."""
-        i = self._flow_pick_i
-        picks = self._flow_picks
-        if i >= len(picks):
-            picks = self._refill_flow_picks()
-            i = 0
-        self._flow_pick_i = i + 1
-        return picks[i]
+        zero, priority = repeat(0), repeat(self.priority)
+        for times, flows, seqs, sizes, sched in self.chunks(self.sim.now):
+            t = times.tolist()
+            size = (sizes.tolist() if isinstance(sizes, np.ndarray)
+                    else repeat(sizes))
+            cols = [t, zero, flows.tolist(), seqs.tolist(), size, priority, t]
+            yield cols if sched is None else cols + [sched.tolist()]
 
-    def _emit(self, size: int, flow_index: Optional[int] = None) -> Packet:
-        """Create one packet on a pseudo-flow and hand it to the sink."""
-        fi = flow_index
-        if fi is None:
-            i = self._flow_pick_i
-            picks = self._flow_picks
-            if i >= len(picks):
-                picks = self._refill_flow_picks()
-                i = 0
-            self._flow_pick_i = i + 1
-            fi = picks[i]
-        factory = self.factory
-        pid = factory._next_pid
-        factory._next_pid = pid + 1
-        factory.created += 1
-        seqs = self._seq
-        free = factory.free
-        if free:
-            # Pool hit: reset every field a fresh Packet would carry.
-            pkt = free.pop()
-            pkt.pid = pid
-            pkt.ftuple = self._tuples[fi]
-            pkt.flow_id = self.flow_id_base + fi
-            pkt.seq = seqs[fi]
-            pkt.size = size
-            pkt.priority = self.priority
-            pkt.t_created = self.sim._now
-            pkt.t_nic = _NAN
-            pkt.t_enq = _NAN
-            pkt.t_deq = _NAN
-            pkt.t_done = _NAN
-            pkt.path_id = -1
-            pkt.copy_of = -1
-            pkt.dropped = None
-            pkt.meta = None
-        else:
-            pkt = Packet(
-                pid,
-                self._tuples[fi],
-                size,
-                self.sim._now,
-                self.flow_id_base + fi,
-                seqs[fi],
-                self.priority,
-            )
-        seqs[fi] += 1
-        stats = self.stats
-        stats.packets += 1
-        stats.bytes += size
-        nic = self._nic
-        if nic is not None and self.sim._now >= nic._fault_until:
-            # Inlined PhysicalNic.on_wire (no active drop burst); the
-            # slow/faulted case falls back to the real method.
-            sim = self.sim
-            now = sim._now
-            pkt.t_nic = now
-            ring = nic._ring
-            if len(ring) >= nic.ring_size:
-                pkt.dropped = f"{nic.name}:ring-overflow"
-                nic.dropped += 1
+    def _flow_column(self, n: int) -> np.ndarray:
+        """The pseudo-flows of the next ``n`` packets."""
+        picks = self._picks
+        while len(picks) < n:
+            if self._flow_probs is None:
+                batch = self.rng.integers(0, self.n_flows, BATCH)
             else:
-                nic.received += 1
-                ring.append(pkt)
-                if not nic._busy:
-                    nic._busy = True
-                    sim._seq = seq = sim._seq + 1
-                    sim._push((now + nic.rx_cost, _NORMAL_KEY | seq,
-                               nic._rx_done, ()))
-        else:
-            self.sink(pkt)
-        return pkt
+                batch = self.rng.choice(self.n_flows, size=BATCH,
+                                        p=self._flow_probs)
+            picks = np.concatenate((picks, batch))
+        self._picks = picks[n:]
+        return picks[:n]
+
+    def _seq_column(self, flows: np.ndarray) -> np.ndarray:
+        """Per-flow sequence numbers of a chunk of packets."""
+        order = np.argsort(flows, kind="stable")
+        f = flows[order]
+        seqs = np.empty(len(f), dtype=np.int64)
+        seqs[order] = self._seqs[f] + np.arange(len(f)) - np.searchsorted(f, f)
+        self._seqs += np.bincount(flows, minlength=self.n_flows)
+        return seqs
 
 
-class CBRSource(_BaseSource):
+class CBRSource(_ColumnSource):
     """Constant-bit-rate source: fixed inter-arrival, fixed size."""
 
     def __init__(
@@ -242,24 +534,23 @@ class CBRSource(_BaseSource):
         self.iat = pps_to_iat_us(rate_pps)
         self.size = int(size)
         self.duration = duration
-        self._t0 = 0.0
 
-    def start(self):
-        self._t0 = self.sim.now
-        self.sim.call_in(0.0, self._tick)
-        return None
-
-    def _tick(self) -> None:
-        sim = self.sim
-        if sim._now - self._t0 >= self.duration:
-            return
-        self._emit(self.size)
-        sim._seq = seq = sim._seq + 1
-        sim._push((sim._now + self.iat, _NORMAL_KEY | seq, self._tick, ()))
+    def _columns(self, t0: float):
+        t = t0
+        while not t - t0 >= self.duration:
+            times = np.cumsum(np.concatenate(([t], np.full(BATCH, self.iat))))
+            n = _leading(times[:-1] - t0 >= self.duration)
+            yield times[:n], self._flow_column(n), self.size
+            if n < BATCH:
+                return
+            t = float(times[-1])
 
 
-class PoissonSource(_BaseSource):
+class PoissonSource(_ColumnSource):
     """Poisson arrivals at ``rate_pps`` with fixed or sampled sizes.
+
+    Every :data:`BATCH` packets it draws the inter-arrival batch, then
+    the size batch (with a sampler), then the flow-pick batch.
 
     Parameters
     ----------
@@ -285,42 +576,34 @@ class PoissonSource(_BaseSource):
         self.size = int(size)
         self.size_sampler = size_sampler
         self.duration = duration
-        self._t0 = 0.0
-        # Batched draws converted to Python scalars once per refill, so
-        # the per-packet path never touches a numpy scalar.
-        self._iats: list = []
-        self._sizes: list = []
-        self._i = 0
 
-    def start(self):
-        self._t0 = self.sim.now
-        self.sim.call_in(0.0, self._tick)
-        return None
-
-    def _tick(self) -> None:
-        sim = self.sim
-        if sim._now - self._t0 >= self.duration:
-            return
-        i = self._i
-        if i >= len(self._iats):
-            self._iats = self.rng.exponential(self.mean_iat, BATCH).tolist()
-            if self.size_sampler is not None:
-                self._sizes = np.asarray(self.size_sampler(self.rng, BATCH)).tolist()
-            i = 0
-        size = self._sizes[i] if self.size_sampler is not None else self.size
-        self._emit(size)
-        self._i = i + 1
-        sim._seq = seq = sim._seq + 1
-        sim._push((sim._now + self._iats[i], _NORMAL_KEY | seq, self._tick, ()))
+    def _columns(self, t0: float):
+        rng, t, sampler = self.rng, t0, self.size_sampler
+        while not t - t0 >= self.duration:
+            times = np.cumsum(np.concatenate(
+                ([t], rng.exponential(self.mean_iat, BATCH))))
+            sizes = self.size if sampler is None else np.asarray(
+                sampler(rng, BATCH))
+            n = _leading(times[:-1] - t0 >= self.duration)
+            yield times[:n], self._flow_column(n), (
+                sizes if sampler is None else sizes[:n])
+            if n < BATCH:
+                return
+            t = float(times[-1])
 
 
-class OnOffSource(_BaseSource):
+class OnOffSource(_ColumnSource):
     """Markov-modulated ON/OFF bursty source.
 
     During an ON period (exponential, mean ``mean_on``) packets are emitted
     at ``peak_rate_pps`` with exponential spacing; OFF periods (mean
     ``mean_off``) are silent.  Average rate is
     ``peak * mean_on / (mean_on + mean_off)``.
+
+    Each period draws its length, then a fresh inter-arrival batch (the
+    rest of the last one is discarded), refilled mid period when it runs
+    out; its first arrival at or past the period's end closes it, and the
+    OFF draw follows.
     """
 
     def __init__(
@@ -344,10 +627,6 @@ class OnOffSource(_BaseSource):
         self.mean_off = mean_off
         self.size = int(size)
         self.duration = duration
-        self._t0 = 0.0
-        self._on_end = 0.0
-        self._iats: list = []
-        self._i = 0
 
     @property
     def mean_rate_pps(self) -> float:
@@ -355,47 +634,34 @@ class OnOffSource(_BaseSource):
         duty = self.mean_on / (self.mean_on + self.mean_off)
         return duty * US_PER_S / self.peak_iat
 
-    def start(self):
-        self._t0 = self.sim.now
-        self.sim.call_in(0.0, self._begin_cycle)
-        return None
-
-    def _begin_cycle(self) -> None:
-        sim = self.sim
-        if sim.now - self._t0 >= self.duration:
-            return
-        on_len = float(self.rng.exponential(self.mean_on))
-        self._on_end = sim.now + on_len
-        # Emit with exponential spacing at peak rate until ON ends.
-        self._iats = self.rng.exponential(self.peak_iat, BATCH).tolist()
-        self._i = 0
-        self._tick_on()
-
-    def _tick_on(self) -> None:
-        sim = self.sim
-        if sim._now < self._on_end:
-            self._emit(self.size)
-            i = self._i
-            if i >= len(self._iats):
-                self._iats = self.rng.exponential(self.peak_iat, BATCH).tolist()
-                i = 0
-            self._i = i + 1
-            sim._seq = seq = sim._seq + 1
-            sim._push((sim._now + self._iats[i], _NORMAL_KEY | seq,
-                       self._tick_on, ()))
-            return
-        if self.mean_off > 0:
-            sim.call_in(float(self.rng.exponential(self.mean_off)), self._begin_cycle)
-        else:
-            self._begin_cycle()
+    def _columns(self, t0: float):
+        rng, t = self.rng, t0
+        while not t - t0 >= self.duration:
+            on_end = t + float(rng.exponential(self.mean_on))
+            times = np.cumsum(np.concatenate(
+                ([t], rng.exponential(self.peak_iat, BATCH))))
+            first = 0  # a later batch starts at an arrival already out
+            while True:
+                n = _leading(times[first:] >= on_end)
+                yield times[first:first + n], self._flow_column(n), self.size
+                if first + n < len(times):
+                    t = float(times[first + n])
+                    break
+                times = np.cumsum(np.concatenate(
+                    ([times[-1]], rng.exponential(self.peak_iat, BATCH))))
+                first = 1
+            if self.mean_off > 0:
+                t += float(rng.exponential(self.mean_off))
 
 
-class IncastSource(_BaseSource):
+class IncastSource(_ColumnSource):
     """Synchronized fan-in bursts (partition/aggregate pattern).
 
     Every ``epoch`` µs, ``fan_in`` workers each deliver a ``burst_pkts``
     packet response nearly simultaneously (small per-packet spacing models
-    NIC serialization at the senders).
+    NIC serialization at the senders): worker ``w`` draws a skew and sends
+    packet ``k`` at ``epoch start + (skew + k * spacing)``.  Each epoch
+    schedules all its emissions; they go out in (time, scheduling order).
     """
 
     def __init__(
@@ -422,28 +688,61 @@ class IncastSource(_BaseSource):
         self.size = int(size)
         self.jitter = jitter
         self.duration = duration
-        self._t0 = 0.0
 
     def start(self):
-        self._t0 = self.sim.now
-        self.sim.call_in(0.0, self._tick)
+        if self._nic is not None:
+            return Replay.start(self)
+        # No NIC stage to compute: each epoch schedules its emissions.
+        self._feed = self._epochs(self.sim.now)
+        self._counts = [0] * self.n_flows
+        self.sim.call_in(0.0, self._schedule, next(self._feed, None))
         return None
 
-    def _tick(self) -> None:
-        sim = self.sim
-        if sim.now - self._t0 >= self.duration:
+    def _schedule(self, epoch) -> None:
+        if epoch is None:
             return
-        # Each worker's burst starts with a small random skew.
-        skews = self.rng.uniform(0.0, self.jitter, self.fan_in)
-        for w in range(self.fan_in):
-            for k in range(self.burst_pkts):
-                sim.call_in(
-                    float(skews[w]) + k * self.spacing,
-                    self._emit,
-                    self.size,
-                    w % self.n_flows,
-                )
-        sim.call_in(self.epoch, self._tick)
+        for t, flow in zip(epoch[1].tolist(), epoch[2].tolist()):
+            self.sim.call_at(t, self._emit, flow)
+        epoch = next(self._feed, None)
+        if epoch is not None:
+            self.sim.call_at(epoch[0], self._schedule, epoch)
+
+    def _emit(self, flow: int) -> None:
+        seq = self._counts[flow]
+        self._counts[flow] = seq + 1
+        self._stats.packets += 1
+        self._stats.bytes += self.size
+        ft, flow_id = self.flows[flow]
+        self.sink(self.factory.make(ft, self.size, self.sim._now, flow_id,
+                                    seq, self.priority))
+
+    def _epochs(self, t0: float):
+        """Each epoch's start, then its emission times and pseudo-flows in
+        the order it schedules them (worker by worker)."""
+        offsets = np.arange(self.burst_pkts) * self.spacing
+        workers = np.repeat(np.arange(self.fan_in) % self.n_flows,
+                            self.burst_pkts)
+        t = t0
+        while not t - t0 >= self.duration:
+            skews = self.rng.uniform(0.0, self.jitter, self.fan_in)
+            yield t, t + (skews[:, None] + offsets).ravel(), workers
+            t += self.epoch
+
+    def _columns(self, t0: float):
+        times, flows = np.empty(0), np.empty(0, dtype=np.int64)
+        ticks = np.empty(0)  # when each pending emission was scheduled
+        for t, new, workers in self._epochs(t0):
+            times = np.concatenate((times, new))
+            flows = np.concatenate((flows, workers))
+            ticks = np.concatenate((ticks, np.full(len(new), t)))
+            order = np.argsort(times, kind="stable")
+            times, flows, ticks = times[order], flows[order], ticks[order]
+            # Later epochs send at or after the next one starts, and after
+            # everything already scheduled for that instant.
+            n = int(np.searchsorted(times, t + self.epoch, side="right"))
+            yield times[:n], flows[:n], self.size, ticks[:n]
+            times, flows, ticks = times[n:], flows[n:], ticks[n:]
+        yield times, flows, self.size, ticks
 
 
 class FlowSource(_BaseSource):
@@ -480,6 +779,16 @@ class FlowSource(_BaseSource):
         self._iats: list = []
         self._sizes: list = []
         self._i = 0
+        # Resolve the sink back to a PhysicalNic when possible so packets
+        # take the inlined rx fast path (one call fewer per packet).
+        from repro.dataplane.nic import PhysicalNic  # local: import cycle
+
+        if isinstance(sink, PhysicalNic):
+            self._nic = sink
+        elif getattr(sink, "__func__", None) is PhysicalNic.on_wire:
+            self._nic = sink.__self__
+        else:
+            self._nic = None
 
     def start(self):
         self._t0 = self.sim.now
@@ -515,7 +824,7 @@ class FlowSource(_BaseSource):
             flow = Flow(flow_id, ftuple, self.max_flow_pkts * MTU, self.sim.now)
         if self.tracker is not None:
             self.tracker.register(flow)
-        self.stats.flows += 1
+        self._stats.flows += 1
         offset = 0.0
         for seq, psize in enumerate(flow.packet_sizes()):
             self.sim.call_in(offset, self._emit_flow_packet, flow, seq, psize)
@@ -550,21 +859,22 @@ class FlowSource(_BaseSource):
                 pid, flow.ftuple, size, self.sim._now, flow.flow_id, seq,
                 self.priority
             )
-        stats = self.stats
+        stats = self._stats
         stats.packets += 1
         stats.bytes += size
         nic = self._nic
         if nic is not None and self.sim._now >= nic._fault_until:
-            # Inlined PhysicalNic.on_wire (see _emit).
+            # Inlined PhysicalNic.on_wire (no active drop burst); the
+            # faulted case falls back to the real method.
             sim = self.sim
             now = sim._now
             pkt.t_nic = now
             ring = nic._ring
             if len(ring) >= nic.ring_size:
                 pkt.dropped = f"{nic.name}:ring-overflow"
-                nic.dropped += 1
+                nic._dropped += 1
             else:
-                nic.received += 1
+                nic._received += 1
                 ring.append(pkt)
                 if not nic._busy:
                     nic._busy = True
@@ -575,12 +885,12 @@ class FlowSource(_BaseSource):
             self.sink(pkt)
 
 
-class TraceReplaySource(_BaseSource):
+class TraceReplaySource(_ColumnSource):
     """Replay explicit ``(time, size)`` arrays (times relative to start).
 
-    Times must be finite, non-negative and non-decreasing.  The tick
-    emits every packet due now and schedules itself once per positive
-    gap, so packets sharing a timestamp go out back to back.
+    Times must be finite, non-negative and non-decreasing.  Packets
+    sharing a timestamp go out back to back in one event; each positive
+    gap is added to the previous packet's time.
     """
 
     def __init__(
@@ -606,23 +916,11 @@ class TraceReplaySource(_BaseSource):
             raise ValueError("trace times must be non-decreasing")
         self.times = times
         self.sizes = sizes
-        self._next = 0
-        self._prev = 0.0
 
-    def start(self):
-        self.sim.call_in(0.0, self._tick)
-        return None
-
-    def _tick(self) -> None:
-        times = self.times
-        i = self._next
-        while i < len(times):
-            t = float(times[i])
-            if t > self._prev:
-                # Sleep through the gap; packet i goes out on wake-up.
-                self.sim.call_in(t - self._prev, self._tick)
-                self._prev = t
-                break
-            self._emit(int(self.sizes[i]))
-            i += 1
-        self._next = i
+    def _columns(self, t0: float):
+        gaps = np.diff(self.times, prepend=0.0)
+        for lo in range(0, len(gaps), BATCH):
+            times = np.cumsum(np.concatenate(([t0], gaps[lo:lo + BATCH])))
+            t0 = float(times[-1])
+            yield (times[1:], self._flow_column(len(times) - 1),
+                   self.sizes[lo:lo + BATCH])

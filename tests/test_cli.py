@@ -47,9 +47,17 @@ class TestCommands:
         assert "F1" in out and "contended core" in out
 
     def test_demo(self, capsys):
-        assert main(["demo", "--duration", "10"]) == 0
+        assert main(["demo", "--duration", "30"]) == 0
         out = capsys.readouterr().out
-        assert "single-path" in out and "adaptive k=4" in out
+        for label in ("single-path", "adaptive k=4"):
+            (row,) = [line.strip() for line in out.splitlines()
+                      if line.strip().startswith(label)]
+            p50, p99, p999 = map(float, row[len(label):].split())
+            assert p50 < p99 <= p999, row
+
+    def test_demo_duration_within_warmup_exits_2(self, capsys):
+        assert main(["demo", "--duration", "10"]) == 2
+        assert "must be shorter than duration" in capsys.readouterr().err
 
     def test_faults_inline(self, capsys):
         assert main(["faults", "--duration", "15", "--timeline"]) == 0

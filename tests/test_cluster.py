@@ -183,6 +183,34 @@ class TestFabricSteering:
                 assert st.transit(src, flow, 0.0)[0] == want  # computes
                 assert st.transit(src, flow, 1.0)[0] == want  # memoized
 
+    @pytest.mark.parametrize("steering,jitter,loss", [
+        ("ecmp", 0.0, 0.0), ("ecmp", 2.0, 0.0), ("ecmp", 0.0, 0.05),
+        ("ecmp", 2.0, 0.05), ("flowlet", 2.0, 0.05)])
+    def test_columns_match_per_packet_transit(self, steering, jitter, loss):
+        """The columnar steering phase 1 uses gives, value for value and
+        draw for draw, what per-packet ``transit`` gives, across several
+        512-draw jitter batches."""
+        import numpy as np
+
+        cfg = FabricConfig(n_spines=4, spine_skew=3.0, jitter_scale=jitter,
+                           loss_prob=loss, steering=steering,
+                           flowlet_gap=2.0)
+        gen = np.random.default_rng(5)
+        flows = gen.integers(0, 40, 3_000)
+        times = np.cumsum(gen.exponential(0.5, 3_000))
+        one = FabricSteering(cfg, rng=np.random.default_rng(9))
+        want = [one.transit(2, f, t)
+                for f, t in zip(flows.tolist(), times.tolist())]
+        cols = FabricSteering(cfg, rng=np.random.default_rng(9))
+        got = []
+        for lo in range(0, 3_000, 700):  # chunks off the batch grid
+            spine, delay, lost = cols.transit_columns(
+                2, flows[lo:lo + 700], times[lo:lo + 700])
+            got.extend(zip(spine.tolist(), delay.tolist(), lost.tolist()))
+        assert got == want
+        assert cols.by_spine == one.by_spine
+        assert cols.rng.random() == one.rng.random()
+
     def test_delay_never_below_lookahead(self):
         import numpy as np
 
@@ -422,13 +450,13 @@ class TestPhaseOneChecks:
         from repro.cluster import engine
         from repro.sim import SimulationError
 
-        transit = FabricSteering.transit
+        transit = FabricSteering.transit_columns
 
-        def too_fast(self, src_host, flow_id, now):
-            spine, delay, lost = transit(self, src_host, flow_id, now)
+        def too_fast(self, src_host, flow_ids, times):
+            spine, delay, lost = transit(self, src_host, flow_ids, times)
             return spine, delay * 0.5, lost
 
-        monkeypatch.setattr(FabricSteering, "transit", too_fast)
+        monkeypatch.setattr(FabricSteering, "transit_columns", too_fast)
         cc = small_cluster(2, seed=3)
         with pytest.raises(SimulationError,
                            match=r"envelope 0 from host 0 to host 1 "

@@ -1,13 +1,20 @@
-"""The inlined NIC receive paths against ``PhysicalNic.on_wire``.
+"""The inlined NIC receive paths against ``PhysicalNic``'s methods.
 
-Three emitters copy ``on_wire``'s no-drop-burst branch inline to save a
-call per packet: ``_BaseSource._emit``, ``FlowSource._emit_flow_packet``
-and the cluster's ``IngressReplay._tick``.  Each is driven here through
-ring overflow, busy and idle NIC periods and two drop-burst windows
-(one certain, one probabilistic), against a reference run of the same
-packets through the real method.  Both runs must agree on every packet
-field, every NIC counter, the order and time of every dispatch and the
-simulator's sequence and event counts.
+``FlowSource._emit_flow_packet`` copies ``on_wire``'s no-drop-burst
+branch inline to save a call per packet; it is driven here through ring
+overflow, busy and idle NIC periods and two drop-burst windows (one
+certain, one probabilistic), against a reference run of the same packets
+through the real method.  Both runs must agree on every packet field,
+every NIC counter, the order and time of every dispatch and the
+simulator's sequence and event counts.  The cluster's ingress replay,
+which hands its records to ``on_wire`` when a drop burst is armed, is
+held to the same reference.
+
+A replay that owns its NIC (:meth:`repro.net.traffic.Replay.own`)
+computes the NIC's receive stage from its arrival columns instead of
+running ``on_wire`` and ``_rx_done``; :class:`TestOwnedNic` drives the
+same arrivals through both and compares departure times, ring drops, the
+NIC counters as sampled during the run, and the ``nic_ring`` spans.
 """
 
 from types import SimpleNamespace
@@ -18,9 +25,10 @@ import pytest
 from repro.dataplane.boundary import ENVELOPE_DTYPE, host_ingress
 from repro.dataplane.nic import PhysicalNic
 from repro.net.packet import FiveTuple, Packet, PacketFactory
-from repro.net.traffic import FlowSource, OnOffSource
+from repro.core.mpdp import MpdpConfig, MultipathDataPlane
+from repro.net.traffic import FlowSource, IncastSource, Replay
 from repro.net.workloads import EmpiricalCDF
-from repro.sim import Simulator
+from repro.sim import LOW, RngRegistry, Simulator
 
 HORIZON = 600.0
 
@@ -75,12 +83,6 @@ def _run_source(make, inline, pooled):
     return _outcome(sim, nic, dispatched, used)
 
 
-def _onoff(sim, factory, sink):
-    return OnOffSource(sim, factory, sink, np.random.default_rng(1),
-                       peak_rate_pps=3e6, mean_on=25.0, mean_off=40.0,
-                       duration=500.0)
-
-
 def _flows(sim, factory, sink):
     sizes = EmpiricalCDF([(1_000, 0.0), (8_000, 0.6), (30_000, 1.0)])
     return FlowSource(sim, factory, sink, np.random.default_rng(2),
@@ -90,8 +92,7 @@ def _flows(sim, factory, sink):
 
 class TestSourcePaths:
     @pytest.mark.parametrize("pooled", [True, False])
-    @pytest.mark.parametrize("make", [_onoff, _flows],
-                             ids=["emit", "emit_flow_packet"])
+    @pytest.mark.parametrize("make", [_flows], ids=["emit_flow_packet"])
     def test_inline_matches_on_wire(self, make, pooled):
         inline = _run_source(make, True, pooled)
         reference = _run_source(make, False, pooled)
@@ -159,3 +160,131 @@ class TestReplayPath:
         _, dispatched, received, dropped, fault_dropped = inline
         assert dispatched and received == len(dispatched)
         assert fault_dropped > 0 and dropped > fault_dropped
+
+
+# ----------------------------------------------------------------------
+# A replay that owns its NIC
+# ----------------------------------------------------------------------
+def _arrivals(case):
+    """``(times, ring_size, rx_cost)`` of one arrival pattern."""
+    rng = np.random.default_rng(11)
+    if case == "burst":
+        # Runs of arrivals closer than rx_cost, separated by idle gaps.
+        gaps = rng.exponential(0.3, 600) * np.where(rng.random(600) < 0.04,
+                                                    80, 1)
+        return np.cumsum(gaps), 256, 0.8
+    if case == "overflow":
+        gaps = rng.exponential(0.2, 600) * np.where(rng.random(600) < 0.03,
+                                                    60, 1)
+        return np.cumsum(gaps), 8, 0.8
+    if case == "ties":
+        # Arrivals on a grid that departures also land on: exact ties
+        # either way round, some timestamps shared, the ring full at times.
+        return np.sort(rng.choice(np.arange(0.0, 150.0, 0.25), 500)), 8, 1.0
+    # rx_cost 0: groups of equal timestamps, some longer than the ring.
+    groups = rng.integers(1, 12, 120)
+    return np.repeat(np.cumsum(rng.exponential(2.0, 120)), groups), 8, 0.0
+
+
+class _Columns(Replay):
+    """A replay of one column batch, ``cols``."""
+
+    def _records(self):
+        yield self.cols
+
+
+class _Tracer:
+    enabled = True
+
+    def __init__(self):
+        self.spans = []
+
+    def record(self, t, stage, pid, duration, args=None):
+        self.spans.append((t, stage, pid, duration))
+
+
+def _run_nic(case, owned):
+    times, ring, cost = _arrivals(case)
+    sim = Simulator()
+    dispatched, samples = [], []
+    nic = PhysicalNic(sim, lambda p: dispatched.append(
+        (sim.now, p.pid, p.t_nic, p.seq)), ring_size=ring, rx_cost=cost)
+    nic.tracer = _Tracer()
+    factory = PacketFactory()
+    flows = [(FiveTuple(0, 1, 1024 + f, 80), f) for f in range(4)]
+    n = len(times)
+    cols = [times.tolist(), [0] * n, [i % 4 for i in range(n)],
+            list(range(n)), [100] * n, [0] * n, times.tolist()]
+    if owned:
+        replay = _Columns(sim, factory, nic.on_wire, flows)
+        replay.cols = cols
+        replay.own(SimpleNamespace(factory=factory, nic=nic,
+                                   replicator=SimpleNamespace()))
+        replay.start()
+    else:
+        # Each timestamp's arrivals in one event, which schedules the
+        # next timestamp's, as a replay that does not own its NIC does.
+        def arrive(i):
+            t = times[i]
+            while i < n and times[i] == t:
+                ft, flow_id = flows[cols[2][i]]
+                nic.on_wire(Packet(factory.next_pid(), ft, 100, t, flow_id,
+                                   i))
+                i += 1
+            if i < n:
+                sim.call_at(float(times[i]), arrive, i)
+
+        sim.call_at(float(times[0]), arrive, 0)
+    sim.periodic(0.7, lambda: samples.append(
+        (sim.now, nic.received, nic.dropped, nic.ring_occupancy)),
+        priority=LOW)
+    sim.run(until=float(times[-1]) + 50.0)
+    return (dispatched, nic.tracer.spans, samples, nic.received,
+            nic.dropped, nic.ring_occupancy)
+
+
+class TestOwnedNic:
+    @pytest.mark.parametrize("case", ["burst", "overflow", "ties",
+                                      "rx_cost0"])
+    def test_receive_stage_matches_on_wire(self, case):
+        owned = _run_nic(case, True)
+        assert owned == _run_nic(case, False)
+        dispatched, spans, samples, received, dropped, _ = owned
+        assert received == len(dispatched) == len(spans)
+        if case == "burst":
+            assert dropped == 0 and max(s[3] for s in samples) > 8
+        else:  # the ring overflows
+            assert dropped > 0
+
+    @staticmethod
+    def _incast(owned, seed, rx_cost):
+        sim = Simulator()
+        host = MultipathDataPlane(sim, MpdpConfig(
+            n_paths=3, policy="redundant2", warmup=0.0, nic_ring=16,
+            nic_rx_cost=rx_cost), RngRegistry(seed=5))
+        host.enable_packet_recycling()
+        got, ingress = [], host.nic.dispatch
+
+        def dispatch(p):
+            got.append((sim.now, p.pid, p.flow_id, p.seq, p.t_nic))
+            ingress(p)
+
+        host.nic.dispatch = dispatch
+        src = IncastSource(sim, host.factory, host.input,
+                           np.random.default_rng(seed), fan_in=12,
+                           burst_pkts=10, epoch=50.0, spacing=0.3,
+                           duration=2_000.0)
+        if owned:
+            src.own(host)
+        src.start()
+        sim.run(until=3_000.0)
+        return (got, src.stats.packets, host.nic.received, host.nic.dropped,
+                host.replicator.replicas_created)
+
+    @pytest.mark.parametrize("seed,rx_cost", [(1, 0.1), (2, 0.15), (3, 0.5)])
+    def test_incast_matches_on_wire(self, seed, rx_cost):
+        """Incast emissions are all scheduled at their epoch's start, so
+        with spacing a multiple of rx_cost arrivals tie with departures;
+        replicas take pids in between."""
+        assert self._incast(True, seed, rx_cost) == \
+            self._incast(False, seed, rx_cost)
