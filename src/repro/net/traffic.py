@@ -230,14 +230,14 @@ class Replay:
         g = self._loaded
         deps = []
         keep = deps.append
-        for j, a in enumerate(times):
+        for a in times:
             if a != prev:
                 pa, prev = prev, a
                 # Departures due first free their slots (the busy test),
                 # each scheduling the next one.
                 while out and a >= out[0]:
                     if a == out[0]:
-                        at = pa if sched is None else sched[j]
+                        at = pa if sched is None else sched[g - self._loaded]
                         if hp > at or (hp == at and not hidle
                                        and at not in late):
                             break
@@ -343,10 +343,13 @@ class Replay:
             # The next record with an event (a NIC drop has none).
             i += 1
             while True:
-                if i == len(recs) and not self._load():
+                try:
+                    when = recs[i][0]
+                except IndexError:
+                    if self._load():
+                        continue
                     when = None
                     break
-                when = recs[i][0]
                 if when is not None:
                     break
                 i += 1
