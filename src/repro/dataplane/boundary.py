@@ -39,7 +39,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..net.packet import FiveTuple
-from ..net.traffic import Replay, SourceStats
+from ..net.traffic import REPLAY_BATCH, Replay, SourceStats
 
 #: Offset added to host indices to form remote ftuple addresses.
 REMOTE_BASE = 1000
@@ -92,8 +92,6 @@ REPLAY_DTYPE = np.dtype([
     ("size", "<i4"), ("priority", "<i4"), ("t_created", "<f8"),
 ])
 
-#: Records an :class:`IngressReplay` converts to Python objects at a time.
-REPLAY_BATCH = 1024
 
 
 def host_ingress(incoming: Sequence[str], outgoing: Sequence[str],
@@ -142,12 +140,12 @@ class IngressReplay(Replay):
 
     Built by :func:`host_ingress`, then :meth:`bind`-ed to the host.
     ``rows`` (:data:`REPLAY_DTYPE`) holds the records as read and
-    ``order`` lists them in replay order; they are replayed as columns
-    :data:`REPLAY_BATCH` at a time (see :class:`~repro.net.traffic.Replay`,
-    every record of one timestamp back to back in replay order, so an
-    exact tie between a local emission and a fabric arrival follows the
-    canonical order), so no sorted copy is ever held, and both are let go
-    once the replay ends.  ``flows`` holds each flow's remapped
+    ``order`` lists them in replay order.  They are replayed as columns
+    :data:`~repro.net.traffic.REPLAY_BATCH` at a time, so no sorted copy
+    is ever held, and both are let go once the replay ends.  Every record
+    of one timestamp goes out back to back in replay order, so an exact
+    tie between a local emission and a fabric arrival follows the
+    canonical order.  ``flows`` holds each flow's remapped
     ``(FiveTuple, flow_id)``.  Packet ids are the ones the host would
     allocate with its source running (pid floors over ``sends``).
 

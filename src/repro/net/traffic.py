@@ -40,8 +40,9 @@ _NORMAL_KEY = NORMAL << _SEQ_BITS
 #: Number of random variates pre-sampled per refill.
 BATCH = 4096
 
-#: Records a replay has handed over before it cuts them from its window.
-_TRIM = 4096
+#: Records a replay converts to Python objects at a time; it also cuts
+#: the records it has handed over from its window this many at a time.
+REPLAY_BATCH = 1024
 
 
 class SourceStats:
@@ -91,12 +92,18 @@ class ReplayFactory(PacketFactory):
             self._counted = floor
 
     def next_pid(self) -> int:
-        now = self._replay.sim._now
-        if self._replay._nic is not None:
-            self._replay._reserve(now)
+        replay = self._replay
+        now = replay.sim._now
+        if replay._nic is not None:
+            recs, k = replay._recs, replay._k
+            if k == len(recs) or recs[k][1] <= now:  # an arrival is due
+                replay._reserve(now)
         if self._sends is not None:
             self.catch_up(int(np.searchsorted(self._sends, now)))
-        return PacketFactory.next_pid(self)
+        pid = self._next_pid
+        self._next_pid = pid + 1
+        self.created += 1
+        return pid
 
 
 class Replay:
@@ -371,7 +378,7 @@ class Replay:
                     sim._seq = s = sim._seq + 1
                     sim._push((when, _NORMAL_KEY | s, self._tick, ()))
                 break
-        if self._i >= _TRIM:
+        if self._i >= REPLAY_BATCH:
             cut = min(self._i, self._k)
             del recs[:cut]
             self._i -= cut
@@ -489,12 +496,16 @@ class _ColumnSource(_BaseSource, Replay):
         from itertools import repeat
 
         zero, priority = repeat(0), repeat(self.priority)
-        for times, flows, seqs, sizes, sched in self.chunks(self.sim.now):
-            t = times.tolist()
-            size = (sizes.tolist() if isinstance(sizes, np.ndarray)
-                    else repeat(sizes))
-            cols = [t, zero, flows.tolist(), seqs.tolist(), size, priority, t]
-            yield cols if sched is None else cols + [sched.tolist()]
+        for chunk in self.chunks(self.sim.now):
+            for lo in range(0, len(chunk[0]), REPLAY_BATCH):
+                times, flows, seqs, sizes, sched = (
+                    c if c is None or np.ndim(c) == 0
+                    else c[lo:lo + REPLAY_BATCH] for c in chunk)
+                t = times.tolist()
+                size = repeat(sizes) if np.ndim(sizes) == 0 else sizes.tolist()
+                cols = [t, zero, flows.tolist(), seqs.tolist(), size,
+                        priority, t]
+                yield cols if sched is None else cols + [sched.tolist()]
 
     def _flow_column(self, n: int) -> np.ndarray:
         """The pseudo-flows of the next ``n`` packets."""
