@@ -31,7 +31,6 @@ from repro.dataplane.vcpu import JitterParams, SHARED_CORE
 from repro.elements.nf import standard_chain
 from repro.metrics.stats import LatencySummary
 from repro.net.flow import FlowTracker
-from repro.net.packet import PacketFactory
 from repro.net.traffic import FlowSource, IncastSource, OnOffSource, PoissonSource
 from repro.net.workloads import workload_by_name
 from repro.sim.engine import Simulator

@@ -58,7 +58,7 @@ import numpy as np
 from ..bench import scenarios
 from ..bench.scenarios import (ScenarioConfig, build_runtime,
                                prime_capacity_cache)
-from ..dataplane.boundary import ENVELOPE_DTYPE, IngressReplay, host_ingress
+from ..dataplane.boundary import IngressReplay, host_ingress
 from ..sim.engine import warn_scheduler_ignored
 from ..sim.errors import SimulationError
 from ..sim.rng import RngRegistry
@@ -71,6 +71,7 @@ from .router import ClusterRouter, host_router_stats
 #: each envelope that can reach the horizon (see :func:`_phase1`), and
 #: the router's counters (:meth:`ClusterRouter.stats`).
 Egress = Tuple[List[Tuple[float, float]], Dict]
+
 
 def resolve_workers(workers: Optional[int], n_hosts: int) -> int:
     """Worker count: the sweep orchestrator's rules

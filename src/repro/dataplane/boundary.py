@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 

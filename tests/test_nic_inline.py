@@ -22,10 +22,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core.mpdp import MpdpConfig, MultipathDataPlane
 from repro.dataplane.boundary import ENVELOPE_DTYPE, host_ingress
 from repro.dataplane.nic import PhysicalNic
 from repro.net.packet import FiveTuple, Packet, PacketFactory
-from repro.core.mpdp import MpdpConfig, MultipathDataPlane
 from repro.net.traffic import FlowSource, IncastSource, Replay
 from repro.net.workloads import EmpiricalCDF
 from repro.sim import LOW, RngRegistry, Simulator
