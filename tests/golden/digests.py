@@ -111,6 +111,33 @@ def _incast() -> Dict:
     return repro.run(_host(traffic="incast", epoch=500.0, seed=23)).to_dict()
 
 
+def _flows() -> Dict:
+    # F7's source kind: paced flows with their completion times, under
+    # replication (replicas take pids while flows are in flight).
+    res = repro.run(_host("redundant2", traffic="flows", workload="enterprise",
+                          flow_load=0.5, duration=10_000.0, warmup=1_000.0,
+                          drain=5_000.0, seed=25),
+                    RunOptions(forensics=True))
+    return {"payload": res.to_dict(), "fcts": res.tracker.fcts().tolist(),
+            "incomplete": res.tracker.incomplete}
+
+
+def _nic_drop_bursts() -> FaultSchedule:
+    # A certain burst, a probabilistic one, and two overlapping bursts
+    # (the first one's clear ends the second early).
+    return (FaultSchedule()
+            .drop_burst(at=600.0, duration=200.0)
+            .drop_burst(at=1_200.0, duration=400.0, prob=0.3)
+            .drop_burst(at=2_000.0, duration=600.0, prob=0.5)
+            .drop_burst(at=2_300.0, duration=600.0))
+
+
+def _drop_bursts() -> Dict:
+    return repro.run(_host("redundant2", seed=26, load=0.8,
+                           faults=_nic_drop_bursts()),
+                     RunOptions(forensics=True)).to_dict()
+
+
 def _sweep() -> List[Dict]:
     spec = SweepSpec(
         name="golden-sweep-4",
@@ -143,6 +170,16 @@ def _onoff_cluster() -> ClusterConfig:
     fabric = FabricConfig(steering="ecmp", jitter_scale=1.0, loss_prob=0.005)
     return ClusterConfig.uniform_hosts(4, host, fabric, pattern="uniform",
                                        seed=24)
+
+
+def _drop_burst_cluster() -> ClusterConfig:
+    faults = (FaultSchedule()
+              .drop_burst(at=400.0, duration=300.0, prob=0.3)
+              .drop_burst(at=1_000.0, duration=200.0))
+    host = _host(load=0.6, duration=2_000.0, warmup=200.0, drain=1_000.0,
+                 faults=faults)
+    return ClusterConfig.uniform_hosts(4, host, FabricConfig(steering="ecmp"),
+                                       pattern="uniform", seed=27)
 
 
 def _cluster(make: Callable[[], ClusterConfig], workers: int,
@@ -206,6 +243,8 @@ RUNS: Dict[str, Callable[[], object]] = {
     "onoff_bursty_faults": _onoff_bursty,
     "forensics_redundant2": _forensics_redundant2,
     "incast": _incast,
+    "flows_redundant2": _flows,
+    "drop_bursts": _drop_bursts,
     "sweep_4": _sweep,
     "cluster_ecmp@1": _cluster(_ecmp_cluster, 1),
     "cluster_ecmp@2": _cluster(_ecmp_cluster, 2),
@@ -217,6 +256,8 @@ RUNS: Dict[str, Callable[[], object]] = {
     "cluster_flowlet_lossy_incast@4": _cluster(_lossy_incast_cluster, 4),
     "cluster_onoff@1": _cluster(_onoff_cluster, 1),
     "cluster_onoff@2": _cluster(_onoff_cluster, 2),
+    "cluster_drop_bursts@1": _cluster(_drop_burst_cluster, 1),
+    "cluster_drop_bursts@2": _cluster(_drop_burst_cluster, 2),
     **{f"table_{exp_id}": _table(exp_id) for exp_id in TABLE_EXPERIMENTS},
 }
 

@@ -3,9 +3,8 @@
 Each source runs at a fixed seed twice: once into a recording sink and
 once into a host NIC (``host.input`` of a two-path data plane with
 packet recycling on, where each packet is recorded as the NIC hands it
-to the data plane).  The three scenario traffic kinds also run through
-:func:`~repro.bench.scenarios.build_runtime`, whose source is the only
-producer of its host's NIC.  A record is ``(time, pid, flow_id, seq,
+to the data plane).  The four scenario traffic kinds also run through
+:func:`~repro.bench.scenarios.build_runtime`.  A record is ``(time, pid, flow_id, seq,
 size)`` plus, for a NIC, the arrival stamp and the packet's creation
 time; the digest covers the whole sequence and the final counters.
 
@@ -131,6 +130,8 @@ RUNTIME_DIGESTS = {
         "bbc72ee04595bf53170b9007a7bfd637727e17ff48317a33da7c82a978997608",
     "incast":
         "b3d55fd754d395e543924e5cfe64cc101c5beed17f913f4d649e2062d6c070ee",
+    "flows":
+        "a1f96c9c6b2c2ed43aa37c8889d6c7fcfc39d68b1e6a8e4634634151c1624308",
 }
 
 
