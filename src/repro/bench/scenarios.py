@@ -217,6 +217,11 @@ class ScenarioConfig:
                 raise ValueError(
                     f"epoch must be positive and finite (µs), got {self.epoch}"
                 )
+            if self.n_flows != ScenarioConfig.n_flows:
+                raise ValueError(
+                    f"n_flows does not apply to incast traffic (each of its "
+                    f"fan_in workers is one flow), got {self.n_flows}"
+                )
         if self.traffic == "flows":
             from repro.net.workloads import workload_by_name
 
@@ -608,10 +613,9 @@ def build_runtime(config: ScenarioConfig,
     ``ingress`` (an unbound
     :class:`~repro.dataplane.boundary.IngressReplay`) replaces the
     traffic source; the cluster engine passes each host's merged ingress
-    here.  Single-host runs leave it ``None``.  An open-loop source or
-    ingress is its NIC's only producer unless the fault schedule arms a
-    drop burst on the NIC, and then replays past the NIC
-    (:meth:`repro.net.traffic.Replay.own`).
+    here.  Single-host runs leave it ``None``.  The source or ingress is
+    its NIC's only producer and replays past the NIC, drop bursts
+    included (:meth:`repro.net.traffic.Replay.own`).
     """
     forensics_spec = None
     if forensics is not None and forensics is not False:
@@ -674,6 +678,15 @@ def build_runtime(config: ScenarioConfig,
         end = config.interfere_end_frac * config.duration
         neighbor.schedule_burst(start, end - start)
 
+    if ingress is None:
+        src = _make_source(sim, host.factory, rngs, config, tracker,
+                           host.input)
+    else:
+        src = ingress.bind(sim, host)
+    # Nothing else feeds the NIC: the source computes its receive stage,
+    # one event per arriving packet.
+    src.own(host)
+
     injector = None
     if config.faults is not None and not config.faults.empty:
         from repro.faults import FaultInjector
@@ -689,16 +702,6 @@ def build_runtime(config: ScenarioConfig,
         slo_tracker = SloTracker(sim, config.slo, host, warmup=config.warmup)
         slo_tracker.start()
 
-    if ingress is None:
-        src = _make_source(sim, host.factory, rngs, config, tracker,
-                           host.input)
-    else:
-        src = ingress.bind(sim, host)
-    if not isinstance(src, FlowSource) and (injector is None or all(
-            ev.kind != "drop_burst" for ev in injector.events)):
-        # Nothing else feeds the NIC: the source computes its receive
-        # stage, one event per arriving packet.
-        src.own(host)
     return ScenarioRuntime(config, sim, rngs, host, tracker, src, engine,
                            telemetry, injector, slo_tracker, forensics_spec,
                            wall_start)

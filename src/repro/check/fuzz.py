@@ -65,6 +65,7 @@ def generate_config(rng: np.random.Generator) -> ScenarioConfig:
         cfg.burstiness = float(rng.uniform(1.0, 4.0))
         cfg.mean_on = float(rng.uniform(100.0, 600.0))
     elif traffic == "incast":
+        cfg.n_flows = ScenarioConfig.n_flows  # its workers are its flows
         cfg.fan_in = int(rng.integers(2, 25))
         cfg.burst_pkts = int(rng.integers(1, 13))
         cfg.epoch = float(rng.uniform(500.0, 3000.0))

@@ -74,17 +74,20 @@ class HostConfig:
         outgoing envelopes must depend only on its own traffic source
         and routing streams, never on the envelopes it receives.  That
         is what lets it compute every host's egress before simulating
-        any host.  Open-loop traffic keeps the contract; closed-loop
-        ``traffic="flows"`` would break it and is rejected.
+        any host.  Every traffic kind is open loop and keeps it, but
+        ``traffic="flows"`` is rejected: its flow completion times need
+        the flow's packets delivered on the host whose ``FlowTracker``
+        registered the flow, and a flow routed to another host is
+        delivered there.
         """
         self.scenario.validate()
         if self.scenario.traffic == "flows":
             raise ValueError(
                 "traffic='flows' is not supported inside a cluster: a "
-                "host's egress must not depend on its ingress (the "
-                "egress-independence contract), and closed-loop flows "
-                "react to what they receive; use 'poisson', 'onoff' or "
-                "'incast' per host"
+                "flow's packets are delivered on another host than the "
+                "one whose FlowTracker registered the flow, so no host "
+                "can measure its completion time; use 'poisson', "
+                "'onoff' or 'incast' per host"
             )
         try:
             self.scenario.to_dict()

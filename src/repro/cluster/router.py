@@ -71,9 +71,9 @@ class ClusterRouter:
         self._route_rng = rngs.stream("cluster.route")
         self.priority = source.priority
         n = source.n_flows
-        self._flow_id = source.flow_id_base + np.arange(n, dtype=np.int64)
-        self._sport = np.array([ft.sport for ft in source._tuples])
-        self._dport = np.array([ft.dport for ft in source._tuples])
+        self._flow_id = np.array([fid for _, fid in source.flows])
+        self._sport = np.array([ft.sport for ft, _ in source.flows])
+        self._dport = np.array([ft.dport for ft, _ in source.flows])
         #: Destination host per pseudo-flow, -1 until its first packet.
         self._dst = np.full(n, -1, dtype=np.int64)
         self._env_seq = 0

@@ -360,11 +360,3 @@ class PathController:
             pkt.dropped = None
             dead.enqueue(pkt)
         return moved
-
-    # ------------------------------------------------------------------
-    def healthy_fraction(self) -> float:
-        """Mean fraction of paths healthy across the recorded history."""
-        if not self.history:
-            return float("nan")
-        k = len(self.paths)
-        return sum(len(s.healthy) for s in self.history) / (k * len(self.history))

@@ -64,7 +64,7 @@ class PhysicalNic:
         "_fault_until",
         "_fault_prob",
         "_fault_rng",
-        "fault_dropped",
+        "_fault_dropped",
         "tracer",
     )
 
@@ -91,14 +91,14 @@ class PhysicalNic:
         self._dropped = 0
         #: The :class:`~repro.net.traffic.Replay` that owns this NIC, if
         #: any: it computes the receive stage from its arrival columns,
-        #: and the counters below are read from it.
+        #: drop bursts included, and the counters below are read from it.
         self._feed = None
         # Fault injection: while now < _fault_until, arrivals are dropped
         # with probability _fault_prob (see inject_drop_burst).
         self._fault_until = -1.0
         self._fault_prob = 1.0
         self._fault_rng: Optional[np.random.Generator] = None
-        self.fault_dropped = 0
+        self._fault_dropped = 0
         #: Span tracer (observability); NullTracer keeps the hot path at
         #: one attribute check when telemetry is off.
         self.tracer = NullTracer
@@ -115,7 +115,16 @@ class PhysicalNic:
         ``prob`` < 1 drops probabilistically; the draws come from the
         injector's dedicated stream so they cannot perturb other
         components.  Passing ``until`` <= now clears an active burst.
+
+        A NIC that a replay owns has no arrivals to drop here: schedule
+        its bursts with ``FaultSchedule.drop_burst`` instead.
         """
+        if self._feed is not None:
+            raise RuntimeError(
+                f"{self.name} is owned by a {type(self._feed).__name__} "
+                f"replay, which computes its receive stage ahead of time: "
+                f"schedule the burst with FaultSchedule.drop_burst and "
+                f"install the FaultInjector after the replay owns the NIC")
         if not 0.0 < prob <= 1.0:
             raise ValueError(f"prob must be in (0, 1], got {prob}")
         if prob < 1.0 and rng is None:
@@ -135,7 +144,7 @@ class PhysicalNic:
         ):
             packet.dropped = f"{self.name}:drop-burst"
             self._dropped += 1
-            self.fault_dropped += 1
+            self._fault_dropped += 1
             return
         ring = self._ring
         if len(ring) >= self.ring_size:
@@ -179,6 +188,13 @@ class PhysicalNic:
         if self._feed is None:
             return self._dropped
         return self._dropped + self._feed.nic_counts()[1]
+
+    @property
+    def fault_dropped(self) -> int:
+        """Arrivals dropped by drop bursts so far (within ``dropped``)."""
+        if self._feed is None:
+            return self._fault_dropped
+        return self._fault_dropped + self._feed.nic_counts()[3]
 
     @property
     def ring_occupancy(self) -> int:

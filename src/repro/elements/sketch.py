@@ -51,12 +51,6 @@ class CountMinSketch:
         self._pairs = list(zip(self._rows, self._seeds))
         self.total = 0
 
-    def _indices(self, key: Hashable) -> list:
-        h = hash(key) & _MASK
-        # Multiply-shift family: one multiply per row.
-        width = self.width
-        return [((h * s) & _MASK) % width for s in self._seeds]
-
     def add(self, key: Hashable, count: int = 1) -> None:
         """Increment the counters for ``key``."""
         h = hash(key) & _MASK
@@ -79,10 +73,6 @@ class CountMinSketch:
         return min(
             rows[i][((h * s) & _MASK) % width] for i, s in enumerate(self._seeds)
         )
-
-    def heavy_hitters(self, threshold: int, candidates) -> list:
-        """Filter ``candidates`` to those estimated above ``threshold``."""
-        return [k for k in candidates if self.estimate(k) >= threshold]
 
     def error_bound(self) -> Tuple[float, float]:
         """Return ``(epsilon*N, failure_probability)`` for this geometry."""

@@ -69,6 +69,10 @@ class FaultInjector:
             raise RuntimeError("injector already installed")
         self._installed = True
         self.events = self.schedule.materialize(horizon, self.rng)
+        # A replay that owns the NIC drops the bursts' arrivals itself.
+        self._replay = self.host.nic._feed
+        if self._replay is not None:
+            self._replay.drop_bursts(self.events, self.rng)
         for ev in self.events:
             self._check_target(ev)
             self.sim.call_at(ev.time, self._apply, ev)
@@ -100,7 +104,9 @@ class FaultInjector:
     def _arm(self, ev: FaultEvent, now: float) -> None:
         self.tracker.on_fault_start(ev.target, ev.kind, now)
         if ev.kind == "drop_burst":
-            self.host.nic.inject_drop_burst(now + ev.duration, ev.magnitude, self.rng)
+            if self._replay is None:
+                self.host.nic.inject_drop_burst(now + ev.duration,
+                                                ev.magnitude, self.rng)
             return
         path = self.host.paths[ev.target]
         if ev.kind == "crash":
@@ -115,7 +121,8 @@ class FaultInjector:
     def _clear(self, ev: FaultEvent, now: float) -> None:
         self.tracker.on_fault_clear(ev.target, now)
         if ev.kind == "drop_burst":
-            self.host.nic.inject_drop_burst(now)  # until <= now: burst over
+            if self._replay is None:
+                self.host.nic.inject_drop_burst(now)  # until <= now: over
             return
         self.host.paths[ev.target].clear_fault()
 

@@ -357,7 +357,3 @@ class ThroughputMeter:
         """Mean delivered goodput (Gbit/s)."""
         d = self.duration
         return self.bytes * 8.0 / d / 1e3 if d > 0 else float("nan")
-
-    def instantaneous_gbps(self, now: float) -> float:
-        """Goodput over the trailing window (Gbit/s)."""
-        return self.rate_meter.rate(now) * 8.0 / 1e3

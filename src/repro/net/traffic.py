@@ -1,22 +1,20 @@
 """Arrival-process generators and the replay tick that feeds them to a host.
 
-Every open-loop source -- Poisson, CBR, on-off, incast, trace replay --
-is a generator of arrival *columns*: it draws its variates from its own
-stream in numpy batches (inter-arrival times, sizes, pseudo-flow picks),
-always in the same order, and yields ``(times, flows, sizes)`` chunks.
-The same columns feed a standalone host and a cluster's routing phase
+Every source -- Poisson, CBR, on-off, incast, paced flows, trace replay
+-- is open loop and a generator of arrival *columns*: it draws its
+variates from its own stream in numpy batches (inter-arrival times,
+sizes, pseudo-flow picks, flow launches), always in the same order, and
+yields ``(times, flows, sizes)`` chunks.  The same columns feed a
+standalone host and a cluster's routing phase
 (:mod:`repro.cluster.engine`), which runs no simulator.
 
 :class:`Replay` is the one tick that turns columns into packets inside a
 simulation, for these sources and for a cluster host's merged ingress
 (:class:`~repro.dataplane.boundary.IngressReplay`).  By default it hands
 each record to its sink at its arrival time.  As its NIC's only producer
-(:meth:`Replay.own`) it computes the NIC's receive stage from the columns
-and gives each packet to the data plane at its NIC departure time: one
-event per arriving packet instead of two.
-
-:class:`FlowSource` paces each flow's packets and feeds the FCT tracker,
-so it keeps a per-packet tick of its own.
+(:meth:`Replay.own`) it computes the NIC's receive stage from the columns,
+NIC drop bursts included, and gives each packet to the data plane at its
+NIC departure time: one event per arriving packet instead of two.
 """
 
 from __future__ import annotations
@@ -121,17 +119,19 @@ class Replay:
     records of one timestamp in one event.  After :meth:`own`, the
     replay runs its host NIC's receive stage -- departure ``d =
     max(arrival, previous d) + rx_cost``, an arrival finding
-    ``ring_size`` admitted packets not yet departed dropped -- and hands
-    each packet to the NIC's ``dispatch`` at ``d``, stamped ``t_nic`` at
-    arrival, with its ``nic_ring`` span when tracing.  The NIC reads its
-    counters from :meth:`nic_counts`.  An arrival counts in ``_stats``
-    once it has a pid.
+    ``ring_size`` admitted packets not yet departed dropped, and one in a
+    drop burst (:meth:`drop_bursts`) dropped before it reaches the ring
+    -- and hands each packet to the NIC's ``dispatch`` at ``d``, stamped
+    ``t_nic`` at arrival, with its ``nic_ring`` span when tracing.  The
+    NIC reads its counters from :meth:`nic_counts`.  An arrival counts in
+    ``_stats`` once it has a pid.
     """
 
     __slots__ = ("sim", "factory", "sink", "flows", "sends", "_stats",
                  "_feed", "_recs", "_i", "_k", "_loaded", "_nic", "_out",
-                 "_reserved", "_drop_t", "_drop_g", "_prev", "_pa", "_hp",
-                 "_hidle", "_late", "_counts")
+                 "_reserved", "_drop_t", "_drop_g", "_fault_t", "_bursts",
+                 "_burst_at", "_burst_rng", "_prev", "_pa", "_hp", "_hidle",
+                 "_late", "_counts")
 
     def __init__(self, sim: Simulator, factory: Optional[PacketFactory],
                  sink: Callable[[Packet], None], flows: list,
@@ -152,6 +152,11 @@ class Replay:
         self._nic = None
         self._drop_t: list = []  # arrival times of NIC drops
         self._drop_g: list = []  # and their record numbers
+        self._fault_t: list = []  # arrival times of drop-burst drops
+        #: Drop-burst windows ``(start, end, prob)``, the next one last,
+        #: and the start of the next one.
+        self._bursts: list = []
+        self._burst_at = float("inf")
 
     def _records(self):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -166,7 +171,9 @@ class Replay:
 
     def own(self, host) -> None:
         """Become ``host.nic``'s only producer; the caller guarantees
-        nothing else feeds it and no drop burst is armed on it."""
+        nothing else feeds it.  Drop bursts reach it only through
+        :meth:`drop_bursts` (a :class:`~repro.faults.FaultInjector`
+        installed afterwards calls it)."""
         from collections import deque
 
         if not isinstance(self.factory, ReplayFactory):
@@ -181,17 +188,44 @@ class Replay:
         self._hidle = True
         self._late = set()  # arrival times a departure there preceded
 
+    def drop_bursts(self, events, rng) -> None:
+        """Drop the arrivals the ``drop_burst`` events of a fault
+        timeline (:meth:`~repro.faults.FaultSchedule.materialize`) would
+        drop at an owned NIC, as ``inject_drop_burst`` does: an arm at
+        ``t`` drops each arrival in ``[t, t + duration)`` with its
+        probability, until a later clear ends the burst, and a
+        probabilistic drop draws from ``rng`` in arrival order.  An
+        arrival at an event's time sees the event applied."""
+        bursts = [ev for ev in events if ev.kind == "drop_burst"]
+        wins = []
+        for ev, nxt in zip(bursts, bursts[1:] + [None]):
+            end = ev.time + ev.duration if ev.action == "arm" else ev.time
+            if nxt is not None:
+                end = min(end, nxt.time)
+            if end > ev.time:
+                wins.append((ev.time, end, ev.magnitude))
+        self._bursts = wins[::-1]
+        self._burst_at = wins[0][0] if wins else float("inf")
+        self._burst_rng = rng
+
     def start(self) -> None:
-        """Schedule the first record."""
+        """Schedule the first record (past NIC drops, which have no
+        event)."""
         self._feed = self._records()
         if self._nic is None:
             self.sim.call_in(0.0, self._wake)
         elif self._load():
-            self.sim.call_at(self._recs[0][0], self._tick)
+            recs = self._recs
+            while recs[self._i][0] is None:
+                self._i += 1
+                if self._i == len(recs) and not self._load():
+                    return
+            self.sim.call_at(recs[self._i][0], self._tick)
 
     def nic_counts(self):
-        """``(received, dropped, ring occupancy)`` of the owned NIC now:
-        every arrival at or before now has reached it."""
+        """``(received, dropped, ring occupancy, drop-burst drops)`` of
+        the owned NIC now: every arrival at or before now has reached
+        it."""
         from bisect import bisect_left, bisect_right
 
         now, recs = self.sim._now, self._recs
@@ -201,8 +235,9 @@ class Replay:
         dropped = bisect_right(self._drop_t, now)
         received = base + bisect_right(recs, now, key=_arrival) - dropped
         gone = base + self._i
-        return received, dropped, received - gone + bisect_left(
-            self._drop_g, gone)
+        return (received, dropped,
+                received - gone + bisect_left(self._drop_g, gone),
+                bisect_right(self._fault_t, now))
 
     # ------------------------------------------------------------------
     def _load(self) -> int:
@@ -228,16 +263,20 @@ class Replay:
         arrival that finds the NIC idle, or else by the departure before
         it; an exact tie goes to the event scheduled first (at one
         instant: the departure, unless the departure that scheduled it
-        came after that instant's arrivals)."""
+        came after that instant's arrivals, or the arrival that scheduled
+        it was scheduled with this one, as a group's first emission is).
+        An arrival in a drop-burst window is dropped before the ring."""
         out = self._out
         popleft, push = out.popleft, out.append
         ring, cost = self._nic.ring_size, self._nic.rx_cost
         prev, pa, hp, hidle = self._prev, self._pa, self._hp, self._hidle
         late = self._late
-        g = self._loaded
+        burst_at = self._burst_at
+        g = self._loaded - 1
         deps = []
         keep = deps.append
         for a in times:
+            g += 1
             if a != prev:
                 pa, prev = prev, a
                 # Departures due first free their slots (the busy test),
@@ -245,11 +284,20 @@ class Replay:
                 while out and a >= out[0]:
                     if a == out[0]:
                         at = pa if sched is None else sched[g - self._loaded]
-                        if hp > at or (hp == at and not hidle
-                                       and at not in late):
+                        if hp > at or hp == at and (
+                                sched is not None if hidle
+                                else at not in late):
                             break
                         late.add(a)
                     hp, hidle = popleft(), False
+            if a >= burst_at:
+                taken, burst_at = self._burst(a)
+                if taken:
+                    keep(None)
+                    self._drop_t.append(a)
+                    self._drop_g.append(g)
+                    self._fault_t.append(a)
+                    continue
             if len(out) >= ring:
                 keep(None)
                 self._drop_t.append(a)
@@ -262,9 +310,22 @@ class Replay:
                     hp, hidle = a, True
                 push(d)
                 keep(d)
-            g += 1
         self._prev, self._pa, self._hp, self._hidle = prev, pa, hp, hidle
         return deps
+
+    def _burst(self, a: float):
+        """Whether a drop burst takes the arrival at ``a``, which is at
+        or past the next window's start (windows over by ``a`` go), and
+        the next window's start after that."""
+        wins = self._bursts
+        while wins and a >= wins[-1][1]:
+            wins.pop()
+        self._burst_at = wins[-1][0] if wins else float("inf")
+        if a < self._burst_at:
+            return False, self._burst_at
+        prob = wins[-1][2]
+        return (prob >= 1.0 or self._burst_rng.random() < prob,
+                self._burst_at)
 
     def _reserve(self, now: float) -> None:
         """Give a pid to every arrival up to ``now`` that has none: those
@@ -391,8 +452,18 @@ def _leading(stop: np.ndarray) -> int:
     return int(over[0]) if len(over) else len(stop)
 
 
-class _BaseSource:
-    """Common machinery: pseudo-flows, sequence numbers, statistics.
+class _ColumnSource(Replay):
+    """An open-loop source: a generator of arrival columns (subclasses
+    write :meth:`_columns`, or :meth:`_groups`) and its own replay.
+
+    Pseudo-flows are drawn :data:`BATCH` at a time, exactly when a packet
+    needs one; a flow's ``seq`` counts its packets.
+
+    A group source (incast, paced flows) writes :meth:`_groups` instead:
+    each group -- an incast epoch, a flow launch -- schedules all its
+    emissions at its start, so they go out in (time, scheduling order),
+    each scheduled at its group's start.  Into a sink that is not an
+    owned NIC, each group is an event that schedules its emissions.
 
     Parameters
     ----------
@@ -413,6 +484,10 @@ class _BaseSource:
         stress); uniform otherwise.
     """
 
+    #: ``_groups(t0)`` yields each group's start, then its emission
+    #: times, flows and sizes in scheduling order; ``None``: no groups.
+    _groups = None
+
     def __init__(
         self,
         sim: Simulator,
@@ -428,49 +503,52 @@ class _BaseSource:
     ) -> None:
         if n_flows <= 0:
             raise ValueError(f"n_flows must be positive, got {n_flows}")
-        self.sim = sim
-        self.factory = factory
-        self.sink = sink
+        super().__init__(sim, factory, sink, [
+            (FiveTuple(src, dst, 1024 + i, 80), flow_id_base + i)
+            for i in range(n_flows)])
         self.rng = rng
         self.n_flows = n_flows
         self.flow_id_base = flow_id_base
         self.src = src
         self.dst = dst
         self.priority = priority
-        self._stats = SourceStats()
-        self._tuples = [
-            FiveTuple(src, dst, 1024 + i, 80) for i in range(n_flows)
-        ]
         if zipf_s > 0.0:
             ranks = np.arange(1, n_flows + 1, dtype=np.float64)
             w = ranks ** (-zipf_s)
             self._flow_probs: Optional[np.ndarray] = w / w.sum()
         else:
             self._flow_probs = None
-
-    @property
-    def stats(self) -> SourceStats:
-        """Emission counters."""
-        return self._stats
-
-
-class _ColumnSource(_BaseSource, Replay):
-    """An open-loop source: a generator of arrival columns (subclasses
-    write :meth:`_columns`) and its own replay.
-
-    Pseudo-flows are drawn :data:`BATCH` at a time, exactly when a packet
-    needs one; a flow's ``seq`` counts its packets.
-    """
-
-    def __init__(self, *args, **kw) -> None:
-        _BaseSource.__init__(self, *args, **kw)
-        Replay.__init__(self, self.sim, self.factory, self.sink,
-                        [(ft, self.flow_id_base + i)
-                         for i, ft in enumerate(self._tuples)])
         self._picks = np.empty(0, dtype=np.int64)
-        self._seqs = np.zeros(self.n_flows, dtype=np.int64)
+        self._seqs = np.zeros(n_flows, dtype=np.int64)
 
-    start = Replay.start
+    def start(self):
+        if self._nic is not None or self._groups is None:
+            return Replay.start(self)
+        # No NIC stage to compute: each group schedules its emissions.
+        self._feed = self._groups(self.sim.now)
+        self._counts = {}
+        self.sim.call_in(0.0, self._schedule, next(self._feed, None))
+        return None
+
+    def _schedule(self, group) -> None:
+        if group is None:
+            return
+        _, times, flows, sizes = group
+        for t, flow, size in zip(times.tolist(), flows.tolist(),
+                                 sizes.tolist()):
+            self.sim.call_at(t, self._emit, flow, size)
+        group = next(self._feed, None)
+        if group is not None:
+            self.sim.call_at(group[0], self._schedule, group)
+
+    def _emit(self, flow: int, size: int) -> None:
+        seq = self._counts.get(flow, 0)
+        self._counts[flow] = seq + 1
+        self._stats.packets += 1
+        self._stats.bytes += size
+        ft, flow_id = self.flows[flow]
+        self.sink(self.factory.make(ft, size, self.sim._now, flow_id, seq,
+                                    self.priority))
 
     @property
     def stats(self) -> SourceStats:
@@ -489,8 +567,21 @@ class _ColumnSource(_BaseSource, Replay):
                 yield (times, flows, self._seq_column(flows), sizes,
                        sched[0] if sched else None)
 
-    def _columns(self, t0: float):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _columns(self, t0: float):
+        """A group source's emissions: each group merged into those
+        pending, sent up to the next group's start (a later group sends
+        at or after it starts, after everything already scheduled for
+        that instant)."""
+        pending = [np.empty(0), np.empty(0, dtype=np.int64),
+                   np.empty(0, dtype=np.int64), np.empty(0)]
+        for t, *group in self._groups(t0):
+            n = int(np.searchsorted(pending[0], t, side="right"))
+            yield [c[:n] for c in pending]
+            merged = [np.concatenate((c[n:], new)) for c, new in
+                      zip(pending, group + [np.full(len(group[0]), t)])]
+            order = np.argsort(merged[0], kind="stable")
+            pending = [c[order] for c in merged]
+        yield pending
 
     def _records(self):
         from itertools import repeat
@@ -524,9 +615,13 @@ class _ColumnSource(_BaseSource, Replay):
         """Per-flow sequence numbers of a chunk of packets."""
         order = np.argsort(flows, kind="stable")
         f = flows[order]
+        counts = np.bincount(flows, minlength=len(self._seqs))
+        if len(counts) > len(self._seqs):  # a flow source's new flows
+            self._seqs = np.concatenate(
+                (self._seqs, np.zeros(len(counts) - len(self._seqs), int)))
         seqs = np.empty(len(f), dtype=np.int64)
         seqs[order] = self._seqs[f] + np.arange(len(f)) - np.searchsorted(f, f)
-        self._seqs += np.bincount(flows, minlength=self.n_flows)
+        self._seqs += counts
         return seqs
 
 
@@ -703,68 +798,30 @@ class IncastSource(_ColumnSource):
         self.jitter = jitter
         self.duration = duration
 
-    def start(self):
-        if self._nic is not None:
-            return Replay.start(self)
-        # No NIC stage to compute: each epoch schedules its emissions.
-        self._feed = self._epochs(self.sim.now)
-        self._counts = [0] * self.n_flows
-        self.sim.call_in(0.0, self._schedule, next(self._feed, None))
-        return None
-
-    def _schedule(self, epoch) -> None:
-        if epoch is None:
-            return
-        for t, flow in zip(epoch[1].tolist(), epoch[2].tolist()):
-            self.sim.call_at(t, self._emit, flow)
-        epoch = next(self._feed, None)
-        if epoch is not None:
-            self.sim.call_at(epoch[0], self._schedule, epoch)
-
-    def _emit(self, flow: int) -> None:
-        seq = self._counts[flow]
-        self._counts[flow] = seq + 1
-        self._stats.packets += 1
-        self._stats.bytes += self.size
-        ft, flow_id = self.flows[flow]
-        self.sink(self.factory.make(ft, self.size, self.sim._now, flow_id,
-                                    seq, self.priority))
-
-    def _epochs(self, t0: float):
-        """Each epoch's start, then its emission times and pseudo-flows in
-        the order it schedules them (worker by worker)."""
+    def _groups(self, t0: float):
+        """Epochs, each scheduling its emissions worker by worker."""
         offsets = np.arange(self.burst_pkts) * self.spacing
         workers = np.repeat(np.arange(self.fan_in) % self.n_flows,
                             self.burst_pkts)
+        sizes = np.full(len(workers), self.size)
         t = t0
         while not t - t0 >= self.duration:
             skews = self.rng.uniform(0.0, self.jitter, self.fan_in)
-            yield t, t + (skews[:, None] + offsets).ravel(), workers
+            yield t, t + (skews[:, None] + offsets).ravel(), workers, sizes
             t += self.epoch
 
-    def _columns(self, t0: float):
-        times, flows = np.empty(0), np.empty(0, dtype=np.int64)
-        ticks = np.empty(0)  # when each pending emission was scheduled
-        for t, new, workers in self._epochs(t0):
-            times = np.concatenate((times, new))
-            flows = np.concatenate((flows, workers))
-            ticks = np.concatenate((ticks, np.full(len(new), t)))
-            order = np.argsort(times, kind="stable")
-            times, flows, ticks = times[order], flows[order], ticks[order]
-            # Later epochs send at or after the next one starts, and after
-            # everything already scheduled for that instant.
-            n = int(np.searchsorted(times, t + self.epoch, side="right"))
-            yield times[:n], flows[:n], self.size, ticks[:n]
-            times, flows, ticks = times[n:], flows[n:], ticks[n:]
-        yield times, flows, self.size, ticks
 
-
-class FlowSource(_BaseSource):
+class FlowSource(_ColumnSource):
     """Poisson flow arrivals with empirically distributed sizes.
 
     Each flow is segmented into MTU packets paced at ``pacing_bps`` and
     registered with a :class:`FlowTracker` so FCT can be measured.  Flow
     ids are globally unique per source.
+
+    Every :data:`BATCH` flows it draws the inter-arrival batch, then the
+    size batch.  A flow is a group launched at its arrival: its packets
+    go out at ``launch + offset``, and it is registered, in launch
+    order, when its columns are generated, before its first packet.
     """
 
     def __init__(
@@ -782,121 +839,42 @@ class FlowSource(_BaseSource):
         **kw,
     ) -> None:
         super().__init__(sim, factory, sink, rng, **kw)
+        self.flows = []  # one (FiveTuple, flow_id) per launched flow
+        self._seqs = np.zeros(0, dtype=np.int64)
         self.mean_flow_iat = US_PER_S / flow_rate_fps
         self.size_cdf = size_cdf
         self.tracker = tracker
         self.pacing_Bpu = bps_to_bytes_per_us(pacing_bps)
         self.max_flow_pkts = max_flow_pkts
         self.duration = duration
-        self._next_flow_id = self.flow_id_base
-        self._t0 = 0.0
-        self._iats: list = []
-        self._sizes: list = []
-        self._i = 0
-        # Resolve the sink back to a PhysicalNic when possible so packets
-        # take the inlined rx fast path (one call fewer per packet).
-        from repro.dataplane.nic import PhysicalNic  # local: import cycle
 
-        if isinstance(sink, PhysicalNic):
-            self._nic = sink
-        elif getattr(sink, "__func__", None) is PhysicalNic.on_wire:
-            self._nic = sink.__self__
-        else:
-            self._nic = None
-
-    def start(self):
-        self._t0 = self.sim.now
-        self.sim.call_in(0.0, self._tick)
-        return None
-
-    def _tick(self) -> None:
-        sim = self.sim
-        if sim.now - self._t0 >= self.duration:
-            return
-        i = self._i
-        if i >= len(self._iats):
-            self._iats = self.rng.exponential(self.mean_flow_iat, BATCH).tolist()
-            self._sizes = np.asarray(
-                self.size_cdf.sample_int(self.rng, BATCH)
-            ).tolist()
-            i = 0
-        self._launch_flow(self._sizes[i])
-        self._i = i + 1
-        sim._seq = seq = sim._seq + 1
-        sim._push((sim._now + self._iats[i], _NORMAL_KEY | seq, self._tick, ()))
-
-    def _launch_flow(self, size: int) -> Flow:
-        """Register one flow and schedule its paced packet emissions."""
-        flow_id = self._next_flow_id
-        self._next_flow_id += 1
-        sport = 1024 + (flow_id % 50_000)
-        ftuple = FiveTuple(self.src, self.dst, sport, 80)
-        flow = Flow(flow_id, ftuple, size, self.sim.now)
-        if flow.n_packets > self.max_flow_pkts:
-            # Truncate absurdly large flows to bound experiment runtime;
-            # FCT analyses exclude them (they are in the >max bucket).
-            flow = Flow(flow_id, ftuple, self.max_flow_pkts * MTU, self.sim.now)
-        if self.tracker is not None:
-            self.tracker.register(flow)
-        self._stats.flows += 1
-        offset = 0.0
-        for seq, psize in enumerate(flow.packet_sizes()):
-            self.sim.call_in(offset, self._emit_flow_packet, flow, seq, psize)
-            offset += psize / self.pacing_Bpu
-        return flow
-
-    def _emit_flow_packet(self, flow: Flow, seq: int, size: int) -> None:
-        factory = self.factory
-        pid = factory._next_pid
-        factory._next_pid = pid + 1
-        factory.created += 1
-        free = factory.free
-        if free:
-            pkt = free.pop()
-            pkt.pid = pid
-            pkt.ftuple = flow.ftuple
-            pkt.flow_id = flow.flow_id
-            pkt.seq = seq
-            pkt.size = size
-            pkt.priority = self.priority
-            pkt.t_created = self.sim._now
-            pkt.t_nic = _NAN
-            pkt.t_enq = _NAN
-            pkt.t_deq = _NAN
-            pkt.t_done = _NAN
-            pkt.path_id = -1
-            pkt.copy_of = -1
-            pkt.dropped = None
-            pkt.meta = None
-        else:
-            pkt = Packet(
-                pid, flow.ftuple, size, self.sim._now, flow.flow_id, seq,
-                self.priority
-            )
-        stats = self._stats
-        stats.packets += 1
-        stats.bytes += size
-        nic = self._nic
-        if nic is not None and self.sim._now >= nic._fault_until:
-            # Inlined PhysicalNic.on_wire (no active drop burst); the
-            # faulted case falls back to the real method.
-            sim = self.sim
-            now = sim._now
-            pkt.t_nic = now
-            ring = nic._ring
-            if len(ring) >= nic.ring_size:
-                pkt.dropped = f"{nic.name}:ring-overflow"
-                nic._dropped += 1
-            else:
-                nic._received += 1
-                ring.append(pkt)
-                if not nic._busy:
-                    nic._busy = True
-                    sim._seq = seq = sim._seq + 1
-                    sim._push((now + nic.rx_cost, _NORMAL_KEY | seq,
-                               nic._rx_done, ()))
-        else:
-            self.sink(pkt)
+    def _groups(self, t0: float):
+        """Flow launches, each scheduling its packets in order."""
+        rng, t, i = self.rng, t0, BATCH
+        while not t - t0 >= self.duration:
+            if i == BATCH:
+                iats = rng.exponential(self.mean_flow_iat, BATCH).tolist()
+                sizes = np.asarray(
+                    self.size_cdf.sample_int(rng, BATCH)).tolist()
+                i = 0
+            flow_id = self.flow_id_base + len(self.flows)
+            ftuple = FiveTuple(self.src, self.dst, 1024 + flow_id % 50_000, 80)
+            flow = Flow(flow_id, ftuple, sizes[i], t)
+            if flow.n_packets > self.max_flow_pkts:
+                # Truncate absurdly large flows to bound experiment runtime;
+                # FCT analyses exclude them (they are in the >max bucket).
+                flow = Flow(flow_id, ftuple, self.max_flow_pkts * MTU, t)
+            if self.tracker is not None:
+                self.tracker.register(flow)
+            self._stats.flows += 1
+            psizes = np.array(flow.packet_sizes())
+            offsets = np.concatenate(
+                ([0.0], np.cumsum(psizes[:-1] / self.pacing_Bpu)))
+            index = len(self.flows)
+            self.flows.append((ftuple, flow_id))
+            yield t, t + offsets, np.full(len(psizes), index), psizes
+            t += iats[i]
+            i += 1
 
 
 class TraceReplaySource(_ColumnSource):

@@ -32,19 +32,9 @@ def bps_to_bytes_per_us(rate_bps: float) -> float:
     return rate_bps / 8.0 / US_PER_S
 
 
-def serialization_us(size_bytes: float, rate_bps: float) -> float:
-    """Time (µs) to serialize ``size_bytes`` at ``rate_bps``."""
-    return size_bytes / bps_to_bytes_per_us(rate_bps)
-
-
 def gbps(x: float) -> float:
     """Gigabits/second to bits/second."""
     return x * 1e9
-
-
-def mbps(x: float) -> float:
-    """Megabits/second to bits/second."""
-    return x * 1e6
 
 
 def ms(x: float) -> float:

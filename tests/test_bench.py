@@ -10,9 +10,12 @@ from repro.dataplane.vcpu import JitterParams
 
 
 def tiny(**kw):
-    """A scenario small enough for unit tests."""
+    """A scenario small enough for unit tests (incast keeps its own
+    flows: one per worker)."""
     defaults = dict(duration=3_000.0, warmup=500.0, drain=5_000.0,
                     jitter=JitterParams(), load=0.4, n_flows=32)
+    if kw.get("traffic") == "incast":
+        del defaults["n_flows"]
     defaults.update(kw)
     return ScenarioConfig(**defaults)
 
@@ -71,6 +74,12 @@ class TestScenarioConfig:
                            match=f"warmup \\({warmup} µs\\).*duration "
                                  f"\\(3000.0 µs\\)"):
             tiny(warmup=warmup).validate()
+
+    def test_incast_refuses_n_flows(self):
+        # Incast traffic has one flow per worker; n_flows would be ignored.
+        with pytest.raises(ValueError, match="n_flows does not apply"):
+            tiny(traffic="incast", n_flows=64).validate()
+        tiny(traffic="incast").validate()
 
     def test_default_warmup_needs_a_longer_duration(self):
         with pytest.raises(ValueError, match="warmup"):

@@ -57,14 +57,6 @@ class TestPathController:
         sim.run()  # must terminate (no infinite self-rescheduling)
         assert ctl.ticks <= 6
 
-    def test_healthy_fraction(self, sim, rng):
-        paths = [DataPath(sim, 0, Chain([Delay("d")]), lambda p: None, rng=rng)]
-        ctl = PathController(sim, paths, StragglerDetector(), interval=10.0)
-        ctl.start()
-        sim.call_at(100.0, ctl.stop)
-        sim.run()
-        assert ctl.healthy_fraction() == 1.0
-
     def test_invalid_interval(self, sim):
         with pytest.raises(ValueError):
             PathController(sim, [], StragglerDetector(), interval=0.0)

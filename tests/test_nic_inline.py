@@ -1,20 +1,20 @@
-"""The inlined NIC receive paths against ``PhysicalNic``'s methods.
+"""The replay's NIC receive stage against ``PhysicalNic``'s methods.
 
-``FlowSource._emit_flow_packet`` copies ``on_wire``'s no-drop-burst
-branch inline to save a call per packet; it is driven here through ring
-overflow, busy and idle NIC periods and two drop-burst windows (one
-certain, one probabilistic), against a reference run of the same packets
-through the real method.  Both runs must agree on every packet field,
-every NIC counter, the order and time of every dispatch and the
-simulator's sequence and event counts.  The cluster's ingress replay,
-which hands its records to ``on_wire`` when a drop burst is armed, is
-held to the same reference.
+A replay that does not own its NIC hands each record to ``on_wire``;
+the cluster's ingress replay is driven that way through ring overflow,
+busy and idle NIC periods and two drop-burst windows (one certain, one
+probabilistic), against a reference run of the same packets through the
+real method.  Both runs must agree on every packet field, every NIC
+counter and the order and time of every dispatch.
 
 A replay that owns its NIC (:meth:`repro.net.traffic.Replay.own`)
 computes the NIC's receive stage from its arrival columns instead of
-running ``on_wire`` and ``_rx_done``; :class:`TestOwnedNic` drives the
-same arrivals through both and compares departure times, ring drops, the
-NIC counters as sampled during the run, and the ``nic_ring`` spans.
+running ``on_wire`` and ``_rx_done``, drop bursts included;
+:class:`TestOwnedNic` drives the same arrivals through both and compares
+departure times, ring and drop-burst drops, the NIC counters as sampled
+during the run, and the ``nic_ring`` spans.  Group sources (incast,
+paced flows) schedule their emissions ahead, so their arrivals tie with
+departures either way round.
 """
 
 from types import SimpleNamespace
@@ -26,6 +26,8 @@ from repro.core.mpdp import MpdpConfig, MultipathDataPlane
 from repro.dataplane.boundary import ENVELOPE_DTYPE, host_ingress
 from repro.dataplane.nic import PhysicalNic
 from repro.net.packet import FiveTuple, Packet, PacketFactory
+from repro.faults import FaultInjector, FaultSchedule
+from repro.net.flow import FlowTracker
 from repro.net.traffic import FlowSource, IncastSource, Replay
 from repro.net.workloads import EmpiricalCDF
 from repro.sim import LOW, RngRegistry, Simulator
@@ -69,37 +71,6 @@ def _outcome(sim, nic, dispatched, packets):
               for p in sorted(packets, key=lambda p: p.pid)]
     return (repr(fields), dispatched, nic.received, nic.dropped,
             nic.fault_dropped, sim._seq, sim.processed_count)
-
-
-def _run_source(make, inline, pooled):
-    sim, nic, factory, dispatched, packets = _host(pooled)
-    sink = nic if inline else (lambda p: nic.on_wire(p))
-    src = make(sim, factory, sink)
-    assert (src._nic is nic) is inline
-    src.start()
-    sim.run(until=HORIZON)
-    used = packets[len(factory.free):] if pooled else []
-    assert not pooled or used, "the pool was never drawn from"
-    return _outcome(sim, nic, dispatched, used)
-
-
-def _flows(sim, factory, sink):
-    sizes = EmpiricalCDF([(1_000, 0.0), (8_000, 0.6), (30_000, 1.0)])
-    return FlowSource(sim, factory, sink, np.random.default_rng(2),
-                      flow_rate_fps=2e5, size_cdf=sizes, pacing_bps=20e9,
-                      max_flow_pkts=20, duration=500.0)
-
-
-class TestSourcePaths:
-    @pytest.mark.parametrize("pooled", [True, False])
-    @pytest.mark.parametrize("make", [_flows], ids=["emit_flow_packet"])
-    def test_inline_matches_on_wire(self, make, pooled):
-        inline = _run_source(make, True, pooled)
-        reference = _run_source(make, False, pooled)
-        assert inline == reference
-        _, dispatched, received, dropped, fault_dropped = inline[:5]
-        assert dispatched and received == len(dispatched)
-        assert fault_dropped > 0 and dropped > fault_dropped  # overflow too
 
 
 def _ingress(tmp_path, n=450):
@@ -181,6 +152,12 @@ def _arrivals(case):
         # Arrivals on a grid that departures also land on: exact ties
         # either way round, some timestamps shared, the ring full at times.
         return np.sort(rng.choice(np.arange(0.0, 150.0, 0.25), 500)), 8, 1.0
+    if case == "edges":
+        # A grid holding every arm and clear time of BURSTS.
+        grid = rng.choice(np.arange(0.0, 150.0, 0.25), 240, replace=False)
+        edges = [0.0, 2.0, 20.0, 35.0, 50.0, 80.0, 100.0, 110.0, 120.0,
+                 130.0]
+        return np.sort(np.concatenate((grid, edges))), 8, 0.5
     # rx_cost 0: groups of equal timestamps, some longer than the ring.
     groups = rng.integers(1, 12, 120)
     return np.repeat(np.cumsum(rng.exponential(2.0, 120)), groups), 8, 0.0
@@ -203,7 +180,19 @@ class _Tracer:
         self.spans.append((t, stage, pid, duration))
 
 
-def _run_nic(case, owned):
+#: Drop bursts over the arrival patterns: two certain ones (the first
+#: takes the first arrivals), a p=0.3 one, and two overlapping ones, the
+#: first one's clear ending the second.  The "edges" grid has arrivals
+#: at every arm and clear time.
+BURSTS = (FaultSchedule()
+          .drop_burst(at=0.0, duration=2.0)
+          .drop_burst(at=20.0, duration=15.0)
+          .drop_burst(at=50.0, duration=30.0, prob=0.3)
+          .drop_burst(at=100.0, duration=20.0, prob=0.5)
+          .drop_burst(at=110.0, duration=20.0))
+
+
+def _run_nic(case, owned, faults=None):
     times, ring, cost = _arrivals(case)
     sim = Simulator()
     dispatched, samples = [], []
@@ -211,6 +200,8 @@ def _run_nic(case, owned):
         (sim.now, p.pid, p.t_nic, p.seq)), ring_size=ring, rx_cost=cost)
     nic.tracer = _Tracer()
     factory = PacketFactory()
+    host = SimpleNamespace(factory=factory, nic=nic,
+                           replicator=SimpleNamespace())
     flows = [(FiveTuple(0, 1, 1024 + f, 80), f) for f in range(4)]
     n = len(times)
     cols = [times.tolist(), [0] * n, [i % 4 for i in range(n)],
@@ -218,8 +209,11 @@ def _run_nic(case, owned):
     if owned:
         replay = _Columns(sim, factory, nic.on_wire, flows)
         replay.cols = cols
-        replay.own(SimpleNamespace(factory=factory, nic=nic,
-                                   replicator=SimpleNamespace()))
+        replay.own(host)
+    if faults is not None:
+        FaultInjector(sim, host, faults,
+                      rng=np.random.default_rng(8)).install(horizon=1e4)
+    if owned:
         replay.start()
     else:
         # Each timestamp's arrivals in one event, which schedules the
@@ -236,11 +230,11 @@ def _run_nic(case, owned):
 
         sim.call_at(float(times[0]), arrive, 0)
     sim.periodic(0.7, lambda: samples.append(
-        (sim.now, nic.received, nic.dropped, nic.ring_occupancy)),
-        priority=LOW)
+        (sim.now, nic.received, nic.dropped, nic.ring_occupancy,
+         nic.fault_dropped)), priority=LOW)
     sim.run(until=float(times[-1]) + 50.0)
     return (dispatched, nic.tracer.spans, samples, nic.received,
-            nic.dropped, nic.ring_occupancy)
+            nic.dropped, nic.ring_occupancy, nic.fault_dropped)
 
 
 class TestOwnedNic:
@@ -249,12 +243,84 @@ class TestOwnedNic:
     def test_receive_stage_matches_on_wire(self, case):
         owned = _run_nic(case, True)
         assert owned == _run_nic(case, False)
-        dispatched, spans, samples, received, dropped, _ = owned
+        dispatched, spans, samples, received, dropped = owned[:5]
         assert received == len(dispatched) == len(spans)
         if case == "burst":
             assert dropped == 0 and max(s[3] for s in samples) > 8
         else:  # the ring overflows
             assert dropped > 0
+
+    @pytest.mark.parametrize("case", ["edges", "ties", "overflow"])
+    def test_drop_bursts_match_on_wire(self, case):
+        """Drop-burst windows from a fault injector: certain,
+        probabilistic (the draws in arrival order), overlapping, and on
+        the "edges" grid arrivals exactly at arm and clear times."""
+        owned = _run_nic(case, True, BURSTS)
+        assert owned == _run_nic(case, False, BURSTS)
+        dispatched, _, _, received, dropped, _, fault_dropped = owned
+        assert received == len(dispatched) and fault_dropped > 0
+        if case == "edges":
+            # Arrivals at a clear time pass, at a certain arm time not,
+            # and the first overlapping burst's clear ends the second.
+            t_nic = {t for _, _, t, _ in dispatched}
+            assert {2.0, 35.0, 80.0, 120.0, 130.0} <= t_nic
+            assert not {20.0, 110.0} & t_nic and min(t_nic) >= 2.0
+            assert any(120.0 < t < 130.0 for t in t_nic)
+        else:
+            assert fault_dropped < dropped  # the ring overflows too
+
+    def test_inject_on_owned_nic_raises(self):
+        sim = Simulator()
+        nic = PhysicalNic(sim, lambda p: None)
+        replay = _Columns(sim, PacketFactory(), nic.on_wire, [])
+        replay.own(SimpleNamespace(factory=PacketFactory(), nic=nic,
+                                   replicator=SimpleNamespace()))
+        with pytest.raises(RuntimeError, match="_Columns replay.*"
+                                               "FaultSchedule.drop_burst"):
+            nic.inject_drop_burst(10.0)
+
+    @staticmethod
+    def _flows(owned, rx_cost, pacing_bps):
+        sim = Simulator()
+        tracker = FlowTracker()
+        host = MultipathDataPlane(sim, MpdpConfig(
+            n_paths=3, policy="redundant2", warmup=0.0, nic_ring=16,
+            nic_rx_cost=rx_cost), RngRegistry(seed=6), tracker=tracker)
+        host.enable_packet_recycling()
+        got, ingress = [], host.nic.dispatch
+
+        def dispatch(p):
+            got.append((sim.now, p.pid, p.flow_id, p.seq, p.t_nic))
+            ingress(p)
+
+        host.nic.dispatch = dispatch
+        sizes = EmpiricalCDF([(1_000, 0.0), (8_000, 0.6), (30_000, 1.0)])
+        src = FlowSource(sim, host.factory, host.input,
+                         np.random.default_rng(9), flow_rate_fps=1.5e5,
+                         size_cdf=sizes, tracker=tracker,
+                         pacing_bps=pacing_bps, max_flow_pkts=20,
+                         duration=2_000.0)
+        if owned:
+            src.own(host)
+        src.start()
+        sim.run(until=3_000.0)
+        return (got, src.stats.packets, src.stats.flows, host.nic.received,
+                host.nic.dropped, host.replicator.replicas_created,
+                tracker.fcts().tolist())
+
+    @pytest.mark.parametrize("rx_cost,pacing_bps", [
+        (0.5, 24.864e9), (0.25, 24.864e9), (1.0, 12.432e9)])
+    def test_flows_match_on_wire(self, rx_cost, pacing_bps):
+        """A flow's packets are all scheduled at its launch, 1554 B
+        apart at ``pacing_bps``: a multiple of rx_cost (1 and 2 times),
+        so arrivals tie with departures, and a flow's second packet
+        with the departure its first one scheduled."""
+        owned = self._flows(True, rx_cost, pacing_bps)
+        assert owned == self._flows(False, rx_cost, pacing_bps)
+        got, packets, flows, received, dropped = owned[:5]
+        assert flows > 100 and received == len(got)
+        assert received + dropped == packets
+        assert dropped > 0 or rx_cost < 0.5  # a slow NIC's ring overflows
 
     @staticmethod
     def _incast(owned, seed, rx_cost):

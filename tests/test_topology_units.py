@@ -16,13 +16,8 @@ class TestUnits:
         assert units.bps_to_bytes_per_us(8e6) == pytest.approx(1.0)
         assert units.bps_to_bytes_per_us(units.gbps(10)) == pytest.approx(1250.0)
 
-    def test_serialization(self):
-        # 1250 bytes at 10 Gbps = 1 µs
-        assert units.serialization_us(1250, 10e9) == pytest.approx(1.0)
-
     def test_converters(self):
         assert units.gbps(1) == 1e9
-        assert units.mbps(1) == 1e6
         assert units.ms(2) == 2000.0
         assert units.seconds(1) == 1_000_000.0
 
