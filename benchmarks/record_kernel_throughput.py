@@ -22,7 +22,10 @@ Modes
                    ``Simulator.processed_count`` / delivered) is exact
                    for a given code version and seed, so ``--check``
                    also fails on any increase over the recorded value,
-                   whatever the machine's timing noise.
+                   whatever the machine's timing noise.  It gates the
+                   ``events`` runs the same way: a paced-flows scenario
+                   (F7's source kind) and a host under a NIC drop burst,
+                   each recorded by its events per delivered packet.
 
 The recorded ``baseline_pps`` field is the pre-optimization kernel's
 throughput on the same scenario; ``speedup`` is measured against it.
@@ -62,21 +65,48 @@ def _scenario(quick: bool) -> ScenarioConfig:
                           drain=20_000.0, seed=42)
 
 
+def _event_scenarios() -> dict:
+    """Runs gated by their events per delivered packet alone (seed 1)."""
+    burst = repro.FaultSchedule().drop_burst(at=5_000.0, duration=2_000.0,
+                                             prob=0.3)
+    return {
+        "flows": ScenarioConfig(policy="adaptive", n_paths=4,
+                                traffic="flows", workload="websearch",
+                                flow_load=0.5, duration=40_000.0,
+                                warmup=4_000.0, drain=5_000.0, seed=1),
+        "drop_burst": ScenarioConfig(policy="adaptive", n_paths=4, load=0.7,
+                                     duration=15_000.0, warmup=1_500.0,
+                                     drain=5_000.0, seed=1, faults=burst),
+    }
+
+
+def _run(cfg: ScenarioConfig) -> tuple:
+    """``(delivered packets, simulator events)`` of one run."""
+    rt = build_runtime(cfg)  # what repro.run does, keeping the runtime
+    rt.start()
+    rt.sim.run(until=rt.horizon)
+    return rt.finalize().stats["delivered"], rt.sim.processed_count
+
+
+def _events() -> dict:
+    out = {}
+    for name, cfg in _event_scenarios().items():
+        delivered, events = _run(cfg)
+        out[name] = {"delivered": delivered,
+                     "events_per_pkt": events / delivered}
+        print(f"[{name}] delivered={delivered} "
+              f"events/pkt={out[name]['events_per_pkt']:.4f}")
+    return out
+
+
 def _measure(quick: bool, repeats: int) -> dict:
     """Best-of-N wall clock (min rejects scheduler noise)."""
     best_wall = float("inf")
     delivered = events = 0
     for _ in range(repeats):
-        cfg = _scenario(quick)
         t0 = time.perf_counter()
-        rt = build_runtime(cfg)  # what repro.run does, keeping the runtime
-        rt.start()
-        rt.sim.run(until=rt.horizon)
-        result = rt.finalize()
-        wall = time.perf_counter() - t0
-        delivered = result.stats["delivered"]
-        events = rt.sim.processed_count
-        best_wall = min(best_wall, wall)
+        delivered, events = _run(_scenario(quick))
+        best_wall = min(best_wall, time.perf_counter() - t0)
     return {
         "delivered": delivered,
         "wall_s": best_wall,
@@ -125,6 +155,13 @@ def main(argv=None) -> int:
             print(f"events per delivered packet rose from {base_events:.4f} "
                   f"to {measured['events_per_pkt']:.4f}", file=sys.stderr)
             failed = True
+        for name, got in _events().items():
+            base = committed["events"][name]["events_per_pkt"]
+            if got["events_per_pkt"] > base:
+                print(f"{name}: events per delivered packet rose from "
+                      f"{base:.4f} to {got['events_per_pkt']:.4f}",
+                      file=sys.stderr)
+                failed = True
         return 1 if failed else 0
 
     if args.quick:
@@ -146,6 +183,7 @@ def main(argv=None) -> int:
         "repeats": repeats,
         "full": measured,
         "quick": quick_measured,
+        "events": _events(),
         "baseline_pps": PRE_OPT_BASELINE_PPS,
         "speedup": measured["pps"] / PRE_OPT_BASELINE_PPS,
     }
