@@ -251,10 +251,7 @@ class MultipathDataPlane:
         paths = self.paths
         choice = self.policy.select(packet, paths, self.sim._now)
         if len(choice) == 1:
-            # Inlined DataPath.enqueue (steer + queue push).
-            path = paths[choice[0]]
-            packet.path_id = path.path_id
-            if not path.queue.push(packet):
+            if not paths[choice[0]].enqueue(packet):
                 self._count_drop(packet)
             return
         # Replicated transmission: primary + replicas, first copy wins.

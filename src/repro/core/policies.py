@@ -396,11 +396,7 @@ class AdaptiveMultipath(Policy):
 
     def select(self, packet: Packet, paths: Sequence[DataPath], now: float) -> List[int]:
         self.total += 1
-        # Inlined _healthy cache hit (the overwhelmingly common case).
-        if now - self._health_t <= self.health_refresh and self._health_cache:
-            healthy = self._health_cache
-        else:
-            healthy = self._healthy(paths, now)
+        healthy = self._healthy(paths, now)
         fid = packet.flow_id
 
         primary: Optional[int] = None

@@ -24,7 +24,7 @@ from repro.net.packet import Packet
 from repro.obs.span import NullTracer
 from repro.sim.engine import NORMAL, _SEQ_BITS, Simulator
 
-#: Packed ordering key base for NORMAL-priority heap entries; the fast
+#: Packed ordering key base for NORMAL-priority heap entries; the
 #: service loop pushes completions directly (same tuples ``call_at``
 #: would build, minus the call overhead).
 _NORMAL_KEY = NORMAL << _SEQ_BITS
@@ -131,11 +131,7 @@ class Poller:
             self.sim.call_in(0.0, self._serve_batch, priority=2)
 
     def _serve_batch(self) -> None:
-        if self.frozen:
-            self._busy = False
-            self.queue.on_enqueue = self._on_enqueue
-            return
-        batch = self.queue.pop_batch(self.batch_size)
+        batch = None if self.frozen else self.queue.pop_batch(self.batch_size)
         if not batch:
             self._busy = False
             self.queue.on_enqueue = self._on_enqueue
@@ -148,102 +144,84 @@ class Poller:
             self.vcpu.execute(now, self.batch_overhead)
         last_finish = now
         tracing = self.tracer.enabled
-        chain_process = self.chain.process
-        vcpu_execute = self.vcpu.execute
+        tracer_record = self.tracer.record
+        track = self.track
+        degrade = self.degrade
         sink = self.sink
         drop_sink = self.drop_sink
         st = self.service_time
-        if not tracing and self.degrade == 1.0:
-            # Fast path: completions are pushed straight into the event
-            # scheduler.  Nothing inside this loop schedules, so the cached
-            # sequence counter stays exact and every push allocates the
-            # same (time, key) a call_at would have.  The vCPU charge is
-            # inlined for the stall-free case (the same arithmetic as
-            # VCpu.execute's fast branch); any slice that could touch a
-            # stall window syncs state back and takes the full call.
-            push = sim._push
-            seq = sim._seq
-            vcpu = self.vcpu
-            free_at = vcpu._free_at
-            s_start = vcpu._stall_start
-            s_end = vcpu._stall_end
-            bt = vcpu.busy_time
-            nex = vcpu.executions
-            chain = self.chain
-            procs = chain._procs
-            nproc = chain.processed
-            for pkt in batch:
-                # Inlined Chain.process (same accumulation order).
-                nproc += 1
-                cost = 0.0
-                for proc in procs:
-                    cost += proc(pkt, now)
-                    if pkt.dropped is not None:
-                        chain.dropped += 1
-                        break
-                st += cost
-                start = now if now > free_at else free_at
-                if s_end > start and s_start > start and cost <= s_start - start:
-                    free_at = finish = start + cost
-                    bt += cost
-                    nex += 1
-                else:
-                    vcpu._free_at = free_at
-                    vcpu.busy_time = bt
-                    vcpu.executions = nex
-                    start, finish = vcpu_execute(now, cost)
-                    free_at = vcpu._free_at
-                    s_start = vcpu._stall_start
-                    s_end = vcpu._stall_end
-                    bt = vcpu.busy_time
-                    nex = vcpu.executions
-                pkt.t_deq = start
-                last_finish = finish
-                if pkt.dropped is None:
-                    seq += 1
-                    push((finish, _NORMAL_KEY | seq, sink, (pkt,)))
-                elif drop_sink is not None:
-                    seq += 1
-                    push((finish, _NORMAL_KEY | seq, drop_sink, (pkt,)))
-            vcpu._free_at = free_at
-            vcpu.busy_time = bt
-            vcpu.executions = nex
-            chain.processed = nproc
-            # Loop: look for the next batch once this one's work is done.
-            seq += 1
-            push((last_finish, _NORMAL_KEY | seq, self._serve_batch, ()))
-            sim._seq = seq
-        else:
-            degrade = self.degrade
-            call_at = sim.call_at
-            tracer_record = self.tracer.record
-            track = self.track
-            for pkt in batch:
-                cost = chain_process(pkt, now)
-                if degrade != 1.0:
-                    cost *= degrade
-                st += cost
-                start, finish = vcpu_execute(now, cost)
-                pkt.t_deq = start
-                last_finish = finish
-                if tracing:
-                    # The three poller stages partition t_enq -> finish:
-                    # wait in queue, stall before service (batch overhead +
-                    # serialization behind batchmates + vCPU jitter), then
-                    # service itself (mid-service stalls included).
-                    tracer_record(now, "vswitch_queue", pkt.pid,
-                                  now - pkt.t_enq, track)
-                    tracer_record(start, "sched_stall", pkt.pid,
-                                  start - now, track)
-                    tracer_record(finish, "nf_service", pkt.pid,
-                                  finish - start, track)
+        # Completions are pushed straight into the event scheduler.  Nothing
+        # inside this loop schedules, so the cached sequence counter stays
+        # exact and every push allocates the same (time, key) a call_at
+        # would have.  The vCPU charge is inlined for the stall-free case
+        # (the same arithmetic as VCpu.execute's fast branch); any slice
+        # that could touch a stall window syncs state back and takes the
+        # full call.  With no degrade fault armed, cost * 1.0 == cost.
+        push = sim._push
+        seq = sim._seq
+        vcpu = self.vcpu
+        vcpu_execute = vcpu.execute
+        free_at = vcpu._free_at
+        s_start = vcpu._stall_start
+        s_end = vcpu._stall_end
+        bt = vcpu.busy_time
+        nex = vcpu.executions
+        chain = self.chain
+        procs = chain._procs
+        nproc = chain.processed
+        for pkt in batch:
+            # Inlined Chain.process (same accumulation order).
+            nproc += 1
+            cost = 0.0
+            for proc in procs:
+                cost += proc(pkt, now)
                 if pkt.dropped is not None:
-                    if drop_sink is not None:
-                        call_at(finish, drop_sink, pkt)
-                else:
-                    call_at(finish, sink, pkt)
-            # Loop: look for the next batch once this one's work is done.
-            call_at(last_finish, self._serve_batch)
+                    chain.dropped += 1
+                    break
+            cost *= degrade
+            st += cost
+            start = now if now > free_at else free_at
+            if s_end > start and s_start > start and cost <= s_start - start:
+                free_at = finish = start + cost
+                bt += cost
+                nex += 1
+            else:
+                vcpu._free_at = free_at
+                vcpu.busy_time = bt
+                vcpu.executions = nex
+                start, finish = vcpu_execute(now, cost)
+                free_at = vcpu._free_at
+                s_start = vcpu._stall_start
+                s_end = vcpu._stall_end
+                bt = vcpu.busy_time
+                nex = vcpu.executions
+            pkt.t_deq = start
+            last_finish = finish
+            if tracing:
+                # The three poller stages partition t_enq -> finish:
+                # wait in queue, stall before service (batch overhead +
+                # serialization behind batchmates + vCPU jitter), then
+                # service itself (mid-service stalls included).
+                tracer_record(now, "vswitch_queue", pkt.pid,
+                              now - pkt.t_enq, track)
+                tracer_record(start, "sched_stall", pkt.pid,
+                              start - now, track)
+                tracer_record(finish, "nf_service", pkt.pid,
+                              finish - start, track)
+            if pkt.dropped is None:
+                seq += 1
+                push((finish, _NORMAL_KEY | seq, sink, (pkt,)))
+            elif drop_sink is not None:
+                seq += 1
+                push((finish, _NORMAL_KEY | seq, drop_sink, (pkt,)))
+        vcpu._free_at = free_at
+        vcpu.busy_time = bt
+        vcpu.executions = nex
+        chain.processed = nproc
+        # Loop: look for the next batch once this one's work is done.
+        seq += 1
+        push((last_finish, _NORMAL_KEY | seq, self._serve_batch, ()))
+        sim._seq = seq
         self.service_time = st
         self.served += len(batch)
 

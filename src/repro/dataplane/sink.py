@@ -79,17 +79,12 @@ class DeliverySink:
             if rec.keep_all:
                 rec.samples.append(latency)
             rec._pending.append(latency)
-        size = packet.size
         tm = self.throughput
         if tm.packets == 0:
             tm.t_first = now
         tm.packets += 1
-        tm.bytes += size
+        tm.bytes += packet.size
         tm.t_last = now
-        rm = tm.rate_meter
-        if now >= rm._bucket_end:
-            rm._advance(now)
-        rm._buckets[rm._current] += size
         if self.tracker is not None:
             self.tracker.on_delivery(packet, now)
         if self.on_delivery is not None:

@@ -22,7 +22,6 @@ from repro.metrics.collectors import (
     LatencyRecorder,
     ThroughputMeter,
     Ewma,
-    WindowedRate,
     Counter,
 )
 from repro.metrics.report import Table, format_series, format_cdf
@@ -40,7 +39,6 @@ __all__ = [
     "LatencyRecorder",
     "ThroughputMeter",
     "Ewma",
-    "WindowedRate",
     "Counter",
     "Table",
     "format_series",

@@ -3,14 +3,13 @@
 :class:`LatencyRecorder` is the standard sink-side measurement object: it
 keeps a bounded reservoir for exact offline percentiles, streaming P²
 percentiles folded on first read, and (optionally) the full sample for
-tests.  :class:`Ewma` and :class:`WindowedRate` are also used *inside* the
-multipath controller (path-state monitoring), so they live here rather
-than in the bench code.
+tests.  :class:`Ewma` is also used *inside* the data plane (each path's
+sojourn average, which the straggler detector reads), so it lives
+here rather than in the bench code.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -79,16 +78,10 @@ class Ewma:
 
     def add(self, x: float) -> float:
         """Fold in one observation; returns the updated average."""
-        if self._empty:
-            self._empty = False
-            self._value = x
-        else:
-            self._value += self.alpha * (x - self._value)
-        return self._value
+        return self.add_many((x,))
 
     def add_many(self, xs) -> float:
-        """Fold in observations in order; same arithmetic as repeated
-        :meth:`add` (hence bit-identical), one call instead of many."""
+        """Fold in observations in order; returns the updated average."""
         i = 0
         if self._empty:
             if not len(xs):
@@ -110,57 +103,6 @@ class Ewma:
     def reset(self) -> None:
         self._empty = True
         self._value = float("nan")
-
-
-class WindowedRate:
-    """Event rate over a sliding time window (events per µs).
-
-    Used by throughput meters and by the controller to estimate per-path
-    arrival rates.  O(1) per event amortized: buckets of ``window/8``.
-    """
-
-    __slots__ = ("window", "_bucket_len", "_buckets", "_bucket_start",
-                 "_bucket_end", "_current")
-
-    N_BUCKETS = 8
-
-    def __init__(self, window: float = 1000.0) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        self.window = window
-        self._bucket_len = window / self.N_BUCKETS
-        self._buckets: List[float] = [0.0] * self.N_BUCKETS
-        self._bucket_start = 0.0
-        # Cached end of the current bucket (== _bucket_start +
-        # _bucket_len always) so add() can skip _advance's arithmetic.
-        self._bucket_end = self._bucket_len
-        self._current = 0
-
-    def add(self, now: float, weight: float = 1.0) -> None:
-        """Record one event of ``weight`` (e.g. bytes) at time ``now``."""
-        if now >= self._bucket_end:
-            self._advance(now)
-        self._buckets[self._current] += weight
-
-    def rate(self, now: float) -> float:
-        """Weighted events per µs over the trailing window."""
-        if now >= self._bucket_end:
-            self._advance(now)
-        return sum(self._buckets) / self.window
-
-    def _advance(self, now: float) -> None:
-        # Rotate buckets until the current one covers `now`.
-        steps = int((now - self._bucket_start) / self._bucket_len)
-        if steps >= self.N_BUCKETS:
-            self._buckets = [0.0] * self.N_BUCKETS
-            self._current = 0
-            self._bucket_start = now
-        else:
-            for _ in range(steps):
-                self._current = (self._current + 1) % self.N_BUCKETS
-                self._buckets[self._current] = 0.0
-                self._bucket_start += self._bucket_len
-        self._bucket_end = self._bucket_start + self._bucket_len
 
 
 class LatencyRecorder:
@@ -320,14 +262,13 @@ class LatencyRecorder:
 class ThroughputMeter:
     """Counts delivered packets/bytes and computes goodput over a run."""
 
-    __slots__ = ("packets", "bytes", "t_first", "t_last", "rate_meter")
+    __slots__ = ("packets", "bytes", "t_first", "t_last")
 
-    def __init__(self, window: float = 10_000.0) -> None:
+    def __init__(self) -> None:
         self.packets = 0
         self.bytes = 0
         self.t_first = float("nan")
         self.t_last = float("nan")
-        self.rate_meter = WindowedRate(window)
 
     def record(self, size: int, now: float) -> None:
         """Record one delivered packet of ``size`` bytes at time ``now``."""
@@ -336,12 +277,6 @@ class ThroughputMeter:
         self.packets += 1
         self.bytes += size
         self.t_last = now
-        # Inlined WindowedRate.add (adding the int directly is the same
-        # float result as adding float(size)).
-        rm = self.rate_meter
-        if now >= rm._bucket_end:
-            rm._advance(now)
-        rm._buckets[rm._current] += size
 
     @property
     def duration(self) -> float:

@@ -54,131 +54,28 @@ class P2Quantile:
 
     def add(self, x: float) -> None:
         """Feed one observation."""
-        self.n += 1
-        if self._heights is not None:
-            self._update(x)
-            return
-        self._init.append(x)
-        if len(self._init) == 5:
-            self._init.sort()
-            self._heights = list(self._init)
+        self.add_many((x,))
+
+    def add_many(self, xs) -> None:
+        """Feed a batch of observations in order (the first five set the
+        initial markers).  Marker state lives in scalar locals across the
+        batch and the marker adjustment is unrolled, with float-op order
+        identical to the textbook recurrence."""
+        n_xs = len(xs)
+        self.n += n_xs
+        i = 0
+        if self._heights is None:
+            init = self._init
+            i = min(n_xs, 5 - len(init))
+            init.extend(xs[:i])
+            if len(init) < 5:
+                return
+            init.sort()
+            self._heights = list(init)
             self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
             q = self.q
             self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
             self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def _update(self, x: float) -> None:
-        # Pure-Python marker update: at one call per observation this is
-        # hot-path code.  The five-marker state is staged into scalar
-        # locals and the marker-adjust loop is unrolled -- both roughly
-        # halve the interpreter work versus indexed list updates, with
-        # float-op order identical to the textbook recurrence.
-        h = self._heights
-        pos = self._positions
-        h0, h1, h2, h3, h4 = h
-        p1, p2, p3, p4 = pos[1], pos[2], pos[3], pos[4]
-        if x < h0:
-            h0 = x
-            p1 += 1.0
-            p2 += 1.0
-            p3 += 1.0
-            p4 += 1.0
-        elif x >= h4:
-            h4 = x
-            p4 += 1.0
-        elif x < h1:
-            p1 += 1.0
-            p2 += 1.0
-            p3 += 1.0
-            p4 += 1.0
-        elif x < h2:
-            p2 += 1.0
-            p3 += 1.0
-            p4 += 1.0
-        elif x < h3:
-            p3 += 1.0
-            p4 += 1.0
-        else:
-            p4 += 1.0
-        d = self._desired
-        inc = self._increments
-        d1 = d[1] + inc[1]
-        d2 = d[2] + inc[2]
-        d3 = d[3] + inc[3]
-        d4 = d[4] + 1.0
-        d[1] = d1
-        d[2] = d2
-        d[3] = d3
-        d[4] = d4
-        # Adjust the three middle markers with parabolic interpolation
-        # (pos[0] is pinned at 1.0 for the life of the estimator).
-        diff = d1 - p1
-        if (diff >= 1.0 and p2 - p1 > 1.0) or (diff <= -1.0 and 1.0 - p1 < -1.0):
-            sign = 1.0 if diff >= 1.0 else -1.0
-            hp = h1 + sign / (p2 - 1.0) * (
-                (p1 - 1.0 + sign) * (h2 - h1) / (p2 - p1)
-                + (p2 - p1 - sign) * (h1 - h0) / (p1 - 1.0)
-            )
-            if h0 < hp < h2:
-                h1 = hp
-            elif sign > 0:
-                h1 = h1 + sign * (h2 - h1) / (p2 - p1)
-            else:
-                h1 = h1 + sign * (h0 - h1) / (1.0 - p1)
-            p1 += sign
-        diff = d2 - p2
-        if (diff >= 1.0 and p3 - p2 > 1.0) or (diff <= -1.0 and p1 - p2 < -1.0):
-            sign = 1.0 if diff >= 1.0 else -1.0
-            hp = h2 + sign / (p3 - p1) * (
-                (p2 - p1 + sign) * (h3 - h2) / (p3 - p2)
-                + (p3 - p2 - sign) * (h2 - h1) / (p2 - p1)
-            )
-            if h1 < hp < h3:
-                h2 = hp
-            elif sign > 0:
-                h2 = h2 + sign * (h3 - h2) / (p3 - p2)
-            else:
-                h2 = h2 + sign * (h1 - h2) / (p1 - p2)
-            p2 += sign
-        diff = d3 - p3
-        if (diff >= 1.0 and p4 - p3 > 1.0) or (diff <= -1.0 and p2 - p3 < -1.0):
-            sign = 1.0 if diff >= 1.0 else -1.0
-            hp = h3 + sign / (p4 - p2) * (
-                (p3 - p2 + sign) * (h4 - h3) / (p4 - p3)
-                + (p4 - p3 - sign) * (h3 - h2) / (p3 - p2)
-            )
-            if h2 < hp < h4:
-                h3 = hp
-            elif sign > 0:
-                h3 = h3 + sign * (h4 - h3) / (p4 - p3)
-            else:
-                h3 = h3 + sign * (h2 - h3) / (p2 - p3)
-            p3 += sign
-        h[0] = h0
-        h[1] = h1
-        h[2] = h2
-        h[3] = h3
-        h[4] = h4
-        pos[1] = p1
-        pos[2] = p2
-        pos[3] = p3
-        pos[4] = p4
-
-    def add_many(self, xs) -> None:
-        """Feed a batch of observations (same math as repeated :meth:`add`).
-
-        Marker state lives in scalar locals across the whole batch, which
-        makes bulk replay (see ``LatencyRecorder``) much cheaper than one
-        :meth:`add` call per sample.
-        """
-        i = 0
-        n_xs = len(xs)
-        while self._heights is None:
-            if i >= n_xs:
-                return
-            self.add(xs[i])
-            i += 1
-        self.n += n_xs - i
         h = self._heights
         pos = self._positions
         d = self._desired
@@ -354,17 +251,10 @@ class ReservoirSampler:
 
     def add(self, x: float) -> None:
         """Offer one observation to the reservoir."""
-        c = self.count
-        if c < self.capacity:
-            self._buf[c] = x
-        else:
-            j = int(self.rng.integers(0, c + 1))
-            if j < self.capacity:
-                self._buf[j] = x
-        self.count = c + 1
+        self.add_many((x,))
 
     def add_many(self, xs) -> None:
-        """Offer a batch (same draws/state as repeated :meth:`add`)."""
+        """Offer a batch, in order."""
         buf = self._buf
         cap = self.capacity
         c = self.count

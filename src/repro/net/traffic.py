@@ -129,9 +129,9 @@ class Replay:
 
     __slots__ = ("sim", "factory", "sink", "flows", "sends", "_stats",
                  "_feed", "_recs", "_i", "_k", "_loaded", "_nic", "_out",
-                 "_reserved", "_drop_t", "_drop_g", "_fault_t", "_bursts",
-                 "_burst_at", "_burst_rng", "_prev", "_pa", "_hp", "_hidle",
-                 "_late", "_counts")
+                 "_reserved", "_drop_t", "_drop_g", "_fault_t", "_gone",
+                 "_bursts", "_burst_at", "_burst_rng", "_prev", "_pa", "_hp",
+                 "_hidle", "_late", "_counts")
 
     def __init__(self, sim: Simulator, factory: Optional[PacketFactory],
                  sink: Callable[[Packet], None], flows: list,
@@ -153,6 +153,7 @@ class Replay:
         self._drop_t: list = []  # arrival times of NIC drops
         self._drop_g: list = []  # and their record numbers
         self._fault_t: list = []  # arrival times of drop-burst drops
+        self._gone = (0, 0)  # drops and drop-burst drops let go of
         #: Drop-burst windows ``(start, end, prob)``, the next one last,
         #: and the start of the next one.
         self._bursts: list = []
@@ -232,12 +233,13 @@ class Replay:
         while (not recs or recs[-1][1] <= now) and self._load():
             pass
         base = self._loaded - len(recs)
-        dropped = bisect_right(self._drop_t, now)
+        drops, faults = self._gone
+        dropped = drops + bisect_right(self._drop_t, now)
         received = base + bisect_right(recs, now, key=_arrival) - dropped
         gone = base + self._i
         return (received, dropped,
-                received - gone + bisect_left(self._drop_g, gone),
-                bisect_right(self._fault_t, now))
+                received - gone + drops + bisect_left(self._drop_g, gone),
+                faults + bisect_right(self._fault_t, now))
 
     # ------------------------------------------------------------------
     def _load(self) -> int:
@@ -440,10 +442,18 @@ class Replay:
                     sim._push((when, _NORMAL_KEY | s, self._tick, ()))
                 break
         if self._i >= REPLAY_BATCH:
+            from bisect import bisect_left, bisect_right
+
             cut = min(self._i, self._k)
             del recs[:cut]
             self._i -= cut
             self._k -= cut
+            # Count and let go of the NIC drops before the window (all
+            # arrived by now): nic_counts never looks back past it.
+            n = bisect_left(self._drop_g, self._loaded - len(recs))
+            f = bisect_right(self._fault_t, now)
+            del self._drop_t[:n], self._drop_g[:n], self._fault_t[:f]
+            self._gone = (self._gone[0] + n, self._gone[1] + f)
 
 
 def _leading(stop: np.ndarray) -> int:

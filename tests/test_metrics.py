@@ -13,7 +13,6 @@ from repro.metrics import (
     ReservoirSampler,
     Table,
     ThroughputMeter,
-    WindowedRate,
     cdf_points,
     format_cdf,
     format_series,
@@ -70,6 +69,96 @@ class TestP2Quantile:
         for x in data:
             est.add(float(x))
         assert data.min() <= est.value <= data.max()
+
+
+def _textbook_p2(q, xs):
+    """Jain & Chlamtac's P² written from the paper, with indexed marker
+    lists: an oracle independent of ``P2Quantile``'s unrolled loop.
+    Yields the marker heights and positions after each observation from
+    the fifth on."""
+    h = sorted(xs[:5])
+    n = [1.0, 2.0, 3.0, 4.0, 5.0]
+    yield list(h), list(n)
+    d = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
+    inc = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
+    for x in xs[5:]:
+        if x < h[0]:
+            h[0] = x
+            k = 0
+        elif x >= h[4]:
+            h[4] = x
+            k = 3
+        else:
+            k = next(i for i in range(4) if x < h[i + 1])
+        for i in range(k + 1, 5):
+            n[i] += 1.0
+        for i in range(5):
+            d[i] += inc[i]
+        for i in (1, 2, 3):
+            diff = d[i] - n[i]
+            if (diff >= 1.0 and n[i + 1] - n[i] > 1.0) or (
+                    diff <= -1.0 and n[i - 1] - n[i] < -1.0):
+                s = 1.0 if diff >= 1.0 else -1.0
+                hp = h[i] + s / (n[i + 1] - n[i - 1]) * (
+                    (n[i] - n[i - 1] + s) * (h[i + 1] - h[i])
+                    / (n[i + 1] - n[i])
+                    + (n[i + 1] - n[i] - s) * (h[i] - h[i - 1])
+                    / (n[i] - n[i - 1]))
+                if h[i - 1] < hp < h[i + 1]:
+                    h[i] = hp
+                else:
+                    j = i + int(s)
+                    h[i] = h[i] + s * (h[j] - h[i]) / (n[j] - n[i])
+                n[i] += s
+        yield list(h), list(n)
+
+
+class TestP2Oracle:
+    """``P2Quantile`` against the textbook recurrence, bit for bit, over
+    several streams, quantiles and batch splits (per-sample ``add``, one
+    batch, and chunks that cut the five-sample initialisation)."""
+
+    @staticmethod
+    def _streams():
+        rng = np.random.default_rng(17)
+        yield rng.exponential(40.0, 3000).tolist()
+        yield rng.lognormal(3.0, 1.2, 3000).tolist()
+        yield rng.uniform(0.0, 1.0, 2000).tolist()
+        yield rng.integers(0, 4, 2000).astype(float).tolist()  # ties
+        yield sorted(rng.exponential(1.0, 1000).tolist())
+        yield sorted(rng.exponential(1.0, 1000).tolist(), reverse=True)
+        yield [5.0] * 7 + rng.normal(5.0, 1.0, 1000).tolist()
+
+    @staticmethod
+    def _splits(n, rng):
+        yield [1] * n
+        yield [n]
+        yield [3, 4] + [n - 7]
+        yield [2, 1, 1] + [n - 4]
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(int(rng.integers(1, 60)))
+        yield sizes
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
+    def test_matches_textbook(self, q):
+        rng = np.random.default_rng(int(q * 1000))
+        for xs in self._streams():
+            states = list(_textbook_p2(q, xs))
+            for sizes in self._splits(len(xs), rng):
+                est = P2Quantile(q)
+                lo = 0
+                for size in sizes:
+                    chunk = xs[lo:lo + size]
+                    if size == 1:
+                        est.add(chunk[0])
+                    else:
+                        est.add_many(chunk)
+                    lo += len(chunk)
+                    if lo >= 5:
+                        h, n = states[lo - 5]
+                        assert est._heights == h and est._positions == n
+                        assert est.value == h[2] and est.n == lo
 
 
 class TestReservoir:
@@ -147,24 +236,6 @@ class TestEwma:
             Ewma(0.0)
         with pytest.raises(ValueError):
             Ewma(1.5)
-
-
-class TestWindowedRate:
-    def test_rate_of_steady_stream(self):
-        w = WindowedRate(window=1000.0)
-        for t in range(1000):
-            w.add(float(t), 1.0)
-        assert w.rate(999.0) == pytest.approx(1.0, rel=0.15)
-
-    def test_rate_decays_after_silence(self):
-        w = WindowedRate(window=100.0)
-        for t in range(100):
-            w.add(float(t))
-        assert w.rate(1000.0) == 0.0
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            WindowedRate(0)
 
 
 class TestLatencyRecorder:

@@ -28,7 +28,7 @@ from repro.dataplane.nic import PhysicalNic
 from repro.net.packet import FiveTuple, Packet, PacketFactory
 from repro.faults import FaultInjector, FaultSchedule
 from repro.net.flow import FlowTracker
-from repro.net.traffic import FlowSource, IncastSource, Replay
+from repro.net.traffic import REPLAY_BATCH, FlowSource, IncastSource, Replay
 from repro.net.workloads import EmpiricalCDF
 from repro.sim import LOW, RngRegistry, Simulator
 
@@ -158,6 +158,11 @@ def _arrivals(case):
         edges = [0.0, 2.0, 20.0, 35.0, 50.0, 80.0, 100.0, 110.0, 120.0,
                  130.0]
         return np.sort(np.concatenate((grid, edges))), 8, 0.5
+    if case == "long":
+        # Several REPLAY_BATCH window cuts, the ring overflowing at times.
+        gaps = rng.exponential(0.3, 6000) * np.where(rng.random(6000) < 0.02,
+                                                     40, 1)
+        return np.cumsum(gaps), 8, 0.25
     # rx_cost 0: groups of equal timestamps, some longer than the ring.
     groups = rng.integers(1, 12, 120)
     return np.repeat(np.cumsum(rng.exponential(2.0, 120)), groups), 8, 0.0
@@ -268,6 +273,41 @@ class TestOwnedNic:
             assert any(120.0 < t < 130.0 for t in t_nic)
         else:
             assert fault_dropped < dropped  # the ring overflows too
+
+    def test_drop_bursts_across_window_cuts(self):
+        """Bursts over a run of several window cuts, which let go of
+        the drops behind them: the counters sampled during the run stay
+        those of ``on_wire``."""
+        bursts = (FaultSchedule()
+                  .drop_burst(at=300.0, duration=400.0)
+                  .drop_burst(at=900.0, duration=500.0, prob=0.3)
+                  .drop_burst(at=2000.0, duration=30.0))
+        owned = _run_nic("long", True, bursts)
+        assert owned == _run_nic("long", False, bursts)
+        dispatched, _, samples, received, dropped, _, fault_dropped = owned
+        assert received == len(dispatched) > 2 * REPLAY_BATCH
+        assert 0 < fault_dropped < dropped  # the ring overflows too
+
+    def test_drop_lists_stay_bounded(self):
+        """A host-steady run under a certain 8 ms drop burst: once the
+        burst is over, the replay keeps only the NIC drops its window
+        still needs (the whole burst's drops before the fix)."""
+        from repro.bench.scenarios import ScenarioConfig, build_runtime
+
+        cfg = ScenarioConfig(
+            policy="adaptive", n_paths=4, load=0.7, duration=15_000.0,
+            warmup=1_500.0, drain=5_000.0, seed=1,
+            faults=FaultSchedule().drop_burst(at=2_000.0, duration=8_000.0))
+        rt = build_runtime(cfg)
+        rt.start()
+        src, lengths = rt.src, []
+        rt.sim.periodic(250.0, lambda: lengths.append(
+            (rt.sim.now, len(src._drop_t), len(src._drop_g),
+             len(src._fault_t))))
+        rt.sim.run(until=rt.horizon)
+        assert rt.host.nic.fault_dropped > 10 * REPLAY_BATCH
+        after = [n for t, *ns in lengths if t >= 11_000.0 for n in ns]
+        assert after and max(after) <= 2 * REPLAY_BATCH
 
     def test_inject_on_owned_nic_raises(self):
         sim = Simulator()
