@@ -26,6 +26,14 @@ Modes
                    ``events`` runs the same way: a paced-flows scenario
                    (F7's source kind) and a host under a NIC drop burst,
                    each recorded by its events per delivered packet.
+* ``--base REF`` -- with ``--check``: compare the pps against commit REF
+                   measured now on the same machine, not against the
+                   recorded number.  REF's ``src`` is extracted with
+                   ``git archive`` to a temporary directory, base and
+                   working-tree runs alternate in fresh interpreters
+                   (three pairs), and the median working-tree/base pps
+                   ratio must stay within ``--tolerance``.  The events
+                   per packet gates are unchanged.
 
 The recorded ``baseline_pps`` field is the pre-optimization kernel's
 throughput on the same scenario; ``speedup`` is measured against it.
@@ -33,6 +41,7 @@ throughput on the same scenario; ``speedup`` is measured against it.
 Usage:
   python benchmarks/record_kernel_throughput.py [--repeats N]
   python benchmarks/record_kernel_throughput.py --quick --check
+  python benchmarks/record_kernel_throughput.py --quick --check --base REF
 """
 
 import argparse
@@ -40,14 +49,37 @@ import json
 import os
 import pathlib
 import platform
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
 
 import repro
 from repro.bench.scenarios import ScenarioConfig, build_runtime
 
-RESULTS = pathlib.Path(__file__).resolve().parent / "results"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RESULTS = ROOT / "benchmarks" / "results"
 OUT = RESULTS / "BENCH_KERNEL.json"
+
+#: One timed run in a fresh interpreter: argv is the ``src`` directory to
+#: import ``repro`` from and the scenario as ``ScenarioConfig.to_dict``
+#: JSON.
+_TIMED_RUN = """
+import json, pathlib, sys, time
+import repro
+from repro.bench.scenarios import ScenarioConfig, build_runtime
+assert pathlib.Path(repro.__file__).resolve().is_relative_to(
+    pathlib.Path(sys.argv[1]).resolve()), repro.__file__
+cfg = ScenarioConfig.from_dict(json.loads(sys.argv[2]))
+t0 = time.perf_counter()
+rt = build_runtime(cfg)
+rt.start()
+rt.sim.run(until=rt.horizon)
+delivered = rt.finalize().stats["delivered"]
+print(json.dumps({"delivered": delivered, "events": rt.sim.processed_count,
+                  "wall_s": time.perf_counter() - t0}))
+"""
 
 #: Pre-optimization throughput of the same reference scenario on the
 #: machine that recorded the committed baseline (delivered pkts / wall s).
@@ -115,6 +147,48 @@ def _measure(quick: bool, repeats: int) -> dict:
     }
 
 
+def _timed_run(src: pathlib.Path, cfg: ScenarioConfig) -> dict:
+    """One run of ``cfg`` with ``repro`` imported from ``src``."""
+    out = subprocess.run(
+        [sys.executable, "-c", _TIMED_RUN, str(src),
+         json.dumps(cfg.to_dict())],
+        env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+        capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def _extract_src(ref: str, dest: str) -> pathlib.Path:
+    """``src`` of commit ``ref``, extracted under ``dest``."""
+    archive = subprocess.Popen(["git", "archive", ref, "src"], cwd=ROOT,
+                               stdout=subprocess.PIPE)
+    untar = subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout)
+    archive.stdout.close()
+    if archive.wait() or untar.returncode:
+        raise SystemExit(f"cannot extract src of {ref!r} with git archive")
+    return pathlib.Path(dest) / "src"
+
+
+def _paired(ref: str, cfg: ScenarioConfig, pairs: int = 3) -> tuple:
+    """Alternate runs of commit ``ref`` and of the working tree; returns
+    the median working-tree/base pps ratio and the working tree's last
+    run (``delivered``, ``wall_s``, ``pps``, ``events_per_pkt``)."""
+    ratios = []
+    with tempfile.TemporaryDirectory(prefix="kernel-base-") as tmp:
+        base_src = _extract_src(ref, tmp)
+        for i in range(pairs):
+            base = _timed_run(base_src, cfg)
+            head = _timed_run(ROOT / "src", cfg)
+            ratios.append((head["delivered"] / head["wall_s"])
+                          / (base["delivered"] / base["wall_s"]))
+            print(f"pair {i + 1}: base {base['delivered'] / base['wall_s']:,.0f}"
+                  f" pps, working tree "
+                  f"{head['delivered'] / head['wall_s']:,.0f} pps")
+    measured = {"delivered": head["delivered"], "wall_s": head["wall_s"],
+                "pps": head["delivered"] / head["wall_s"],
+                "events_per_pkt": head["events"] / head["delivered"]}
+    return statistics.median(ratios), measured
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -125,10 +199,18 @@ def main(argv=None) -> int:
                         help="repetitions, best-of (default 3; 2 in --quick)")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="max allowed regression for --check (default 0.20)")
+    parser.add_argument("--base", default=None, metavar="REF",
+                        help="with --check: compare pps against commit REF "
+                             "run now, in alternating pairs")
     args = parser.parse_args(argv)
+    if args.base is not None and not args.check:
+        parser.error("--base needs --check")
 
     repeats = min(args.repeats, 2) if args.quick else args.repeats
-    measured = _measure(args.quick, repeats)
+    if args.base is not None:
+        ratio, measured = _paired(args.base, _scenario(args.quick))
+    else:
+        measured = _measure(args.quick, repeats)
     mode = "quick" if args.quick else "full"
     print(f"[{mode}] delivered={measured['delivered']} "
           f"wall={measured['wall_s']:.2f}s pps={measured['pps']:,.0f} "
@@ -140,10 +222,14 @@ def main(argv=None) -> int:
             return 1
         committed = json.loads(OUT.read_text())
         key = "quick" if args.quick else "full"
-        base_pps = committed[key]["pps"]
-        ratio = measured["pps"] / base_pps
-        print(f"committed {key} baseline: {base_pps:,.0f} pps; "
-              f"measured/baseline = {ratio:.2f}")
+        if args.base is not None:
+            print(f"median working-tree/{args.base} pps ratio = "
+                  f"{ratio:.2f}")
+        else:
+            base_pps = committed[key]["pps"]
+            ratio = measured["pps"] / base_pps
+            print(f"committed {key} baseline: {base_pps:,.0f} pps; "
+                  f"measured/baseline = {ratio:.2f}")
         failed = False
         if ratio < 1.0 - args.tolerance:
             print(f"kernel throughput regressed {1 - ratio:.1%} "

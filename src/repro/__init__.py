@@ -173,8 +173,6 @@ def run(config=None, options=None, *, telemetry=None, faults=None,
       post-run tail attribution; the result gains a ``forensics_report``
       (see docs/FORENSICS.md).  Attaches a default :class:`Telemetry`
       when none was passed.
-    * ``options.recycle=False`` disables terminal-packet recycling (for
-      hooks that retain delivered packets).
 
     ``run`` also dispatches on the config kind: pass a
     :class:`ClusterConfig` and the rack-scale sharded engine
@@ -252,7 +250,6 @@ def run(config=None, options=None, *, telemetry=None, faults=None,
                            if telemetry_dir is not None else None),
             check=opts.check_spec(),
             forensics=opts.forensics_spec(),
-            recycle=opts.recycle,
         )
     if telemetry is not None or faults is not None or slo is not None:
         global _run_kwargs_warned
@@ -289,6 +286,6 @@ def run(config=None, options=None, *, telemetry=None, faults=None,
             )
         config = _dc.replace(config, slo=opts.slo)
     return run_scenario(config, telemetry=opts.telemetry,
-                        check=opts.check_spec(), recycle=opts.recycle,
+                        check=opts.check_spec(),
                         forensics=opts.forensics_spec())
 

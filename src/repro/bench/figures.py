@@ -95,8 +95,7 @@ def fig2_breakdown(duration: float = 60_000.0) -> Tuple[str, Dict]:
     """
     cfg = ScenarioConfig(**_sweep_base(duration, policy="single", n_paths=1,
                                        load=0.7, jitter=SHARED_CORE))
-    # Collect stamps via a delivery hook; it runs before the sink
-    # recycles the packet.
+    # Collect stamps via a delivery hook.
     samples: List[Tuple[float, float, float]] = []
 
     def collect(pkt):

@@ -605,7 +605,6 @@ class ScenarioRuntime:
 def build_runtime(config: ScenarioConfig,
                   telemetry=None,
                   check=None,
-                  recycle: bool = True,
                   forensics=None,
                   ingress=None) -> ScenarioRuntime:
     """Build (but do not run) one scenario host; see :class:`ScenarioRuntime`.
@@ -643,10 +642,6 @@ def build_runtime(config: ScenarioConfig,
     mpdp_kw.update(config.mpdp_overrides)
     host = MultipathDataPlane(sim, MpdpConfig(**mpdp_kw), rngs, tracker=tracker,
                               telemetry=telemetry)
-    if recycle:
-        # The harness retains no Packet objects past delivery, so
-        # terminal packets can be recycled through the factory free list.
-        host.enable_packet_recycling()
     engine = None
     if check is not None and check is not False:
         from repro.check.invariants import InvariantEngine
@@ -710,7 +705,6 @@ def build_runtime(config: ScenarioConfig,
 def run_scenario(config: ScenarioConfig,
                  telemetry=None,
                  check=None,
-                 recycle: bool = True,
                  forensics=None) -> SimulationResult:
     """Run one scenario to completion and collect results.
 
@@ -721,8 +715,7 @@ def run_scenario(config: ScenarioConfig,
     stage spans, metric snapshots and fault/control instant events are
     collected into the bundle and attached to the result.  ``check``
     (``True`` or a :class:`repro.check.CheckSpec`) arms the runtime
-    invariant engine and attaches its report; ``recycle=False`` disables
-    terminal-packet recycling.  ``forensics`` (``True`` or a
+    invariant engine and attaches its report.  ``forensics`` (``True`` or a
     :class:`~repro.obs.forensics.ForensicsSpec`) runs tail attribution
     after the run and attaches ``result.forensics_report``; it needs
     telemetry and attaches a default :class:`~repro.obs.Telemetry` when
@@ -732,7 +725,7 @@ def run_scenario(config: ScenarioConfig,
     whichever way they are set.
     """
     rt = build_runtime(config, telemetry=telemetry, check=check,
-                       recycle=recycle, forensics=forensics)
+                       forensics=forensics)
     rt.start()
     rt.sim.run(until=rt.horizon)
     return rt.finalize()

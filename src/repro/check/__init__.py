@@ -12,8 +12,8 @@ Three layers of systematic correctness checking for the simulator:
   all invariants armed; failures shrink to a minimal repro config.
 * :func:`diff_scenario` (``repro check diff``) -- differential replay
   of one scenario across harness variants that must not change results
-  (telemetry on/off, faults kwarg-vs-config, jobs=1 vs N, packet
-  recycling on/off, checking armed/detached), diffed field by field.
+  (telemetry on/off, faults kwarg-vs-config, jobs=1 vs N, checking
+  armed/detached), diffed field by field.
 
 :func:`mutation_selftest` (``repro check selftest``) proves the engine
 catches real violations by deliberately breaking the deduplicator.

@@ -2,19 +2,18 @@
 
 One determinism contract underpins every artifact this library emits:
 harness toggles -- telemetry, how faults are passed, worker counts,
-packet recycling, invariant checking -- must never change *what* a
-scenario computes.  :func:`diff_scenario` enforces it by brute force:
-re-run the same scenario under each variant and diff the result payloads
-field by field.  Any drift is a bug in the harness (or a component
-secretly keying behaviour off an observation hook), and the per-leaf
-diff names exactly which field moved.
+invariant checking -- must never change *what* a scenario computes.
+:func:`diff_scenario` enforces it by brute force: re-run the same
+scenario under each variant and diff the result payloads field by
+field.  Any drift is a bug in the harness (or a component secretly
+keying behaviour off an observation hook), and the per-leaf diff names
+exactly which field moved.
 
 Variants exercised (each skipped with a reason when not applicable):
 
 ``telemetry``     full observability bundle attached vs bare.
 ``faults_kwarg``  fault schedule passed per-invocation (``RunOptions``)
                   vs embedded in the config (fault scenarios only).
-``recycle_off``   terminal-packet recycling disabled vs enabled.
 ``check_armed``   invariant engine armed vs detached.
 ``jobs``          a 2-cell sweep run with ``jobs=1`` vs ``jobs=2``
                   (fork pool), compared cell by cell, cache bypassed.
@@ -130,8 +129,6 @@ def diff_scenario(config: ScenarioConfig,
             bare = _dc.replace(config, faults=None)
             result = repro.run(bare, repro.RunOptions(faults=config.faults))
             compare("faults_kwarg", _identity(result))
-    if want("recycle_off"):
-        compare("recycle_off", _identity(run_scenario(config, recycle=False)))
     if want("check_armed"):
         compare("check_armed", _identity(run_scenario(config, check=True)))
     if want("jobs"):

@@ -20,7 +20,6 @@ from typing import Dict
 
 from repro.bench.scenarios import ScenarioConfig, run_scenario
 from repro.check.diff import deep_diff
-from repro.check.invariants import InvariantEngine
 from repro.check.spec import CheckSpec
 
 #: Replication scenario the mutation runs against: every packet takes
@@ -37,14 +36,6 @@ SELFTEST_CONFIG = dict(
 )
 
 
-def _armed_run(config: ScenarioConfig):
-    engine = InvariantEngine(CheckSpec(sample_interval=250.0))
-    # Recycling stays off: the broken-dedup variant double-frees packets
-    # (both copies reach the sink), which would alias pool entries.
-    result = run_scenario(config, check=engine, recycle=False)
-    return result
-
-
 def mutation_selftest(seed: int = 42) -> Dict:
     """Break dedup, expect the engine and the differ to both catch it.
 
@@ -54,8 +45,9 @@ def mutation_selftest(seed: int = 42) -> Dict:
     from repro.core.replicator import Deduplicator
 
     config = ScenarioConfig(**{**SELFTEST_CONFIG, "seed": seed})
+    armed = CheckSpec(sample_interval=250.0)
 
-    intact = _armed_run(config)
+    intact = run_scenario(config, check=armed)
     intact_clean = intact.check_report["ok"]
 
     original = Deduplicator.should_deliver
@@ -69,7 +61,7 @@ def mutation_selftest(seed: int = 42) -> Dict:
 
     Deduplicator.should_deliver = deliver_every_copy
     try:
-        broken = _armed_run(config)
+        broken = run_scenario(config, check=armed)
     finally:
         Deduplicator.should_deliver = original
 

@@ -1321,8 +1321,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default 2)")
     p_cd.add_argument("--variant", action="append", default=[],
                       dest="variants",
-                      choices=["telemetry", "faults_kwarg", "recycle_off",
-                               "check_armed", "jobs"],
+                      choices=["telemetry", "faults_kwarg", "check_armed",
+                               "jobs"],
                       help="restrict to specific variants (repeatable; "
                            "default: all applicable)")
     p_cd.add_argument("--out", default=None,

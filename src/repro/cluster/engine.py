@@ -198,8 +198,7 @@ def _phase2(cluster: ClusterConfig, host_ids: Iterable[int], end: float,
 
             tel = Telemetry()
         rt = build_runtime(_host_scenario(cluster, hid), telemetry=tel,
-                           check=opts["check"], recycle=opts["recycle"],
-                           forensics=opts["forensics"],
+                           check=opts["check"], forensics=opts["forensics"],
                            ingress=_host_ingress(cluster, hid, egress_dir,
                                                  counts[hid]["generated"]))
         rt.start()
@@ -232,7 +231,7 @@ def run_cluster(config: ClusterConfig,
                 telemetry_dir: Optional[str] = None,
                 check=None,
                 forensics=None,
-                recycle: bool = True,
+                recycle: Optional[bool] = None,
                 scheduler: Optional[str] = None) -> ClusterResult:
     """Run a cluster scenario, its hosts spread over worker processes.
 
@@ -256,7 +255,7 @@ def run_cluster(config: ClusterConfig,
     forensics:
         Arm per-host tail attribution (``True`` or a ``ForensicsSpec``);
         reports land in each host's payload (and bundle).
-    scheduler:
+    recycle, scheduler:
         Deprecated and ignored; a non-None value warns once per process.
 
     Returns
@@ -266,6 +265,10 @@ def run_cluster(config: ClusterConfig,
         payload is a pure function of ``config`` -- never of
         ``workers`` or the observation knobs' wall-clock effects.
     """
+    if recycle is not None:
+        from ..net.packet import warn_recycle_ignored
+
+        warn_recycle_ignored("run_cluster(recycle=)")
     if scheduler is not None:
         warn_scheduler_ignored()
     config.validate()
@@ -274,7 +277,7 @@ def run_cluster(config: ClusterConfig,
     workers = resolve_workers(workers, n_hosts)
     shards = partition_hosts(n_hosts, workers)
     opts = {"telemetry_dir": telemetry_dir, "check": check,
-            "forensics": forensics, "recycle": recycle}
+            "forensics": forensics}
 
     egress_dir = tempfile.mkdtemp(prefix="repro-cluster-")
     try:

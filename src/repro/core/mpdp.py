@@ -42,7 +42,7 @@ from repro.elements.base import Chain
 from repro.elements.nf import standard_chain
 from repro.metrics.collectors import LatencyRecorder
 from repro.net.flow import FlowTracker
-from repro.net.packet import POOL_MAX, Packet, PacketFactory
+from repro.net.packet import Packet, PacketFactory, warn_recycle_ignored
 from repro.obs.span import NullTracer
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -222,8 +222,6 @@ class MultipathDataPlane:
         #: Invariant engine (repro.check); the detached singleton keeps
         #: the completion fan-in at one attribute check.
         self.invariants = NullInvariants
-        #: Packet free list (see :meth:`enable_packet_recycling`).
-        self._pool = None
 
         if telemetry is not None:
             telemetry.register_host(self)
@@ -286,29 +284,14 @@ class MultipathDataPlane:
             self._deliver(packet)
         else:
             self.suppressed += 1
-            pool = self._pool
-            if pool is not None and len(pool) < POOL_MAX:
-                pool.append(packet)
 
     def _on_path_drop(self, packet: Packet) -> None:
         self._count_drop(packet)
         self.dedup.on_copy_dropped(packet)
-        pool = self._pool
-        if pool is not None and len(pool) < POOL_MAX:
-            pool.append(packet)
 
     def enable_packet_recycling(self) -> None:
-        """Wire terminal components to the factory's packet free list.
-
-        Delivered, suppressed, and path-dropped packets are parked for
-        reuse by the traffic sources (fresh pid, fully reset fields).
-        Opt in only when nothing downstream retains delivered ``Packet``
-        objects (the standard scenario harness qualifies; custom
-        ``sink.on_delivery`` hooks that store packets do not).
-        """
-        pool = self.factory.free
-        self.sink._pool = pool
-        self._pool = pool
+        """Deprecated no-op: packets are no longer recycled."""
+        warn_recycle_ignored("MultipathDataPlane.enable_packet_recycling()")
 
     def _count_drop(self, packet: Packet) -> None:
         reason = packet.dropped or "unknown"

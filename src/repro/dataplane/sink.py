@@ -13,7 +13,7 @@ from typing import Callable, Optional
 from repro.check.invariants import NullInvariants
 from repro.metrics.collectors import LatencyRecorder, ThroughputMeter
 from repro.net.flow import FlowTracker
-from repro.net.packet import POOL_MAX, Packet
+from repro.net.packet import Packet
 from repro.obs.span import NullTracer
 from repro.sim.engine import Simulator
 
@@ -32,7 +32,7 @@ class DeliverySink:
     """
 
     __slots__ = ("sim", "recorder", "throughput", "tracker", "on_delivery",
-                 "delivered", "tracer", "invariants", "_pool")
+                 "delivered", "tracer", "invariants")
 
     def __init__(
         self,
@@ -52,9 +52,6 @@ class DeliverySink:
         #: Invariant engine (repro.check); NullInvariants keeps the hot
         #: path at one attribute check when checking is detached.
         self.invariants = NullInvariants
-        #: Packet free list (PacketFactory.free) when recycling is wired;
-        #: None leaves delivered packets to the garbage collector.
-        self._pool = None
 
     def deliver(self, packet: Packet) -> None:
         """Accept one packet at the application boundary."""
@@ -89,8 +86,5 @@ class DeliverySink:
             self.tracker.on_delivery(packet, now)
         if self.on_delivery is not None:
             self.on_delivery(packet)
-        pool = self._pool
-        if pool is not None and len(pool) < POOL_MAX:
-            pool.append(packet)
 
     __call__ = deliver

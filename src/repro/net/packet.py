@@ -153,8 +153,20 @@ class Packet:
         )
 
 
-#: Maximum packets parked on a factory's free list (bounds pool memory).
-POOL_MAX = 4096
+_recycle_warned: set = set()
+
+
+def warn_recycle_ignored(spelling: str, stacklevel: int = 3) -> None:
+    """Warn once per process that ``spelling``, a name of the deleted
+    packet free list, is ignored; ``stacklevel`` counts from here to the
+    caller's own code."""
+    if spelling not in _recycle_warned:
+        import warnings
+
+        _recycle_warned.add(spelling)
+        warnings.warn(f"{spelling} is deprecated and ignored: packets are "
+                      f"no longer recycled", DeprecationWarning,
+                      stacklevel=stacklevel)
 
 
 class PacketFactory:
@@ -162,30 +174,26 @@ class PacketFactory:
 
     One factory per simulation keeps pid allocation centralized so that
     replicas (allocated by the core replicator) never collide with source
-    packets.
-
-    The factory also owns a bounded **free list** (``free``): terminal
-    components (sink, suppression, drop accounting) may park dead packets
-    there and sources reuse them instead of allocating.  Reused packets
-    get a fresh pid and fully reset fields, so pooling is invisible to
-    everything that handles packets by value.  Recycling is opt-in wiring
-    (see ``MultipathDataPlane.enable_packet_recycling``): components that
-    never recycle see an always-empty list and plain allocation.
+    packets.  Every packet is allocated once, by :meth:`make`, a source's
+    replay or :meth:`Packet.clone`, and then left to reference counting.
     """
 
-    __slots__ = ("_next_pid", "created", "free")
+    __slots__ = ("_next_pid", "created")
 
     def __init__(self) -> None:
         self._next_pid = 0
-        #: Total packets ever allocated (including replicas and reuses).
+        #: Total packets ever allocated (including replicas).
         self.created = 0
-        #: Free list for packet reuse (shared with recycling components).
-        self.free: list = []
+
+    @property
+    def free(self) -> list:
+        """Deprecated: always an empty list (there is no free list)."""
+        warn_recycle_ignored("PacketFactory.free")
+        return []
 
     def recycle(self, packet: Packet) -> None:
-        """Park a dead packet for reuse (no-op when the pool is full)."""
-        if len(self.free) < POOL_MAX:
-            self.free.append(packet)
+        """Deprecated no-op (there is no free list)."""
+        warn_recycle_ignored("PacketFactory.recycle()")
 
     def next_pid(self) -> int:
         """Reserve and return the next unique pid."""

@@ -25,9 +25,6 @@ import numpy as np
 
 from repro.net.flow import Flow, FlowTracker
 from repro.net.packet import HEADER_BYTES, MTU, FiveTuple, Packet, PacketFactory
-
-#: Stage-timestamp placeholder for pooled packet resets.
-_NAN = Packet.NAN
 from repro.sim.engine import NORMAL, _SEQ_BITS, Simulator
 from repro.units import US_PER_S, bps_to_bytes_per_us, pps_to_iat_us
 
@@ -93,8 +90,9 @@ class ReplayFactory(PacketFactory):
         replay = self._replay
         now = replay.sim._now
         if replay._nic is not None:
-            recs, k = replay._recs, replay._k
-            if k == len(recs) or recs[k][1] <= now:  # an arrival is due
+            recs, k, dk = replay._recs, replay._k, replay._dk
+            if (k == len(recs) or recs[k][1] <= now  # an arrival is due
+                    or dk < len(replay._drop_t) and replay._drop_t[dk] <= now):
                 replay._reserve(now)
         if self._sends is not None:
             self.catch_up(int(np.searchsorted(self._sends, now)))
@@ -124,14 +122,15 @@ class Replay:
     -- and hands each packet to the NIC's ``dispatch`` at ``d``, stamped
     ``t_nic`` at arrival, with its ``nic_ring`` span when tracing.  The
     NIC reads its counters from :meth:`nic_counts`.  An arrival counts in
-    ``_stats`` once it has a pid.
+    ``_stats`` once it has a pid.  Only admitted arrivals are records;
+    the drop lists keep a NIC drop until it has one.
     """
 
     __slots__ = ("sim", "factory", "sink", "flows", "sends", "_stats",
-                 "_feed", "_recs", "_i", "_k", "_loaded", "_nic", "_out",
-                 "_reserved", "_drop_t", "_drop_g", "_fault_t", "_gone",
-                 "_bursts", "_burst_at", "_burst_rng", "_prev", "_pa", "_hp",
-                 "_hidle", "_late", "_counts")
+                 "_feed", "_recs", "_i", "_k", "_cut", "_last", "_nic",
+                 "_out", "_reserved", "_drop_t", "_drop_g", "_dk",
+                 "_fault_t", "_gone", "_bursts", "_burst_at", "_burst_rng",
+                 "_prev", "_pa", "_hp", "_hidle", "_late", "_counts")
 
     def __init__(self, sim: Simulator, factory: Optional[PacketFactory],
                  sink: Callable[[Packet], None], flows: list,
@@ -144,14 +143,16 @@ class Replay:
         self._stats = SourceStats()
         self._feed = None
         #: Loaded records ``(when, time, floor, flow, seq, size, priority,
-        #: t_created)``: ``when`` is the event time, ``None`` for a NIC
-        #: drop.
+        #: t_created)`` of admitted arrivals: ``when`` is the event time.
         self._recs: list = []
         self._i = self._k = 0  # next record to hand over / to take a pid
-        self._loaded = 0
+        self._cut = 0  # records let go of before the window
+        self._last = -float("inf")  # the latest arrival loaded
         self._nic = None
         self._drop_t: list = []  # arrival times of NIC drops
-        self._drop_g: list = []  # and their record numbers
+        #: and ``(records before it, pid floor, size)`` of each
+        self._drop_g: list = []
+        self._dk = 0  # the next NIC drop to take a pid
         self._fault_t: list = []  # arrival times of drop-burst drops
         self._gone = (0, 0)  # drops and drop-burst drops let go of
         #: Drop-burst windows ``(start, end, prob)``, the next one last,
@@ -164,10 +165,9 @@ class Replay:
 
     # ------------------------------------------------------------------
     def adopt(self, host) -> None:
-        """Make a :class:`ReplayFactory` on ``host``'s free list the
-        host's (and its replicator's) packet factory."""
+        """Make a :class:`ReplayFactory` the host's (and its
+        replicator's) packet factory."""
         factory = ReplayFactory(self, self.sends)
-        factory.free = host.factory.free
         host.factory = host.replicator.factory = self.factory = factory
 
     def own(self, host) -> None:
@@ -215,77 +215,84 @@ class Replay:
         self._feed = self._records()
         if self._nic is None:
             self.sim.call_in(0.0, self._wake)
-        elif self._load():
-            recs = self._recs
-            while recs[self._i][0] is None:
-                self._i += 1
-                if self._i == len(recs) and not self._load():
-                    return
-            self.sim.call_at(recs[self._i][0], self._tick)
+            return
+        while not self._recs and self._load():
+            pass
+        if self._recs:
+            self.sim.call_at(self._recs[0][0], self._tick)
 
     def nic_counts(self):
         """``(received, dropped, ring occupancy, drop-burst drops)`` of
         the owned NIC now: every arrival at or before now has reached
         it."""
-        from bisect import bisect_left, bisect_right
+        from bisect import bisect_right
 
-        now, recs = self.sim._now, self._recs
-        while (not recs or recs[-1][1] <= now) and self._load():
+        now = self.sim._now
+        while self._last <= now and self._load():
             pass
-        base = self._loaded - len(recs)
         drops, faults = self._gone
-        dropped = drops + bisect_right(self._drop_t, now)
-        received = base + bisect_right(recs, now, key=_arrival) - dropped
-        gone = base + self._i
-        return (received, dropped,
-                received - gone + drops + bisect_left(self._drop_g, gone),
+        received = self._cut + bisect_right(self._recs, now, key=_arrival)
+        return (received, drops + bisect_right(self._drop_t, now),
+                received - self._cut - self._i,
                 faults + bisect_right(self._fault_t, now))
 
     # ------------------------------------------------------------------
     def _load(self) -> int:
-        """Append the next non-empty batch to the window; its length, or
-        0 once the columns are done (and let go of)."""
+        """Append the next non-empty batch to the window, its NIC drops
+        to the drop lists; its length, or 0 once the columns are done
+        (and let go of)."""
         while self._feed is not None:
             cols = next(self._feed, None)
             if cols is None:
                 self._feed = None
             elif cols[0]:
                 times = cols[0]
-                when = times if self._nic is None else self._nic_stage(
-                    times, cols[7] if len(cols) > 7 else None)
-                self._recs.extend(zip(when, *cols[:7]))
-                self._loaded += len(times)
+                self._last = times[-1]
+                when, dropped = (times, 0) if self._nic is None else (
+                    self._nic_stage(times, cols[7] if len(cols) > 7 else None))
+                recs = zip(when, *cols[:7])
+                if not dropped:
+                    self._recs.extend(recs)
+                    return len(times)
+                keep, g = self._recs.append, self._cut + len(self._recs)
+                for rec in recs:
+                    if rec[0] is None:
+                        self._drop_t.append(rec[1])
+                        self._drop_g.append((g, rec[2], rec[5]))
+                    else:
+                        keep(rec)
+                        g += 1
                 return len(times)
         return 0
 
-    def _nic_stage(self, times: list, sched: Optional[list]) -> list:
+    def _nic_stage(self, times: list, sched: Optional[list]):
         """Each arrival's NIC departure time, or ``None`` if dropped,
         with arrival and departure events merged as ``on_wire`` and
-        ``_rx_done`` would see them.  A departure is scheduled by the
-        arrival that finds the NIC idle, or else by the departure before
-        it; an exact tie goes to the event scheduled first (at one
-        instant: the departure, unless the departure that scheduled it
-        came after that instant's arrivals, or the arrival that scheduled
-        it was scheduled with this one, as a group's first emission is).
-        An arrival in a drop-burst window is dropped before the ring."""
+        ``_rx_done`` would see them, and how many are dropped.  A
+        departure is scheduled by the arrival that finds the NIC idle, or
+        else by the departure before it; an exact tie goes to the event
+        scheduled first (at one instant: the departure, unless the
+        departure that scheduled it came after that instant's arrivals,
+        or the arrival that scheduled it was scheduled with this one, as
+        a group's first emission is).  An arrival in a drop-burst window
+        is dropped before the ring."""
         out = self._out
         popleft, push = out.popleft, out.append
         ring, cost = self._nic.ring_size, self._nic.rx_cost
         prev, pa, hp, hidle = self._prev, self._pa, self._hp, self._hidle
         late = self._late
         burst_at = self._burst_at
-        g = self._loaded - 1
         deps = []
         keep = deps.append
-        for a in times:
-            g += 1
+        dropped = 0
+        for j, a in enumerate(times):
             if a != prev:
                 pa, prev = prev, a
                 # Departures due first free their slots (the busy test),
                 # each scheduling the next one.
                 while out and a >= out[0]:
                     if a == out[0]:
-                        at = pa if sched is None else sched[g - self._loaded]
+                        at = pa if sched is None else sched[j]
                         if hp > at or hp == at and (
                                 sched is not None if hidle
                                 else at not in late):
@@ -296,14 +303,12 @@ class Replay:
                 taken, burst_at = self._burst(a)
                 if taken:
                     keep(None)
-                    self._drop_t.append(a)
-                    self._drop_g.append(g)
+                    dropped += 1
                     self._fault_t.append(a)
                     continue
             if len(out) >= ring:
                 keep(None)
-                self._drop_t.append(a)
-                self._drop_g.append(g)
+                dropped += 1
             else:
                 if out:
                     d = out[-1] + cost
@@ -313,7 +318,7 @@ class Replay:
                 push(d)
                 keep(d)
         self._prev, self._pa, self._hp, self._hidle = prev, pa, hp, hidle
-        return deps
+        return deps, dropped
 
     def _burst(self, a: float):
         """Whether a drop burst takes the arrival at ``a``, which is at
@@ -332,29 +337,38 @@ class Replay:
     def _reserve(self, now: float) -> None:
         """Give a pid to every arrival up to ``now`` that has none: those
         at ``now`` too, unless a departure at ``now`` came first."""
-        recs, k = self._recs, self._k
-        while k < len(recs) or self._load():
-            t = recs[k][1]
-            if t > now or (t == now and t in self._late):
-                break
-            k += 1
-        self._assign(k)
+        from bisect import bisect_left, bisect_right
 
-    def _assign(self, end: int) -> None:
-        """Give pids to the records up to ``end``, in arrival order; an
-        admitted one keeps its pid until it leaves the NIC."""
+        while self._last <= now and self._load():
+            pass
+        side = bisect_left if now in self._late else bisect_right
+        self._assign(side(self._recs, now, self._k, key=_arrival),
+                     side(self._drop_t, now, self._dk))
+
+    def _assign(self, end: int, dend: int) -> None:
+        """Give pids to the records up to ``end`` and the NIC drops up to
+        ``dend``, in arrival order; an admitted one keeps its pid until
+        it leaves the NIC."""
         factory, stats = self.factory, self._stats
-        for rec in self._recs[self._k:end]:
-            if rec[2] > factory._counted:
-                factory.catch_up(rec[2])
+        recs, drops, k, d = self._recs, self._drop_g, self._k, self._dk
+        while k < end or d < dend:
+            if d < dend and (k >= end or drops[d][0] <= self._cut + k):
+                rec, (_, floor, size) = None, drops[d]
+                d += 1
+            else:
+                rec = recs[k]
+                floor, size = rec[2], rec[5]
+                k += 1
+            if floor > factory._counted:
+                factory.catch_up(floor)
             pid = factory._next_pid
             factory._next_pid = pid + 1
             factory.created += 1
             stats.packets += 1
-            stats.bytes += rec[5]
-            if rec[0] is not None:
+            stats.bytes += size
+            if rec is not None:
                 self._reserved.append(pid)
-        self._k = max(self._k, end)
+        self._k, self._dk = k, d
 
     def _wake(self) -> None:
         """First event of a replay that does not own its NIC."""
@@ -368,14 +382,13 @@ class Replay:
         sim = self.sim
         now = sim._now
         factory = self.factory
-        free = factory.free
         flows = self.flows
         nic = self._nic
         recs = self._recs
         i = self._i
         while True:
             _, t, floor, flow, seq, size, priority, t_created = recs[i]
-            if self._k == i:
+            if self._k == i and self._dk == len(self._drop_t):
                 if floor and floor > factory._counted:
                     factory.catch_up(floor)
                 pid = factory._next_pid
@@ -385,44 +398,20 @@ class Replay:
                 stats.packets += 1
                 stats.bytes += size
                 self._k = i + 1
-            else:
-                if self._k < i:  # NIC drops before it still need pids
-                    self._assign(i + 1)
+            else:  # it, or NIC drops before it, still need pids
+                from bisect import bisect_left
+
+                # (g,) sorts before every drop entry (g, floor, size).
+                self._assign(i + 1, bisect_left(
+                    self._drop_g, (self._cut + i + 1,), self._dk))
                 pid = self._reserved.popleft()
             ft, flow_id = flows[flow]
-            if free:
-                # Pool hit: reset every field a fresh Packet would carry.
-                pkt = free.pop()
-                pkt.pid = pid
-                pkt.ftuple = ft
-                pkt.flow_id = flow_id
-                pkt.seq = seq
-                pkt.size = size
-                pkt.priority = priority
-                pkt.t_created = t_created
-                pkt.t_nic = _NAN
-                pkt.t_enq = _NAN
-                pkt.t_deq = _NAN
-                pkt.t_done = _NAN
-                pkt.path_id = -1
-                pkt.copy_of = -1
-                pkt.dropped = None
-                pkt.meta = None
-            else:
-                pkt = Packet(pid, ft, size, t_created, flow_id, seq, priority)
-            # The next record with an event (a NIC drop has none).
+            pkt = Packet(pid, ft, size, t_created, flow_id, seq, priority)
+            # The next record, loaded past any NIC drops.
             i += 1
-            while True:
-                try:
-                    when = recs[i][0]
-                except IndexError:
-                    if self._load():
-                        continue
-                    when = None
-                    break
-                if when is not None:
-                    break
-                i += 1
+            while i == len(recs) and self._load():
+                pass
+            when = recs[i][0] if i < len(recs) else None
             self._i = i
             if nic is not None:
                 # Leaving the NIC: the next departure is sequenced before
@@ -442,18 +431,19 @@ class Replay:
                     sim._push((when, _NORMAL_KEY | s, self._tick, ()))
                 break
         if self._i >= REPLAY_BATCH:
-            from bisect import bisect_left, bisect_right
+            from bisect import bisect_right
 
-            cut = min(self._i, self._k)
-            del recs[:cut]
-            self._i -= cut
-            self._k -= cut
-            # Count and let go of the NIC drops before the window (all
-            # arrived by now): nic_counts never looks back past it.
-            n = bisect_left(self._drop_g, self._loaded - len(recs))
+            # Every record before the next one has its pid; count and let
+            # go of them, of the NIC drops with pids (all arrived by now:
+            # nic_counts never looks back past them) and of the drop-burst
+            # drops that have arrived.
+            cut, dk = self._i, self._dk
             f = bisect_right(self._fault_t, now)
-            del self._drop_t[:n], self._drop_g[:n], self._fault_t[:f]
-            self._gone = (self._gone[0] + n, self._gone[1] + f)
+            del recs[:cut], self._drop_t[:dk], self._drop_g[:dk]
+            del self._fault_t[:f]
+            self._i, self._k, self._dk = 0, self._k - cut, 0
+            self._cut += cut
+            self._gone = (self._gone[0] + dk, self._gone[1] + f)
 
 
 def _leading(stop: np.ndarray) -> int:

@@ -2,13 +2,13 @@
 
 :class:`RunOptions` is the v1 consolidation of the keyword arguments
 ``repro.run`` accreted as subsystems grew (``telemetry=``, ``faults=``,
-``slo=``, and now checking and recycling).  The split is deliberate:
+``slo=``, and now checking).  The split is deliberate:
 
 * :class:`~repro.bench.scenarios.ScenarioConfig` describes the
   *experiment* -- it serializes, sweeps, and keys result caches;
 * :class:`RunOptions` describes *this invocation* -- observations and
   harness toggles that must not change the simulated trajectory or the
-  result payload (telemetry, invariant checking, packet recycling), plus
+  result payload (telemetry, invariant checking), plus
   the two config conveniences (``faults``/``slo``) that fold into the
   config before the run.
 
@@ -58,10 +58,9 @@ class RunOptions:
         post-processing: the simulated trajectory is bit-identical
         armed or detached.
     recycle:
-        Recycle terminal packets through the factory free list (the
-        default).  Disable when a custom ``sink.on_delivery`` hook
-        retains delivered ``Packet`` objects; results are bit-identical
-        either way (the differential harness enforces this).
+        Deprecated and ignored (every packet is allocated once, so a
+        ``sink.on_delivery`` hook may keep the packets it sees); a
+        non-None value warns once per process.
     workers:
         Worker processes for cluster runs (``repro.run`` with a
         :class:`~repro.cluster.ClusterConfig`); ``None`` resolves via
@@ -79,15 +78,19 @@ class RunOptions:
     slo: Optional[object] = None
     check: Union[bool, CheckSpec, None] = None
     forensics: Union[bool, object, None] = None
-    recycle: bool = True
+    recycle: Optional[bool] = None
     workers: Optional[int] = None
     scheduler: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # stacklevel 4: one frame more than usual, the dataclass __init__.
+        if self.recycle is not None:
+            from repro.net.packet import warn_recycle_ignored
+
+            warn_recycle_ignored("RunOptions(recycle=)", stacklevel=4)
         if self.scheduler is not None:
             from repro.sim.engine import warn_scheduler_ignored
 
-            # One frame more than usual: the dataclass __init__.
             warn_scheduler_ignored(stacklevel=4)
 
     def forensics_spec(self):

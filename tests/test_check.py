@@ -96,8 +96,7 @@ class TestInvariantEngine:
         assert res.check_report["ok"] is True
 
     def test_broken_dedup_caught(self, broken_dedup):
-        res = run_scenario(fast_config(policy="redundant2"),
-                           check=True, recycle=False)
+        res = run_scenario(fast_config(policy="redundant2"), check=True)
         rep = res.check_report
         assert rep["ok"] is False
         first = rep["first_violation"]
@@ -109,11 +108,11 @@ class TestInvariantEngine:
     def test_strict_mode_raises(self, broken_dedup):
         with pytest.raises(InvariantViolation, match="dedup"):
             run_scenario(fast_config(policy="redundant2"),
-                         check=CheckSpec(strict=True), recycle=False)
+                         check=CheckSpec(strict=True))
 
     def test_max_violations_caps_recording(self, broken_dedup):
         res = run_scenario(fast_config(policy="redundant2"),
-                           check=CheckSpec(max_violations=3), recycle=False)
+                           check=CheckSpec(max_violations=3))
         rep = res.check_report
         assert len(rep["violations"]) == 3
         assert rep["violation_count"] > 3  # counted past the cap
@@ -165,18 +164,18 @@ class TestFuzz:
     def test_fuzz_catches_mutant_and_writes_repro(self, broken_dedup,
                                                   tmp_path, monkeypatch):
         # Force every generated case onto the replication policy so the
-        # broken dedup is reachable, and disable recycling (both copies
-        # of a packet reach the sink under the mutation).
+        # broken dedup is reachable.
         import repro.check.fuzz as fuzz_mod
 
-        def armed_no_recycle(config, sample_interval=250.0):
-            config = dataclasses.replace(config, policy="redundant2",
-                                         n_paths=max(2, config.n_paths))
-            engine = InvariantEngine(CheckSpec(sample_interval=sample_interval))
-            return run_scenario(config, check=engine,
-                                recycle=False).check_report
+        run_armed = fuzz_mod.run_armed
 
-        monkeypatch.setattr(fuzz_mod, "run_armed", armed_no_recycle)
+        def armed_redundant(config, sample_interval=250.0):
+            return run_armed(
+                dataclasses.replace(config, policy="redundant2",
+                                    n_paths=max(2, config.n_paths)),
+                sample_interval)
+
+        monkeypatch.setattr(fuzz_mod, "run_armed", armed_redundant)
         report = fuzz_scenarios(cases=1, seed=0, out_dir=str(tmp_path),
                                 shrink=False)
         assert report["ok"] is False
@@ -193,7 +192,6 @@ class TestFuzz:
                           duration=4000.0,
                           faults=FaultSchedule().hang(0, at=1000.0,
                                                       duration=800.0))
-        # Patch recycling off for the armed shrink runs (see above).
         minimal = shrink_config(cfg, sample_interval=500.0, budget=8)
         assert minimal.faults is None
         assert minimal.chain == "basic"
@@ -240,13 +238,13 @@ class TestDiffScenario:
         assert report["all_identical"] is True
         assert report["skipped"] == {"faults_kwarg":
                                      "config has no fault schedule"}
-        for name in ("telemetry", "recycle_off", "check_armed", "jobs"):
+        for name in ("telemetry", "check_armed", "jobs"):
             assert report["variants"][name]["identical"] is True
         assert repro.schemas.validate(report) == "diff_report"
 
     def test_variant_subset(self):
-        report = diff_scenario(fast_config(), variants=["recycle_off"])
-        assert list(report["variants"]) == ["recycle_off"]
+        report = diff_scenario(fast_config(), variants=["check_armed"])
+        assert list(report["variants"]) == ["check_armed"]
 
     def test_faults_kwarg_variant(self):
         from repro.faults import FaultSchedule

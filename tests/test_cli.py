@@ -283,10 +283,10 @@ class TestCheckCommand:
 
     def test_check_diff(self, capsys):
         assert main(["check", "diff", *CHECK_FAST,
-                     "--variant", "recycle_off",
+                     "--variant", "telemetry",
                      "--variant", "check_armed"]) == 0
         out = capsys.readouterr().out
-        assert "recycle_off" in out and "all variants identical" in out
+        assert "check_armed" in out and "all variants identical" in out
 
     def test_check_selftest(self, capsys, tmp_path):
         import json

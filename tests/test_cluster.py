@@ -413,8 +413,7 @@ class TestEgressContract:
         egress = engine._phase1(cc, range(cc.n_hosts), str(full))
         end = engine._run_end(cc, egress)
         counts = {hid: e[1] for hid, e in egress.items()}
-        opts = {"telemetry_dir": None, "check": True, "forensics": None,
-                "recycle": True}
+        opts = {"telemetry_dir": None, "check": True, "forensics": None}
         written = self._files(full)
         received = 0
         for hid in range(cc.n_hosts):

@@ -1,6 +1,6 @@
 """Golden-result determinism tests for the optimized kernel.
 
-The hot-path work (batched poller service, pooled packets, deferred
+The hot-path work (batched poller service, slotted packets, deferred
 metric folding, inlined fast paths) is only admissible because it is
 *value-invisible*: the same seed must produce a bit-identical
 ``SimulationResult`` payload whatever the observation settings

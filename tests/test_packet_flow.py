@@ -128,3 +128,121 @@ class TestFlowTracker:
                 tr.on_delivery(p, 7.0)
         assert len(tr.fcts()) == 2
         assert len(tr.fcts_by_size(max_size=1000)) == 1
+
+
+# ----------------------------------------------------------------------
+# Every packet is allocated once
+# ----------------------------------------------------------------------
+#: A short replicated run: suppressed and path-dropped copies too.
+SMALL = dict(policy="redundant2", n_paths=3, duration=3000.0,
+             warmup=300.0, drain=1000.0, seed=3)
+
+
+def _payload(config=None, **hooks):
+    """The JSON payload of one ``build_runtime`` run of ``SMALL``;
+    ``on_delivery`` and ``before`` (called with the runtime before the
+    run) hook into it."""
+    import json
+
+    from repro.bench.scenarios import ScenarioConfig, build_runtime
+
+    rt = build_runtime(config or ScenarioConfig(**SMALL))
+    if "on_delivery" in hooks:
+        rt.host.sink.on_delivery = hooks["on_delivery"]
+    if "before" in hooks:
+        hooks["before"](rt)
+    rt.start()
+    rt.sim.run(until=rt.horizon)
+    return json.dumps(rt.finalize().to_dict(), sort_keys=True)
+
+
+class TestAllocatedOnce:
+    def test_delivery_hook_may_keep_packets(self):
+        """A hook that keeps every delivered packet under default
+        options: each is its own object, left as delivered."""
+        kept = []
+        _payload(on_delivery=lambda p: kept.append(
+            (p, p.pid, p.t_done, p.path_id)))
+        assert len(kept) > 5000
+        assert len({id(p) for p, *_ in kept}) == len(kept)
+        assert all((p.pid, p.t_done, p.path_id) == (pid, t_done, path_id)
+                   for p, pid, t_done, path_id in kept)
+
+
+class TestDeprecatedRecycling:
+    """Each spelling of the removed packet free list warns once per
+    process and changes no payload."""
+
+    @staticmethod
+    def _once(monkeypatch, spelling, use):
+        import warnings
+
+        from repro.net import packet
+
+        monkeypatch.setattr(packet, "_recycle_warned", set())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outs = [use(), use()]
+        assert [str(w.message) for w in caught
+                if w.category is DeprecationWarning] == [
+            f"{spelling} is deprecated and ignored: packets are no longer "
+            f"recycled"]
+        return outs
+
+    def test_run_options(self, monkeypatch):
+        import json
+
+        import repro
+
+        def run(**kw):
+            result = repro.run(repro.ScenarioConfig(**SMALL),
+                               repro.RunOptions(**kw))
+            return json.dumps(result.to_dict(), sort_keys=True)
+
+        outs = self._once(monkeypatch, "RunOptions(recycle=)",
+                          lambda: run(recycle=False))
+        assert repro.RunOptions().recycle is None
+        assert outs[0] == outs[1] == run()
+
+    def test_run_cluster(self, monkeypatch):
+        import json
+
+        import repro
+
+        cluster = repro.ClusterConfig.uniform_hosts(
+            2, repro.ScenarioConfig(duration=300.0, warmup=50.0,
+                                    drain=200.0))
+
+        def payload(**kw):
+            return json.dumps(repro.run_cluster(cluster, workers=1,
+                                                **kw).to_dict())
+
+        outs = self._once(monkeypatch, "run_cluster(recycle=)",
+                          lambda: payload(recycle=False))
+        assert outs[0] == outs[1] == payload()
+
+    def test_enable_packet_recycling(self, monkeypatch):
+        outs = self._once(
+            monkeypatch, "MultipathDataPlane.enable_packet_recycling()",
+            lambda: _payload(
+                before=lambda rt: rt.host.enable_packet_recycling()))
+        assert outs[0] == outs[1] == _payload()
+
+    def test_factory_recycle(self, monkeypatch, factory, ftuple):
+        def use():
+            factory.recycle(factory.make(ftuple, 100, 0.0))
+            return factory.created
+
+        assert self._once(monkeypatch, "PacketFactory.recycle()",
+                          use) == [1, 2]
+
+    def test_factory_free(self, monkeypatch):
+        seen = []
+
+        def use():
+            return _payload(before=lambda rt: seen.append(
+                rt.host.factory.free))
+
+        outs = self._once(monkeypatch, "PacketFactory.free", use)
+        assert seen == [[], []]
+        assert outs[0] == outs[1] == _payload()

@@ -1,9 +1,9 @@
 """Every public traffic source's emission sequence, pinned by digest.
 
 Each source runs at a fixed seed twice: once into a recording sink and
-once into a host NIC (``host.input`` of a two-path data plane with
-packet recycling on, where each packet is recorded as the NIC hands it
-to the data plane).  The four scenario traffic kinds also run through
+once into a host NIC (``host.input`` of a two-path data plane, where
+each packet is recorded as the NIC hands it to the data plane).  The
+four scenario traffic kinds also run through
 :func:`~repro.bench.scenarios.build_runtime`.  A record is ``(time, pid, flow_id, seq,
 size)`` plus, for a NIC, the arrival stamp and the packet's creation
 time; the digest covers the whole sequence and the final counters.
@@ -167,7 +167,6 @@ def _nic_digest(name: str) -> str:
     rngs = RngRegistry(seed=5)
     host = MultipathDataPlane(
         sim, MpdpConfig(n_paths=2, policy="redundant2", warmup=0.0), rngs)
-    host.enable_packet_recycling()
     got = _nic_recorder(sim, host)
     src = SOURCES[name](sim, host.factory, host.input,
                         np.random.default_rng(2024))
