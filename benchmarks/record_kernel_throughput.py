@@ -24,8 +24,10 @@ Modes
                    also fails on any increase over the recorded value,
                    whatever the machine's timing noise.  It gates the
                    ``events`` runs the same way: a paced-flows scenario
-                   (F7's source kind) and a host under a NIC drop burst,
-                   each recorded by its events per delivered packet.
+                   (F7's source kind), a host under a NIC drop burst
+                   and replicated transmission (``redundant2`` under
+                   on-off bursts and path faults), each recorded by its
+                   events per delivered packet.
 * ``--base REF`` -- with ``--check``: compare the pps against commit REF
                    measured now on the same machine, not against the
                    recorded number.  REF's ``src`` is extracted with
@@ -101,6 +103,12 @@ def _event_scenarios() -> dict:
     """Runs gated by their events per delivered packet alone (seed 1)."""
     burst = repro.FaultSchedule().drop_burst(at=5_000.0, duration=2_000.0,
                                              prob=0.3)
+    window = 15_000.0  # host-bursty's shape: faults at fractions of it
+    faults = (repro.FaultSchedule()
+              .degrade(1, at=0.20 * window, duration=0.20 * window,
+                       factor=4.0)
+              .hang(2, at=0.45 * window, duration=0.10 * window)
+              .sched_freeze(0, at=0.70 * window, duration=0.05 * window))
     return {
         "flows": ScenarioConfig(policy="adaptive", n_paths=4,
                                 traffic="flows", workload="websearch",
@@ -109,6 +117,11 @@ def _event_scenarios() -> dict:
         "drop_burst": ScenarioConfig(policy="adaptive", n_paths=4, load=0.7,
                                      duration=15_000.0, warmup=1_500.0,
                                      drain=5_000.0, seed=1, faults=burst),
+        "redundant2": ScenarioConfig(policy="redundant2", n_paths=4,
+                                     traffic="onoff", burstiness=4.0,
+                                     load=0.35, duration=window,
+                                     warmup=0.1 * window, drain=2_500.0,
+                                     seed=1, faults=faults),
     }
 
 
