@@ -219,6 +219,8 @@ class MultipathDataPlane:
         self.ingress_count = 0
         self.suppressed = 0
         self.drops: Dict[str, int] = {}
+        #: ``packet.dropped`` -> the reason ``drops`` counts it under.
+        self._reasons: Dict[Optional[str], str] = {}
         #: Invariant engine (repro.check); the detached singleton keeps
         #: the completion fan-in at one attribute check.
         self.invariants = NullInvariants
@@ -265,7 +267,7 @@ class MultipathDataPlane:
                  "paths": list(choice)},
             )
         for path_id, cp in zip(choice, copies):
-            if not self.paths[path_id].enqueue(cp):
+            if not paths[path_id].enqueue(cp):
                 self._count_drop(cp)
                 self.dedup.on_copy_dropped(cp)
 
@@ -294,13 +296,17 @@ class MultipathDataPlane:
         warn_recycle_ignored("MultipathDataPlane.enable_packet_recycling()")
 
     def _count_drop(self, packet: Packet) -> None:
-        reason = packet.dropped or "unknown"
-        # Collapse per-path names ("path3.q:overflow" -> "queue:overflow",
-        # "path2:crash" -> "path:crash").
-        if ".q:" in reason:
-            reason = "queue:" + reason.split(":", 1)[1]
-        elif reason.startswith("path") and ":" in reason:
-            reason = "path:" + reason.split(":", 1)[1]
+        raw = packet.dropped
+        reason = self._reasons.get(raw)
+        if reason is None:
+            # Collapse per-path names, once per name ("path3.q:overflow"
+            # -> "queue:overflow", "path2:crash" -> "path:crash").
+            reason = raw or "unknown"
+            if ".q:" in reason:
+                reason = "queue:" + reason.split(":", 1)[1]
+            elif reason.startswith("path") and ":" in reason:
+                reason = "path:" + reason.split(":", 1)[1]
+            self._reasons[raw] = reason
         self.drops[reason] = self.drops.get(reason, 0) + 1
 
     # ------------------------------------------------------------------

@@ -315,13 +315,19 @@ class RedundantK(Policy):
             raise ValueError(f"redundancy requires r >= 2, got {r}")
         self.r = r
         self._next = 0
+        #: Each primary's choice list for ``len(paths)`` paths (read-only).
+        self._choices: List[List[int]] = []
 
     def select(self, packet: Packet, paths: Sequence[DataPath], now: float) -> List[int]:
         k = len(paths)
-        r = min(self.r, k)
+        choices = self._choices
+        if len(choices) != k:
+            r = min(self.r, k)
+            choices = self._choices = [[(first + i) % k for i in range(r)]
+                                       for first in range(k)]
         first = self._next
         self._next = (first + 1) % k
-        return [(first + i) % k for i in range(r)]
+        return choices[first % k]
 
 
 class AdaptiveMultipath(Policy):

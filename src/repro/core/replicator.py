@@ -33,10 +33,9 @@ class Replicator:
         """Return ``n_copies`` replicas of ``packet`` (primary excluded)."""
         if n_copies < 0:
             raise ValueError(f"n_copies must be >= 0, got {n_copies}")
-        out = []
-        for _ in range(n_copies):
-            out.append(packet.clone(self.factory.next_pid()))
-        self.replicas_created += len(out)
+        next_pid = self.factory.next_pid
+        out = [packet.clone(next_pid()) for _ in range(n_copies)]
+        self.replicas_created += n_copies
         return out
 
 
@@ -68,12 +67,10 @@ class Deduplicator:
         self._outstanding[primary.pid] = [total_copies, False]
         self.registered += 1
 
-    def _key(self, packet: Packet) -> int:
-        return packet.copy_of if packet.copy_of >= 0 else packet.pid
-
     def should_deliver(self, packet: Packet) -> bool:
         """Account one completed copy; True if it is the first to arrive."""
-        entry = self._outstanding.get(self._key(packet))
+        key = packet.copy_of if packet.copy_of >= 0 else packet.pid
+        entry = self._outstanding.get(key)
         if entry is None:
             return True  # not replicated (or already fully accounted)
         entry[0] -= 1
@@ -84,12 +81,12 @@ class Deduplicator:
         else:
             self.suppressed += 1
         if entry[0] <= 0:
-            del self._outstanding[self._key(packet)]
+            del self._outstanding[key]
         return first
 
     def on_copy_dropped(self, packet: Packet) -> None:
         """Account a copy that died inside the data plane."""
-        key = self._key(packet)
+        key = packet.copy_of if packet.copy_of >= 0 else packet.pid
         entry = self._outstanding.get(key)
         if entry is None:
             return

@@ -42,6 +42,7 @@ class PathQueue:
         "dropped",
         "dropped_bytes",
         "peak_occupancy",
+        "_overflow",
     )
 
     def __init__(
@@ -66,6 +67,7 @@ class PathQueue:
         self.dropped = 0
         self.dropped_bytes = 0
         self.peak_occupancy = 0
+        self._overflow = f"{name}:overflow"  # every overflow's drop reason
 
     # ------------------------------------------------------------------
     def push(self, packet: Packet) -> bool:
@@ -77,7 +79,7 @@ class PathQueue:
             self.capacity_bytes is not None
             and self._bytes + size > self.capacity_bytes
         ):
-            packet.dropped = f"{self.name}:overflow"
+            packet.dropped = self._overflow
             self.dropped += 1
             self.dropped_bytes += size
             return False

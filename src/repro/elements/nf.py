@@ -9,6 +9,7 @@ real state so the tests can assert functional behaviour, not just cost.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,6 +20,9 @@ from repro.elements.sketch import CountMinSketch
 from repro.net.packet import FiveTuple, Packet
 
 _WILDCARD = -1
+
+#: Distinct five-tuples a flow monitor holds before folding its sketch.
+_SKETCH_PENDING_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -286,24 +290,32 @@ class FlowMonitor(Element):
         **kw,
     ) -> None:
         super().__init__(name, base_cost=base_cost, **kw)
-        self.sketch = CountMinSketch(sketch_width, sketch_depth)
+        self._sketch = CountMinSketch(sketch_width, sketch_depth)
+        #: Bytes per five-tuple not yet folded into the sketch; integer
+        #: counter adds commute, so folding late is exact.
+        self._pending: Dict[FiveTuple, int] = defaultdict(int)
         self.sketch_width = sketch_width
         self.sketch_depth = sketch_depth
+
+    @property
+    def sketch(self) -> CountMinSketch:
+        """The count-min sketch, every packet so far folded in."""
+        self._fold()
+        return self._sketch
+
+    def _fold(self) -> None:
+        add = self._sketch.add
+        for ftuple, size in self._pending.items():
+            add(ftuple, size)
+        self._pending.clear()
 
     def process(self, packet: Packet, now: float) -> float:
         self.processed += 1
         size = packet.size
-        # Inlined CountMinSketch.add (one update per packet; the call and
-        # re-hoisting overhead dominate the four counter increments).
-        sk = self.sketch
-        h = hash(packet.ftuple) & 0x7FFFFFFFFFFFFFFF
-        wmask = sk._wmask
-        if wmask:
-            for row, s in sk._pairs:
-                row[(h * s) & wmask] += size
-            sk.total += size
-        else:
-            sk.add(packet.ftuple, size)
+        pending = self._pending
+        pending[packet.ftuple] += size
+        if len(pending) >= _SKETCH_PENDING_MAX:
+            self._fold()
         cost = self.base_cost + self.per_byte * size
         if self.jitter_sigma > 0.0:
             return self._jittered(cost)

@@ -24,13 +24,13 @@ class CountMinSketch:
     ``exp(-depth)``.
 
     The counter table is plain Python int lists: :meth:`add` runs once per
-    packet in the flow monitor, and scalar list updates beat numpy fancy
-    indexing by an order of magnitude at that granularity.  Counts are
-    exact integers either way, so the representation is observationally
-    identical.
+    distinct five-tuple of each flow-monitor fold, and scalar list updates
+    beat numpy fancy indexing by an order of magnitude at that
+    granularity.  Counts are exact integers either way, so the
+    representation is observationally identical.
     """
 
-    __slots__ = ("depth", "width", "_rows", "_seeds", "_pairs", "_wmask", "total")
+    __slots__ = ("depth", "width", "_rows", "_seeds", "total")
 
     def __init__(self, width: int = 2048, depth: int = 4, seed: int = 7) -> None:
         if width <= 0 or depth <= 0:
@@ -40,29 +40,17 @@ class CountMinSketch:
         self._rows = [[0] * width for _ in range(depth)]
         rng = np.random.default_rng(seed)
         # Independent odd multipliers for multiply-shift hashing (the same
-        # draws as always; kept as Python ints for the scalar hot path).
+        # draws as always; kept as Python ints for scalar updates).
         seeds = rng.integers(1, 2**61 - 1, size=depth, dtype=np.int64) | 1
         self._seeds = [int(s) for s in seeds]
-        # Power-of-two widths (the default) reduce row indexing to a
-        # bitwise AND; ``x % w == x & (w - 1)`` for non-negative x.
-        self._wmask = width - 1 if width & (width - 1) == 0 else 0
-        # (row, seed) pairs so the per-packet update iterates one tuple
-        # list instead of indexing two parallel lists.
-        self._pairs = list(zip(self._rows, self._seeds))
         self.total = 0
 
     def add(self, key: Hashable, count: int = 1) -> None:
         """Increment the counters for ``key``."""
         h = hash(key) & _MASK
-        wmask = self._wmask
-        if wmask:
-            # wmask's bits are a subset of _MASK's, so one AND suffices.
-            for row, s in self._pairs:
-                row[(h * s) & wmask] += count
-        else:
-            width = self.width
-            for row, s in self._pairs:
-                row[((h * s) & _MASK) % width] += count
+        width = self.width
+        for row, s in zip(self._rows, self._seeds):
+            row[((h * s) & _MASK) % width] += count
         self.total += count
 
     def estimate(self, key: Hashable) -> int:

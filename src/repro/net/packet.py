@@ -133,17 +133,19 @@ class Packet:
         is measured from the *original* send instant) and records the
         primary's pid in ``copy_of``.
         """
-        cp = Packet(
-            pid,
-            self.ftuple,
-            self.size,
-            self.t_created,
-            flow_id=self.flow_id,
-            seq=self.seq,
-            priority=self.priority,
-        )
+        cp = object.__new__(Packet)  # every slot is stored below
+        cp.pid = pid
+        cp.ftuple = self.ftuple
+        cp.flow_id = self.flow_id
+        cp.seq = self.seq
+        cp.size = self.size
+        cp.priority = self.priority
+        cp.t_created = self.t_created
         cp.t_nic = self.t_nic
+        cp.t_enq = cp.t_deq = cp.t_done = Packet.NAN
+        cp.path_id = -1
         cp.copy_of = self.pid if self.copy_of < 0 else self.copy_of
+        cp.dropped = cp.meta = None
         return cp
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -19,6 +19,10 @@ NIC departure time: one event per arriving packet instead of two.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import deque
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -54,8 +58,20 @@ class SourceStats:
         return f"<SourceStats pkts={self.packets} bytes={self.bytes} flows={self.flows}>"
 
 
-def _arrival(rec) -> float:
-    return rec[1]
+#: A record's arrival time, its bisect key.
+_arrival = itemgetter(1)
+
+
+def _upto(cols, x: float, side: str = "right") -> int:
+    """How many values of the sorted columns ``cols``, read in order,
+    are at most ``x`` (``side="right"``) or below it (``"left"``)."""
+    n = 0
+    for col in cols:
+        j = int(col.searchsorted(x, side))
+        n += j
+        if j < len(col):
+            break
+    return n
 
 
 class ReplayFactory(PacketFactory):
@@ -90,9 +106,9 @@ class ReplayFactory(PacketFactory):
         replay = self._replay
         now = replay.sim._now
         if replay._nic is not None:
-            recs, k, dk = replay._recs, replay._k, replay._dk
+            recs, k = replay._recs, replay._k
             if (k == len(recs) or recs[k][1] <= now  # an arrival is due
-                    or dk < len(replay._drop_t) and replay._drop_t[dk] <= now):
+                    or replay._drop_at <= now):
                 replay._reserve(now)
         if self._sends is not None:
             self.catch_up(int(np.searchsorted(self._sends, now)))
@@ -123,14 +139,16 @@ class Replay:
     ``t_nic`` at arrival, with its ``nic_ring`` span when tracing.  The
     NIC reads its counters from :meth:`nic_counts`.  An arrival counts in
     ``_stats`` once it has a pid.  Only admitted arrivals are records;
-    the drop lists keep a NIC drop until it has one.
+    the NIC drops of a loaded batch are numpy columns, one entry in each
+    drop list, kept until every drop in the batch has a pid.
     """
 
     __slots__ = ("sim", "factory", "sink", "flows", "sends", "_stats",
                  "_feed", "_recs", "_i", "_k", "_cut", "_last", "_nic",
                  "_out", "_reserved", "_drop_t", "_drop_g", "_dk",
-                 "_fault_t", "_gone", "_bursts", "_burst_at", "_burst_rng",
-                 "_prev", "_pa", "_hp", "_hidle", "_late", "_counts")
+                 "_drop_at", "_fault_t", "_gone", "_bursts", "_burst_at",
+                 "_burst_rng", "_prev", "_pa", "_hp", "_hidle", "_late",
+                 "_counts")
 
     def __init__(self, sim: Simulator, factory: Optional[PacketFactory],
                  sink: Callable[[Packet], None], flows: list,
@@ -149,11 +167,14 @@ class Replay:
         self._cut = 0  # records let go of before the window
         self._last = -float("inf")  # the latest arrival loaded
         self._nic = None
-        self._drop_t: list = []  # arrival times of NIC drops
-        #: and ``(records before it, pid floor, size)`` of each
+        #: Per loaded batch with NIC drops, oldest first: arrival times;
+        #: records before each, running max pid floor and bytes before
+        #: each (and in all); the drop-burst drops' arrival times.
+        self._drop_t: list = []
         self._drop_g: list = []
-        self._dk = 0  # the next NIC drop to take a pid
-        self._fault_t: list = []  # arrival times of drop-burst drops
+        self._fault_t: list = []
+        self._dk = 0  # drops of the first batch that have pids
+        self._drop_at = float("inf")  # arrival of the next without one
         self._gone = (0, 0)  # drops and drop-burst drops let go of
         #: Drop-burst windows ``(start, end, prob)``, the next one last,
         #: and the start of the next one.
@@ -175,8 +196,6 @@ class Replay:
         nothing else feeds it.  Drop bursts reach it only through
         :meth:`drop_bursts` (a :class:`~repro.faults.FaultInjector`
         installed afterwards calls it)."""
-        from collections import deque
-
         if not isinstance(self.factory, ReplayFactory):
             self.adopt(host)
         self._nic = host.nic
@@ -225,16 +244,14 @@ class Replay:
         """``(received, dropped, ring occupancy, drop-burst drops)`` of
         the owned NIC now: every arrival at or before now has reached
         it."""
-        from bisect import bisect_right
-
         now = self.sim._now
         while self._last <= now and self._load():
             pass
         drops, faults = self._gone
         received = self._cut + bisect_right(self._recs, now, key=_arrival)
-        return (received, drops + bisect_right(self._drop_t, now),
+        return (received, drops + _upto(self._drop_t, now),
                 received - self._cut - self._i,
-                faults + bisect_right(self._fault_t, now))
+                faults + _upto(self._fault_t, now))
 
     # ------------------------------------------------------------------
     def _load(self) -> int:
@@ -248,27 +265,36 @@ class Replay:
             elif cols[0]:
                 times = cols[0]
                 self._last = times[-1]
-                when, dropped = (times, 0) if self._nic is None else (
+                when, faults = (times, None) if self._nic is None else (
                     self._nic_stage(times, cols[7] if len(cols) > 7 else None))
                 recs = zip(when, *cols[:7])
-                if not dropped:
+                if faults is None:
                     self._recs.extend(recs)
                     return len(times)
                 keep, g = self._recs.append, self._cut + len(self._recs)
+                drops = []
                 for rec in recs:
                     if rec[0] is None:
-                        self._drop_t.append(rec[1])
-                        self._drop_g.append((g, rec[2], rec[5]))
+                        drops.append((rec[1], g, rec[2], rec[5]))
                     else:
                         keep(rec)
                         g += 1
+                t, gs, floors, sizes = zip(*drops)
+                if not self._drop_t:
+                    self._drop_at = t[0]
+                self._drop_t.append(np.array(t))
+                self._drop_g.append((np.array(gs),
+                                     np.maximum.accumulate(floors),
+                                     np.cumsum((0,) + sizes)))
+                self._fault_t.append(np.array(faults))
                 return len(times)
         return 0
 
     def _nic_stage(self, times: list, sched: Optional[list]):
         """Each arrival's NIC departure time, or ``None`` if dropped,
         with arrival and departure events merged as ``on_wire`` and
-        ``_rx_done`` would see them, and how many are dropped.  A
+        ``_rx_done`` would see them, and the arrival times of the
+        drop-burst drops, or ``None`` if nothing is dropped.  A
         departure is scheduled by the arrival that finds the NIC idle, or
         else by the departure before it; an exact tie goes to the event
         scheduled first (at one instant: the departure, unless the
@@ -282,7 +308,7 @@ class Replay:
         prev, pa, hp, hidle = self._prev, self._pa, self._hp, self._hidle
         late = self._late
         burst_at = self._burst_at
-        deps = []
+        deps, faults = [], []
         keep = deps.append
         dropped = 0
         for j, a in enumerate(times):
@@ -304,7 +330,7 @@ class Replay:
                 if taken:
                     keep(None)
                     dropped += 1
-                    self._fault_t.append(a)
+                    faults.append(a)
                     continue
             if len(out) >= ring:
                 keep(None)
@@ -318,7 +344,7 @@ class Replay:
                 push(d)
                 keep(d)
         self._prev, self._pa, self._hp, self._hidle = prev, pa, hp, hidle
-        return deps, dropped
+        return deps, faults if dropped else None
 
     def _burst(self, a: float):
         """Whether a drop burst takes the arrival at ``a``, which is at
@@ -337,37 +363,55 @@ class Replay:
     def _reserve(self, now: float) -> None:
         """Give a pid to every arrival up to ``now`` that has none: those
         at ``now`` too, unless a departure at ``now`` came first."""
-        from bisect import bisect_left, bisect_right
-
         while self._last <= now and self._load():
             pass
-        side = bisect_left if now in self._late else bisect_right
-        self._assign(side(self._recs, now, self._k, key=_arrival),
-                     side(self._drop_t, now, self._dk))
+        late = now in self._late
+        end = (bisect_left if late else bisect_right)(
+            self._recs, now, self._k, key=_arrival)
+        self._assign(end, _upto(self._drop_t, now, "left" if late else
+                                "right") if self._drop_t else 0)
 
     def _assign(self, end: int, dend: int) -> None:
         """Give pids to the records up to ``end`` and the NIC drops up to
-        ``dend``, in arrival order; an admitted one keeps its pid until
-        it leaves the NIC."""
+        ``dend`` (counted from the first loaded batch's first), in arrival
+        order; an admitted one keeps its pid until it leaves the NIC.  A
+        batch's drops are let go of once all have pids (so all arrived)."""
         factory, stats = self.factory, self._stats
-        recs, drops, k, d = self._recs, self._drop_g, self._k, self._dk
+        recs, k, d = self._recs, self._k, self._dk
         while k < end or d < dend:
-            if d < dend and (k >= end or drops[d][0] <= self._cut + k):
-                rec, (_, floor, size) = None, drops[d]
-                d += 1
-            else:
-                rec = recs[k]
-                floor, size = rec[2], rec[5]
-                k += 1
-            if floor > factory._counted:
-                factory.catch_up(floor)
+            if d < dend:
+                # The first batch's drops before record k, all at once:
+                # their pids are only counted, and catching up is a max.
+                g, floors, nbytes = self._drop_g[0]
+                stop = min(dend, int(g.searchsorted(self._cut + k, "right"))
+                           if k < end else len(g))
+                if stop > d:
+                    if floors[stop - 1] > factory._counted:
+                        factory.catch_up(int(floors[stop - 1]))
+                    n = stop - d
+                    factory._next_pid += n
+                    factory.created += n
+                    stats.packets += n
+                    stats.bytes += int(nbytes[stop] - nbytes[d])
+                    d = stop
+                    if d == len(g):
+                        self._gone = (self._gone[0] + d,
+                                      self._gone[1] + len(self._fault_t[0]))
+                        del self._drop_t[0], self._drop_g[0], self._fault_t[0]
+                        dend, d = dend - d, 0
+                    self._drop_at = (float(self._drop_t[0][d]) if self._drop_t
+                                     else float("inf"))
+                    continue
+            rec = recs[k]
+            k += 1
+            if rec[2] > factory._counted:
+                factory.catch_up(rec[2])
             pid = factory._next_pid
             factory._next_pid = pid + 1
             factory.created += 1
             stats.packets += 1
-            stats.bytes += size
-            if rec is not None:
-                self._reserved.append(pid)
+            stats.bytes += rec[5]
+            self._reserved.append(pid)
         self._k, self._dk = k, d
 
     def _wake(self) -> None:
@@ -388,7 +432,7 @@ class Replay:
         i = self._i
         while True:
             _, t, floor, flow, seq, size, priority, t_created = recs[i]
-            if self._k == i and self._dk == len(self._drop_t):
+            if self._k == i and self._drop_at > t:
                 if floor and floor > factory._counted:
                     factory.catch_up(floor)
                 pid = factory._next_pid
@@ -399,11 +443,9 @@ class Replay:
                 stats.bytes += size
                 self._k = i + 1
             else:  # it, or NIC drops before it, still need pids
-                from bisect import bisect_left
-
-                # (g,) sorts before every drop entry (g, floor, size).
-                self._assign(i + 1, bisect_left(
-                    self._drop_g, (self._cut + i + 1,), self._dk))
+                self._assign(i + 1, _upto((g for g, _, _ in self._drop_g),
+                                          self._cut + i)
+                             if self._drop_g else 0)
                 pid = self._reserved.popleft()
             ft, flow_id = flows[flow]
             pkt = Packet(pid, ft, size, t_created, flow_id, seq, priority)
@@ -431,19 +473,10 @@ class Replay:
                     sim._push((when, _NORMAL_KEY | s, self._tick, ()))
                 break
         if self._i >= REPLAY_BATCH:
-            from bisect import bisect_right
-
-            # Every record before the next one has its pid; count and let
-            # go of them, of the NIC drops with pids (all arrived by now:
-            # nic_counts never looks back past them) and of the drop-burst
-            # drops that have arrived.
-            cut, dk = self._i, self._dk
-            f = bisect_right(self._fault_t, now)
-            del recs[:cut], self._drop_t[:dk], self._drop_g[:dk]
-            del self._fault_t[:f]
-            self._i, self._k, self._dk = 0, self._k - cut, 0
-            self._cut += cut
-            self._gone = (self._gone[0] + dk, self._gone[1] + f)
+            # Every record before the next one has its pid: let go of them.
+            cut = self._i
+            del recs[:cut]
+            self._i, self._k, self._cut = 0, self._k - cut, self._cut + cut
 
 
 def _leading(stop: np.ndarray) -> int:
@@ -584,8 +617,6 @@ class _ColumnSource(Replay):
         yield pending
 
     def _records(self):
-        from itertools import repeat
-
         zero, priority = repeat(0), repeat(self.priority)
         for chunk in self.chunks(self.sim.now):
             for lo in range(0, len(chunk[0]), REPLAY_BATCH):

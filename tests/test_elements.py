@@ -21,7 +21,7 @@ from repro.elements import (
     VxlanEncap,
     standard_chain,
 )
-from repro.elements.nf import VXLAN_OVERHEAD
+from repro.elements.nf import _SKETCH_PENDING_MAX, VXLAN_OVERHEAD
 from repro.net.packet import FiveTuple
 
 
@@ -232,6 +232,37 @@ class TestFlowMonitor:
             mon.process(factory.make(FiveTuple(1, 2, i, 80), 100, 0.0), 0.0)
         # An unseen flow should estimate (almost) zero with a 2048-wide sketch.
         assert mon.estimate_bytes(FiveTuple(9, 9, 9, 9)) < 500
+
+    @pytest.mark.parametrize("width", [2048, 1000], ids=["pow2", "other"])
+    def test_deferred_fold_matches_reference(self, factory, width):
+        """The monitor folds its per-tuple byte counts into the sketch
+        late (on a read, or at the bound of distinct tuples); a
+        reference sketch fed packet by packet must read the same at
+        every point, over more distinct tuples than the bound."""
+        rng = np.random.default_rng(width)
+        n_tuples = 3 * _SKETCH_PENDING_MAX
+        tuples = [FiveTuple(int(a), int(b), int(c), 80) for a, b, c in
+                  rng.integers(0, 64, (n_tuples, 3))]
+        mon, ref = FlowMonitor(sketch_width=width), CountMinSketch(width, 4)
+        reads = 0
+        for _ in range(4 * n_tuples):
+            ft = tuples[int(rng.integers(n_tuples))]
+            size = int(rng.integers(64, 1554))
+            mon.process(factory.make(ft, size, 0.0), 0.0)
+            ref.add(ft, size)
+            assert len(mon._pending) < _SKETCH_PENDING_MAX
+            if rng.random() < 0.003:
+                reads += 1
+                kind = reads % 3
+                if kind == 0:
+                    assert mon.sketch._rows == ref._rows
+                elif kind == 1:
+                    assert mon.sketch.total == ref.total
+                else:
+                    probe = tuples[int(rng.integers(n_tuples))]
+                    assert mon.estimate_bytes(probe) == ref.estimate(probe)
+        assert reads >= 20
+        assert mon.sketch._rows == ref._rows and mon.sketch.total == ref.total
 
 
 class TestLoadBalancer:

@@ -1,9 +1,11 @@
-"""The inlined NF fast paths against the methods they copy.
+"""The NF fast paths against the reference methods.
 
-Three per-packet sites in ``elements/nf.py`` copy a reference method
+Two per-packet sites in ``elements/nf.py`` copy a reference method
 inline to save a call per packet: ``Classifier.process`` and
-``AclFirewall.process`` copy ``AclRule.matches``, and
-``FlowMonitor.process`` copies ``CountMinSketch.add``.  Each element is
+``AclFirewall.process`` copy ``AclRule.matches``.
+``FlowMonitor.process`` defers ``CountMinSketch.add``: it sums bytes
+per five-tuple and folds the sums into the sketch when it is read
+(``tests/test_elements.py`` interleaves such reads).  Each element is
 driven here over random five-tuples and rule sets whose fields are
 wildcards or values from a small domain, so every field decides some
 first match.  A twin element with an identically seeded jitter stream

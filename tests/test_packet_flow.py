@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.net import FiveTuple, Flow, FlowTracker, PacketFactory
-from repro.net.packet import HEADER_BYTES, MTU
+from repro.net.packet import HEADER_BYTES, MTU, Packet
 
 
 class TestFiveTuple:
@@ -50,6 +50,35 @@ class TestPacket:
         c1 = p.clone(factory.next_pid())
         c2 = c1.clone(factory.next_pid())
         assert c2.copy_of == p.pid
+
+    def test_clone_sets_every_slot_as_constructed(self, factory, ftuple):
+        """``clone`` stores each slot itself; every slot must equal the
+        constructed packet with ``t_nic`` and ``copy_of`` overwritten,
+        for a primary and for a clone of a clone, whatever the source
+        packet's stage fields hold."""
+        def constructed(src, pid):
+            cp = Packet(pid, src.ftuple, src.size, src.t_created,
+                        flow_id=src.flow_id, seq=src.seq,
+                        priority=src.priority)
+            cp.t_nic = src.t_nic
+            cp.copy_of = src.pid if src.copy_of < 0 else src.copy_of
+            return cp
+
+        def slots(pkt):
+            # NaN stage times compare equal as their repr.
+            return [repr(getattr(pkt, name)) for name in Packet.__slots__]
+
+        def stage(pkt, t):
+            pkt.t_nic, pkt.t_enq, pkt.t_deq, pkt.t_done = t, t + 1, t + 2, t + 3
+            pkt.path_id, pkt.dropped, pkt.meta = 3, "q:overflow", {"x": t}
+
+        p = factory.make(ftuple, 700, 2.0, flow_id=5, seq=8, priority=2)
+        stage(p, 2.5)
+        c1 = p.clone(41)
+        assert slots(c1) == slots(constructed(p, 41))
+        stage(c1, 7.0)
+        assert slots(c1.clone(42)) == slots(constructed(c1, 42))
+        assert c1.clone(42).copy_of == p.pid
 
 
 class TestFlow:

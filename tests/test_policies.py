@@ -177,6 +177,27 @@ class TestRedundantK:
         with pytest.raises(ValueError):
             RedundantK(r=1)
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_cached_choices_rotate(self, r, k, mk_packet):
+        """Each selection is ``r`` consecutive paths from a primary that
+        rotates by one; the lists are cached per primary."""
+        pol, paths = RedundantK(r=r), [None] * k
+        for n in range(3 * k):
+            first = n % k
+            assert pol.select(mk_packet(), paths, 0.0) == [
+                (first + i) % k for i in range(min(r, k))]
+
+    def test_reused_at_fewer_paths_after_rotating(self, mk_packet):
+        """A policy rotated at five paths and then asked at fewer keeps
+        the rotation: the primary continues from where it was, mod the
+        new path count."""
+        pol, first = RedundantK(r=3), 0
+        for k in [5, 5, 5, 2, 2, 3, 4, 4, 4, 4, 2, 5, 3]:
+            expected = [(first + i) % k for i in range(min(3, k))]
+            first = (first + 1) % k
+            assert pol.select(mk_packet(), [None] * k, 0.0) == expected
+
 
 class TestAdaptiveMultipath:
     def test_flow_affinity_while_healthy(self, paths, mk_packet):

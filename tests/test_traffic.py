@@ -14,6 +14,7 @@ from repro.net import (
     TraceReplaySource,
     WEBSEARCH_CDF,
 )
+from repro.net.traffic import REPLAY_BATCH
 from repro.units import US_PER_S
 
 
@@ -244,3 +245,59 @@ class TestTraceReplay:
             src.start()
         sim.run()
         assert got == expected
+
+
+class TestReplayDropLists:
+    def test_drop_lists_stay_bounded_through_a_burst(self):
+        """A host-steady run under a certain 38 ms NIC drop burst: the
+        replay loads the whole burst at once to find the next admitted
+        arrival, and keeps each loaded batch's drops as one entry of
+        numpy columns until all have pids, so every drop list stays
+        within a few batches for the whole run (before, one entry per
+        drop: 133,084 at the peak)."""
+        from repro import FaultSchedule, ScenarioConfig
+        from repro.bench.scenarios import build_runtime
+
+        cfg = ScenarioConfig(
+            policy="adaptive", n_paths=4, load=0.7, duration=45_000.0,
+            warmup=1_500.0, drain=5_000.0, seed=1,
+            faults=FaultSchedule().drop_burst(at=2_000.0, duration=38_000.0))
+        rt = build_runtime(cfg)
+        rt.start()
+        src, lengths = rt.src, []
+        rt.sim.periodic(250.0, lambda: lengths.append(
+            (len(src._drop_t), len(src._drop_g), len(src._fault_t))))
+        rt.sim.run(until=rt.horizon)
+        nic = rt.host.nic
+        assert nic.fault_dropped == nic.dropped > 100 * REPLAY_BATCH
+        assert len(lengths) > 150
+        assert max(max(n) for n in lengths) <= 2 * REPLAY_BATCH
+        assert nic.received + nic.dropped == src.stats.packets
+
+    def test_counts_every_arrival_once_under_replication(self):
+        """Replicas take pids in the middle of drop bursts and ring
+        overflows, so a loaded batch's drops get their pids a few at a
+        time: every arrival is counted once, with its bytes."""
+        from repro import FaultSchedule, ScenarioConfig
+        from repro.bench.scenarios import build_runtime
+
+        bursts = (FaultSchedule()
+                  .drop_burst(at=600.0, duration=200.0)
+                  .drop_burst(at=1_200.0, duration=400.0, prob=0.3))
+        cfg = ScenarioConfig(
+            policy="redundant2", n_paths=4, traffic="onoff", load=0.8,
+            duration=3_000.0, warmup=300.0, drain=2_000.0, seed=26,
+            faults=bursts, mpdp_overrides={"nic_ring": 16,
+                                           "nic_rx_cost": 0.5})
+        packets = nbytes = 0
+        for times, _, _, sizes, _ in build_runtime(cfg).src.chunks(0.0):
+            packets += len(times)
+            nbytes += int(np.broadcast_to(sizes, times.shape).sum())
+        rt = build_runtime(cfg)
+        rt.start()
+        rt.sim.run(until=rt.horizon)
+        nic, stats = rt.host.nic, rt.src.stats
+        assert rt.host.replicator.replicas_created > 0
+        assert nic.dropped > nic.fault_dropped > 0
+        assert (stats.packets, stats.bytes) == (packets, nbytes)
+        assert nic.received + nic.dropped == packets
