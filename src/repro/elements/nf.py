@@ -304,9 +304,7 @@ class FlowMonitor(Element):
         return self._sketch
 
     def _fold(self) -> None:
-        add = self._sketch.add
-        for ftuple, size in self._pending.items():
-            add(ftuple, size)
+        self._sketch.add_many(self._pending.keys(), self._pending.values())
         self._pending.clear()
 
     def process(self, packet: Packet, now: float) -> float:

@@ -9,7 +9,7 @@ probability).
 
 from __future__ import annotations
 
-from typing import Hashable, Tuple
+from typing import Collection, Hashable, Iterable, Tuple
 
 import numpy as np
 
@@ -23,11 +23,9 @@ class CountMinSketch:
     overcounts by more than ``(e/width) * N`` with probability at most
     ``exp(-depth)``.
 
-    The counter table is plain Python int lists: :meth:`add` runs once per
-    distinct five-tuple of each flow-monitor fold, and scalar list updates
-    beat numpy fancy indexing by an order of magnitude at that
-    granularity.  Counts are exact integers either way, so the
-    representation is observationally identical.
+    The counter table is plain Python int lists, exact integers that
+    :meth:`add` and :meth:`add_many` update one counter at a time; the
+    flow monitor folds its pending bytes in through :meth:`add_many`.
     """
 
     __slots__ = ("depth", "width", "_rows", "_seeds", "total")
@@ -52,6 +50,19 @@ class CountMinSketch:
         for row, s in zip(self._rows, self._seeds):
             row[((h * s) & _MASK) % width] += count
         self.total += count
+
+    def add_many(self, keys: Iterable[Hashable],
+                 counts: Collection[int]) -> None:
+        """:meth:`add` each key with its count, the row indices computed
+        as uint64 arrays: a wrapping product keeps the low 63 bits that
+        ``(h * s) & _MASK`` keeps."""
+        mask, width = np.uint64(_MASK), np.uint64(self.width)
+        h = np.fromiter(map(hash, keys), np.int64, len(counts)).view(np.uint64)
+        for row, s in zip(self._rows, self._seeds):
+            for i, c in zip((((h * np.uint64(s)) & mask) % width).tolist(),
+                            counts):
+                row[i] += c
+        self.total += sum(counts)
 
     def estimate(self, key: Hashable) -> int:
         """Point estimate of the count for ``key`` (never undercounts)."""

@@ -139,16 +139,15 @@ class Replay:
     ``t_nic`` at arrival, with its ``nic_ring`` span when tracing.  The
     NIC reads its counters from :meth:`nic_counts`.  An arrival counts in
     ``_stats`` once it has a pid.  Only admitted arrivals are records;
-    the NIC drops of a loaded batch are numpy columns, one entry in each
-    drop list, kept until every drop in the batch has a pid.
+    the NIC drops of a loaded batch are one entry of numpy columns in
+    the drop list, kept until every drop in the batch has a pid.
     """
 
     __slots__ = ("sim", "factory", "sink", "flows", "sends", "_stats",
                  "_feed", "_recs", "_i", "_k", "_cut", "_last", "_nic",
-                 "_out", "_reserved", "_drop_t", "_drop_g", "_dk",
-                 "_drop_at", "_fault_t", "_gone", "_bursts", "_burst_at",
-                 "_burst_rng", "_prev", "_pa", "_hp", "_hidle", "_late",
-                 "_counts")
+                 "_out", "_reserved", "_drops", "_dk", "_drop_at",
+                 "_gone", "_bursts", "_burst_at", "_burst_rng", "_prev",
+                 "_pa", "_hp", "_hidle", "_late", "_counts")
 
     def __init__(self, sim: Simulator, factory: Optional[PacketFactory],
                  sink: Callable[[Packet], None], flows: list,
@@ -167,12 +166,10 @@ class Replay:
         self._cut = 0  # records let go of before the window
         self._last = -float("inf")  # the latest arrival loaded
         self._nic = None
-        #: Per loaded batch with NIC drops, oldest first: arrival times;
-        #: records before each, running max pid floor and bytes before
-        #: each (and in all); the drop-burst drops' arrival times.
-        self._drop_t: list = []
-        self._drop_g: list = []
-        self._fault_t: list = []
+        #: Per loaded batch with NIC drops, oldest first, ``(arrival
+        #: times, records before each, running max pid floor, bytes
+        #: before each and in all, drop-burst drops' arrival times)``.
+        self._drops: list = []
         self._dk = 0  # drops of the first batch that have pids
         self._drop_at = float("inf")  # arrival of the next without one
         self._gone = (0, 0)  # drops and drop-burst drops let go of
@@ -249,9 +246,9 @@ class Replay:
             pass
         drops, faults = self._gone
         received = self._cut + bisect_right(self._recs, now, key=_arrival)
-        return (received, drops + _upto(self._drop_t, now),
+        return (received, drops + _upto((b[0] for b in self._drops), now),
                 received - self._cut - self._i,
-                faults + _upto(self._fault_t, now))
+                faults + _upto((b[4] for b in self._drops), now))
 
     # ------------------------------------------------------------------
     def _load(self) -> int:
@@ -280,13 +277,11 @@ class Replay:
                         keep(rec)
                         g += 1
                 t, gs, floors, sizes = zip(*drops)
-                if not self._drop_t:
+                if not self._drops:
                     self._drop_at = t[0]
-                self._drop_t.append(np.array(t))
-                self._drop_g.append((np.array(gs),
-                                     np.maximum.accumulate(floors),
-                                     np.cumsum((0,) + sizes)))
-                self._fault_t.append(np.array(faults))
+                self._drops.append((np.array(t), np.array(gs),
+                                    np.maximum.accumulate(floors),
+                                    np.cumsum((0,) + sizes), np.array(faults)))
                 return len(times)
         return 0
 
@@ -368,8 +363,8 @@ class Replay:
         late = now in self._late
         end = (bisect_left if late else bisect_right)(
             self._recs, now, self._k, key=_arrival)
-        self._assign(end, _upto(self._drop_t, now, "left" if late else
-                                "right") if self._drop_t else 0)
+        self._assign(end, _upto((b[0] for b in self._drops), now, "left"
+                                if late else "right") if self._drops else 0)
 
     def _assign(self, end: int, dend: int) -> None:
         """Give pids to the records up to ``end`` and the NIC drops up to
@@ -382,12 +377,11 @@ class Replay:
             if d < dend:
                 # The first batch's drops before record k, all at once:
                 # their pids are only counted, and catching up is a max.
-                g, floors, nbytes = self._drop_g[0]
+                _, g, floors, nbytes, faults = self._drops[0]
                 stop = min(dend, int(g.searchsorted(self._cut + k, "right"))
                            if k < end else len(g))
                 if stop > d:
-                    if floors[stop - 1] > factory._counted:
-                        factory.catch_up(int(floors[stop - 1]))
+                    factory.catch_up(int(floors[stop - 1]))
                     n = stop - d
                     factory._next_pid += n
                     factory.created += n
@@ -396,11 +390,11 @@ class Replay:
                     d = stop
                     if d == len(g):
                         self._gone = (self._gone[0] + d,
-                                      self._gone[1] + len(self._fault_t[0]))
-                        del self._drop_t[0], self._drop_g[0], self._fault_t[0]
+                                      self._gone[1] + len(faults))
+                        del self._drops[0]
                         dend, d = dend - d, 0
-                    self._drop_at = (float(self._drop_t[0][d]) if self._drop_t
-                                     else float("inf"))
+                    self._drop_at = (float(self._drops[0][0][d])
+                                     if self._drops else float("inf"))
                     continue
             rec = recs[k]
             k += 1
@@ -443,9 +437,8 @@ class Replay:
                 stats.bytes += size
                 self._k = i + 1
             else:  # it, or NIC drops before it, still need pids
-                self._assign(i + 1, _upto((g for g, _, _ in self._drop_g),
-                                          self._cut + i)
-                             if self._drop_g else 0)
+                self._assign(i + 1, _upto((b[1] for b in self._drops),
+                                          self._cut + i) if self._drops else 0)
                 pid = self._reserved.popleft()
             ft, flow_id = flows[flow]
             pkt = Packet(pid, ft, size, t_created, flow_id, seq, priority)

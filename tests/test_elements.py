@@ -354,6 +354,18 @@ class TestCountMinSketch:
         assert eps_n == pytest.approx(np.e, rel=0.01)  # e/1000 * 1000
         assert delta == pytest.approx(np.exp(-3))
 
+    @pytest.mark.parametrize("width", [256, 1000], ids=["pow2", "other"])
+    def test_add_many_matches_add(self, width):
+        """The uint64 index arithmetic of ``add_many`` against ``add``,
+        over keys whose hashes are negative, zero and near 2**63."""
+        keys = [-(2**62), -2, 0, 7, 2**63 - 1, 2**64 + 5, "flow", (1, 2, 3)]
+        counts = list(range(1, len(keys) + 1))
+        one, many = CountMinSketch(width, 4), CountMinSketch(width, 4)
+        for key, count in zip(keys, counts):
+            one.add(key, count)
+        many.add_many(keys, counts)
+        assert many._rows == one._rows and many.total == one.total
+
     def test_reset(self):
         cms = CountMinSketch()
         cms.add("x", 5)

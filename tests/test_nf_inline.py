@@ -3,14 +3,14 @@
 Two per-packet sites in ``elements/nf.py`` copy a reference method
 inline to save a call per packet: ``Classifier.process`` and
 ``AclFirewall.process`` copy ``AclRule.matches``.
-``FlowMonitor.process`` defers ``CountMinSketch.add``: it sums bytes
-per five-tuple and folds the sums into the sketch when it is read
-(``tests/test_elements.py`` interleaves such reads).  Each element is
-driven here over random five-tuples and rule sets whose fields are
-wildcards or values from a small domain, so every field decides some
-first match.  A twin element with an identically seeded jitter stream
-replays the same packets through the reference methods.  Both must agree
-on every packet's verdict and cost and on every counter.
+``FlowMonitor.process`` defers ``CountMinSketch.add``: it sums bytes per
+five-tuple and folds the sums in with ``CountMinSketch.add_many`` when
+the sketch is read (``tests/test_elements.py`` interleaves such reads).
+Each element is driven here over random five-tuples and rule sets whose
+fields are wildcards or values from a small domain, so every field
+decides some first match.  A twin element with an identically seeded
+jitter stream replays the same packets through the reference methods.
+Both must agree on every packet's verdict and cost and on every counter.
 """
 
 import numpy as np

@@ -272,8 +272,8 @@ class TestOwnedNic:
         rt.start()
         src, lengths = rt.src, []
         rt.sim.periodic(250.0, lambda: lengths.append(
-            (rt.sim.now, len(src._drop_t), len(src._drop_g),
-             len(src._fault_t))))
+            (rt.sim.now, sum(len(b[0]) for b in src._drops),
+             sum(len(b[4]) for b in src._drops))))
         rt.sim.run(until=rt.horizon)
         assert rt.host.nic.fault_dropped > 10 * REPLAY_BATCH
         after = [n for t, *ns in lengths if t >= 11_000.0 for n in ns]

@@ -14,7 +14,6 @@ from repro.net import (
     TraceReplaySource,
     WEBSEARCH_CDF,
 )
-from repro.net.traffic import REPLAY_BATCH
 from repro.units import US_PER_S
 
 
@@ -248,32 +247,6 @@ class TestTraceReplay:
 
 
 class TestReplayDropLists:
-    def test_drop_lists_stay_bounded_through_a_burst(self):
-        """A host-steady run under a certain 38 ms NIC drop burst: the
-        replay loads the whole burst at once to find the next admitted
-        arrival, and keeps each loaded batch's drops as one entry of
-        numpy columns until all have pids, so every drop list stays
-        within a few batches for the whole run (before, one entry per
-        drop: 133,084 at the peak)."""
-        from repro import FaultSchedule, ScenarioConfig
-        from repro.bench.scenarios import build_runtime
-
-        cfg = ScenarioConfig(
-            policy="adaptive", n_paths=4, load=0.7, duration=45_000.0,
-            warmup=1_500.0, drain=5_000.0, seed=1,
-            faults=FaultSchedule().drop_burst(at=2_000.0, duration=38_000.0))
-        rt = build_runtime(cfg)
-        rt.start()
-        src, lengths = rt.src, []
-        rt.sim.periodic(250.0, lambda: lengths.append(
-            (len(src._drop_t), len(src._drop_g), len(src._fault_t))))
-        rt.sim.run(until=rt.horizon)
-        nic = rt.host.nic
-        assert nic.fault_dropped == nic.dropped > 100 * REPLAY_BATCH
-        assert len(lengths) > 150
-        assert max(max(n) for n in lengths) <= 2 * REPLAY_BATCH
-        assert nic.received + nic.dropped == src.stats.packets
-
     def test_counts_every_arrival_once_under_replication(self):
         """Replicas take pids in the middle of drop bursts and ring
         overflows, so a loaded batch's drops get their pids a few at a
