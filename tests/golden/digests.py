@@ -235,6 +235,9 @@ RUNS: Dict[str, Callable[[], object]] = {
     "single": _single("single"),
     "adaptive": _single("adaptive"),
     "redundant2": _single("redundant2"),
+    "po2": _single("po2"),
+    "spray": _single("spray"),
+    "weighted": _single("weighted"),
     "crash_fault": _crash,
     "armed_check": _armed_check,
     "mtbf_faults": _mtbf_faults,
