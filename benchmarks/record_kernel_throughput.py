@@ -27,7 +27,10 @@ Modes
                    (F7's source kind), a host under a NIC drop burst
                    and replicated transmission (``redundant2`` under
                    on-off bursts and path faults), each recorded by its
-                   events per delivered packet.
+                   events per delivered packet.  Each of these runs
+                   must also free itself: with the cyclic garbage
+                   collector off, its ``Simulator`` must be gone once
+                   the result is dropped, or ``--check`` fails.
 * ``--base REF`` -- with ``--check``: compare the pps against commit REF
                    measured now on the same machine, not against the
                    recorded number.  REF's ``src`` is extracted with
@@ -47,6 +50,7 @@ Usage:
 """
 
 import argparse
+import gc
 import json
 import os
 import pathlib
@@ -56,6 +60,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import weakref
 
 import repro
 from repro.bench.scenarios import ScenarioConfig, build_runtime
@@ -126,22 +131,34 @@ def _event_scenarios() -> dict:
 
 
 def _run(cfg: ScenarioConfig) -> tuple:
-    """``(delivered packets, simulator events)`` of one run."""
+    """``(delivered packets, simulator events, weak reference to the
+    simulator)`` of one run; the runtime and result are dropped on
+    return."""
     rt = build_runtime(cfg)  # what repro.run does, keeping the runtime
     rt.start()
     rt.sim.run(until=rt.horizon)
-    return rt.finalize().stats["delivered"], rt.sim.processed_count
+    return (rt.finalize().stats["delivered"], rt.sim.processed_count,
+            weakref.ref(rt.sim))
 
 
-def _events() -> dict:
-    out = {}
+def _events() -> tuple:
+    """Each event scenario's delivered packets and events per delivered
+    packet, and the names of those whose simulator outlived its dropped
+    result (run with the cyclic garbage collector off)."""
+    out, kept = {}, []
     for name, cfg in _event_scenarios().items():
-        delivered, events = _run(cfg)
+        gc.disable()
+        try:
+            delivered, events, sim = _run(cfg)
+            if sim() is not None:
+                kept.append(name)
+        finally:
+            gc.enable()
         out[name] = {"delivered": delivered,
                      "events_per_pkt": events / delivered}
         print(f"[{name}] delivered={delivered} "
               f"events/pkt={out[name]['events_per_pkt']:.4f}")
-    return out
+    return out, kept
 
 
 def _measure(quick: bool, repeats: int) -> dict:
@@ -150,7 +167,7 @@ def _measure(quick: bool, repeats: int) -> dict:
     delivered = events = 0
     for _ in range(repeats):
         t0 = time.perf_counter()
-        delivered, events = _run(_scenario(quick))
+        delivered, events, _ = _run(_scenario(quick))
         best_wall = min(best_wall, time.perf_counter() - t0)
     return {
         "delivered": delivered,
@@ -254,13 +271,18 @@ def main(argv=None) -> int:
             print(f"events per delivered packet rose from {base_events:.4f} "
                   f"to {measured['events_per_pkt']:.4f}", file=sys.stderr)
             failed = True
-        for name, got in _events().items():
+        events, kept = _events()
+        for name, got in events.items():
             base = committed["events"][name]["events_per_pkt"]
             if got["events_per_pkt"] > base:
                 print(f"{name}: events per delivered packet rose from "
                       f"{base:.4f} to {got['events_per_pkt']:.4f}",
                       file=sys.stderr)
                 failed = True
+        for name in kept:
+            print(f"{name}: the runtime outlived its dropped result "
+                  f"(a reference cycle holds it)", file=sys.stderr)
+            failed = True
         return 1 if failed else 0
 
     if args.quick:
@@ -282,7 +304,7 @@ def main(argv=None) -> int:
         "repeats": repeats,
         "full": measured,
         "quick": quick_measured,
-        "events": _events(),
+        "events": _events()[0],
         "baseline_pps": PRE_OPT_BASELINE_PPS,
         "speedup": measured["pps"] / PRE_OPT_BASELINE_PPS,
     }

@@ -599,7 +599,20 @@ class ScenarioRuntime:
             result.forensics_report = attribute_tail(result,
                                                      self.forensics_spec)
             self.telemetry.forensics = result.forensics_report
+        self._detach()
         return result
+
+    def _detach(self) -> None:
+        """Cut the run's reference cycles, so that dropping the result
+        frees the whole runtime at once, without waiting for a full
+        garbage collection.  Afterwards nothing is scheduled and the host
+        is read-only (:meth:`MultipathDataPlane.detach`)."""
+        for attachment in (self.engine, self.slo_tracker, self.telemetry):
+            if attachment is not None:
+                attachment.detach()
+        self.sim.clear()
+        self.host.detach()
+        self.src.detach()
 
 
 def build_runtime(config: ScenarioConfig,

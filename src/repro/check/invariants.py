@@ -182,6 +182,11 @@ class InvariantEngine:
         if self.spec.conservation and self._host is not None:
             self._sample()
 
+    def detach(self) -> None:
+        """Let go of the host (after :meth:`finalize`), whose hooks still
+        reference this engine; the report stays readable."""
+        self._host = None
+
     # ------------------------------------------------------------------
     # Violation plumbing
     # ------------------------------------------------------------------

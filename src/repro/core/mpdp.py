@@ -367,6 +367,15 @@ class MultipathDataPlane:
         if self.reorder is not None:
             self.reorder.flush_all()
 
+    def detach(self) -> None:
+        """Cut the callbacks that tie the components back to the host, so
+        that reference counting alone frees a finished run.  The host is
+        read-only afterwards: :meth:`stats`, the NIC counters and the
+        sink read as before, and nothing may be fed to it."""
+        for path in self.paths:
+            path.detach()
+        self.nic.detach()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<MultipathDataPlane k={len(self.paths)} policy={self.policy.name} "

@@ -122,17 +122,18 @@ class RandomSpray(Policy):
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
-        self._draws = np.empty(0, dtype=np.int64)
+        #: The current batch of draws, as Python ints.
+        self._draws: List[int] = []
         self._i = 0
         self._k = 0
 
     def select(self, packet: Packet, paths: Sequence[DataPath], now: float) -> List[int]:
         k = len(paths)
         if self._i >= len(self._draws) or k != self._k:
-            self._draws = self.rng.integers(0, k, _BATCH)
+            self._draws = self.rng.integers(0, k, _BATCH).tolist()
             self._i = 0
             self._k = k
-        pid = int(self._draws[self._i])
+        pid = self._draws[self._i]
         self._i += 1
         return [pid]
 
@@ -192,7 +193,8 @@ class PowerOfTwo(Policy):
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
-        self._draws = np.empty((0, 2), dtype=np.int64)
+        #: The current batch of ``[a, b]`` draws, as Python ints.
+        self._draws: List[List[int]] = []
         self._i = 0
         self._k = 0
 
@@ -201,12 +203,11 @@ class PowerOfTwo(Policy):
         if k == 1:
             return [0]
         if self._i >= len(self._draws) or k != self._k:
-            self._draws = self.rng.integers(0, k, size=(_BATCH, 2))
+            self._draws = self.rng.integers(0, k, size=(_BATCH, 2)).tolist()
             self._i = 0
             self._k = k
         a, b = self._draws[self._i]
         self._i += 1
-        a, b = int(a), int(b)
         if a == b:
             b = (b + 1) % k
         return [a if paths[a].expected_wait(now) <= paths[b].expected_wait(now) else b]
@@ -267,7 +268,8 @@ class WeightedRandom(Policy):
         self.rng = rng
         self.table = FlowletTable(timeout=flowlet_timeout)
         self.controller = None
-        self._draws = np.empty(0)
+        #: The current batch of uniform draws, as Python floats.
+        self._draws: List[float] = []
         self._i = 0
 
     def bind_controller(self, controller) -> None:
@@ -276,9 +278,9 @@ class WeightedRandom(Policy):
 
     def _pick(self, k: int) -> int:
         if self._i >= len(self._draws):
-            self._draws = self.rng.random(_BATCH)
+            self._draws = self.rng.random(_BATCH).tolist()
             self._i = 0
-        u = float(self._draws[self._i])
+        u = self._draws[self._i]
         self._i += 1
         if self.controller is None:
             return int(u * k) % k  # uniform fallback before binding

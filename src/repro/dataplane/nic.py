@@ -175,6 +175,13 @@ class PhysicalNic:
             self.tracer.record(now, "nic_ring", pkt.pid, now - pkt.t_nic)
         self.dispatch(pkt)
 
+    def detach(self) -> None:
+        """Let go of ``dispatch`` and of an owning replay, whose counts
+        freeze at their values now (the end of a run)."""
+        self.dispatch = None
+        if self._feed is not None:
+            self._feed = _FrozenCounts(self._feed.nic_counts())
+
     @property
     def received(self) -> int:
         """Packets admitted to the rx ring so far."""
@@ -202,3 +209,13 @@ class PhysicalNic:
         if self._feed is None:
             return len(self._ring)
         return self._feed.nic_counts()[2]
+
+
+class _FrozenCounts(tuple):
+    """An owning replay's final :meth:`~repro.net.traffic.Replay.nic_counts`,
+    which a detached NIC keeps reading."""
+
+    __slots__ = ()
+
+    def nic_counts(self):
+        return self

@@ -307,6 +307,12 @@ class DataPath:
                                self.path_id)
         self._complete_cb(packet)
 
+    def detach(self) -> None:
+        """Let go of the host's callbacks and the poller's (the end of a
+        run; every counter and signal stays readable)."""
+        self._complete_cb = self._drop_cb = None
+        self.poller.detach()
+
     def _on_service_drop(self, packet: Packet) -> None:
         self.service_dropped += 1
         self._on_drop(packet)

@@ -116,6 +116,12 @@ class Poller:
             self.queue.on_enqueue = None
             self.sim.call_in(0.0, self._serve_batch, priority=2)
 
+    def detach(self) -> None:
+        """Let go of the completion callbacks and the queue's wakeup hook
+        (the end of a run; the counters stay readable)."""
+        self.sink = self.drop_sink = None
+        self.queue.on_enqueue = None
+
     def _on_enqueue(self) -> None:
         if self._busy or self.frozen:
             return

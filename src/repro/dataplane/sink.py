@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.check.invariants import NullInvariants
-from repro.metrics.collectors import LatencyRecorder, ThroughputMeter
+from repro.metrics.collectors import PENDING_MAX, LatencyRecorder, ThroughputMeter
 from repro.net.flow import FlowTracker
 from repro.net.packet import Packet
 from repro.obs.span import NullTracer
@@ -75,7 +75,10 @@ class DeliverySink:
                 rec._max = latency
             if rec.keep_all:
                 rec.samples.append(latency)
-            rec._pending.append(latency)
+            pending = rec._pending
+            pending.append(latency)
+            if len(pending) >= PENDING_MAX:
+                rec._flush()
         tm = self.throughput
         if tm.packets == 0:
             tm.t_first = now

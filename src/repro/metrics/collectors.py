@@ -105,6 +105,10 @@ class Ewma:
         self._value = float("nan")
 
 
+#: Post-warmup samples a recorder buffers before folding them unread.
+PENDING_MAX = 8192
+
+
 class LatencyRecorder:
     """Sink-side latency measurement.
 
@@ -168,7 +172,9 @@ class LatencyRecorder:
         #: Post-warmup samples not yet folded into the reservoir.
         #: record() only buffers; _flush() replays in arrival order (same
         #: draws, same float-op order), so every read-side method sees
-        #: state identical to eager per-sample updates.
+        #: state identical to eager per-sample updates.  The buffer folds
+        #: once it holds :data:`PENDING_MAX` samples, so it stays bounded
+        #: when nothing reads the recorder during a long run.
         self._pending: List[float] = []
         #: Leading samples already folded into the P² bank.
         self._p2_n = 0
@@ -184,7 +190,10 @@ class LatencyRecorder:
             self._max = latency
         if self.keep_all:
             self.samples.append(latency)
-        self._pending.append(latency)
+        pending = self._pending
+        pending.append(latency)
+        if len(pending) >= PENDING_MAX:
+            self._flush()
 
     def _flush(self) -> None:
         """Fold buffered samples into the reservoir.

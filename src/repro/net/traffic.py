@@ -237,6 +237,13 @@ class Replay:
         if self._recs:
             self.sim.call_at(self._recs[0][0], self._tick)
 
+    def detach(self) -> None:
+        """Let go of the column generator and of the factory's link back
+        (the end of a run: call after the owned NIC is detached)."""
+        self._feed = None
+        if isinstance(self.factory, ReplayFactory):
+            self.factory._replay = None
+
     def nic_counts(self):
         """``(received, dropped, ring occupancy, drop-burst drops)`` of
         the owned NIC now: every arrival at or before now has reached
@@ -426,7 +433,13 @@ class Replay:
         i = self._i
         while True:
             _, t, floor, flow, seq, size, priority, t_created = recs[i]
-            if self._k == i and self._drop_at > t:
+            if self._drop_at <= t:  # NIC drops before it may need pids
+                self._assign(i + 1, _upto((b[1] for b in self._drops),
+                                          self._cut + i))
+                pid = self._reserved.popleft()
+            elif self._k > i:  # a replica's allocation gave it its pid
+                pid = self._reserved.popleft()
+            else:
                 if floor and floor > factory._counted:
                     factory.catch_up(floor)
                 pid = factory._next_pid
@@ -436,10 +449,6 @@ class Replay:
                 stats.packets += 1
                 stats.bytes += size
                 self._k = i + 1
-            else:  # it, or NIC drops before it, still need pids
-                self._assign(i + 1, _upto((b[1] for b in self._drops),
-                                          self._cut + i) if self._drops else 0)
-                pid = self._reserved.popleft()
             ft, flow_id = flows[flow]
             pkt = Packet(pid, ft, size, t_created, flow_id, seq, priority)
             # The next record, loaded past any NIC drops.

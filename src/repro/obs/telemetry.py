@@ -134,6 +134,12 @@ class Telemetry:
         self.manifest = run_manifest(config=config, seed=seed, wall_s=wall_s)
         return self
 
+    def detach(self) -> None:
+        """Drop the registered gauges, which read the host (after
+        :meth:`finalize`: the sampler has stopped; every recorded series
+        stays)."""
+        self.registry._gauges.clear()
+
     def _derive_controller_events(self, ctl) -> None:
         """Diff consecutive control snapshots into health/eject/park flips."""
         n_paths = len(ctl.paths)

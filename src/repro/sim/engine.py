@@ -118,9 +118,11 @@ class PeriodicHandle:
         O(1): the entry is deleted lazily.  The simulator counts dead
         entries and compacts the schedule once they dominate, so
         cancel-heavy workloads cannot grow the schedule without bound.
+        The handle lets go of ``fn``, which never runs again.
         """
         if not self.cancelled:
             self.cancelled = True
+            self.fn = None
             self.sim._note_dead()
 
     def _fire(self) -> None:
@@ -175,6 +177,7 @@ class Simulator:
         "_running",
         "_processed",
         "_dead",
+        "__weakref__",
     )
 
     def __init__(self, start_time: float = 0.0,
@@ -383,6 +386,15 @@ class Simulator:
                 e[2](*e[3])
         finally:
             self._processed += n
+
+    def clear(self) -> None:
+        """Drop every pending entry: nothing stays scheduled.
+
+        A finished run calls this so its schedule, which references the
+        model's callbacks, no longer keeps the model alive.
+        """
+        self._heap.clear()
+        self._dead = 0
 
     def stop(self, value: Any = None) -> None:
         """Halt :meth:`run` from inside a callback."""

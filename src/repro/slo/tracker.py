@@ -91,6 +91,14 @@ class SloTracker:
             first_at=self.warmup + self.spec.window,
         )
 
+    def detach(self) -> None:
+        """Stop closing windows and give the sink back its previous hook
+        (the end of a run; :meth:`report` reads as before)."""
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+        self.host.sink.on_delivery = self._prev_hook
+
     def _snap_baseline(self) -> None:
         self._last_delivered = self.host.sink.delivered
         self._last_dropped = self.host.drop_count()

@@ -85,7 +85,9 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
+                # One-shot dumps takes the C encoder; json.dump's chunked
+                # Python encoder leaves a reference cycle per call.
+                fh.write(json.dumps(payload))
             os.replace(tmp, path)
         except BaseException:
             try:
