@@ -1,6 +1,7 @@
-"""Environment-based duration scaling and seed replication.
+"""Environment-based duration scaling.
 
-Grids of runs go through :func:`repro.run_sweep`.  ``REPRO_BENCH_SCALE``
+Grids of runs, seed replications included (a ``seed`` axis), go through
+:func:`repro.run_sweep`.  ``REPRO_BENCH_SCALE``
 (float, default 1.0) multiplies every experiment's traffic duration:
 set 0.2 for a quick smoke pass, 5 for tighter tails.
 All figure functions route their durations through
@@ -9,11 +10,7 @@ All figure functions route their durations through
 
 from __future__ import annotations
 
-import dataclasses
 import os
-from typing import Callable, Dict
-
-from repro.bench.scenarios import ScenarioConfig, SimulationResult, run_scenario
 
 
 def bench_scale() -> float:
@@ -30,33 +27,3 @@ def bench_scale() -> float:
 def scaled_duration(base_us: float) -> float:
     """Scale a baseline duration by the bench scale factor."""
     return base_us * bench_scale()
-
-
-def replicate(
-    base: ScenarioConfig,
-    n_seeds: int = 5,
-    metric: Callable[[SimulationResult], float] = lambda r: r.exact_percentile(99),
-    seed0: int = 1000,
-) -> Dict[str, float]:
-    """Run ``base`` under ``n_seeds`` independent seeds and summarize
-    ``metric`` across them: ``{mean, std, min, max, values}``.
-
-    Tail percentiles are noisy functionals; any headline factor worth
-    publishing should be checked across seeds with this helper.
-    """
-    if n_seeds <= 0:
-        raise ValueError(f"n_seeds must be positive, got {n_seeds}")
-    values = []
-    for i in range(n_seeds):
-        cfg = dataclasses.replace(base, seed=seed0 + i)
-        values.append(float(metric(run_scenario(cfg))))
-    import numpy as np
-
-    arr = np.array(values)
-    return {
-        "mean": float(arr.mean()),
-        "std": float(arr.std(ddof=1)) if n_seeds > 1 else 0.0,
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-        "values": values,
-    }

@@ -131,10 +131,6 @@ class _ClassedQueueBase:
                     oldest = t
         return 0.0 if oldest is None else now - oldest
 
-    def class_depth(self, cls: int) -> int:
-        """Packets queued in one class."""
-        return len(self._classes[cls])
-
     def pop_batch(self, max_n: int) -> List[Packet]:
         out = []
         for _ in range(min(max_n, self._len)):

@@ -15,7 +15,7 @@ balancer, DPI, and VXLAN-style encap/decap.
 """
 
 from repro.elements.base import Element, Chain, StatelessElement, PASS, DROP
-from repro.elements.graph import ElementGraph, GraphError, chain_from_names
+from repro.elements.graph import ElementGraph, GraphError
 from repro.elements.nf import (
     Classifier,
     AclFirewall,
@@ -42,7 +42,6 @@ __all__ = [
     "DROP",
     "ElementGraph",
     "GraphError",
-    "chain_from_names",
     "Classifier",
     "AclFirewall",
     "AclRule",

@@ -16,7 +16,7 @@ instead, but the analysis is kept for the ablation comparing the two.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.elements.base import Chain, Element
 
@@ -206,16 +206,3 @@ class ElementGraph:
             preds = list(self._g.predecessors(n))
             cost[n] = own + max((cost[p] for p in preds), default=0.0)
         return max(cost.values())
-
-
-def chain_from_names(
-    names: Sequence[str],
-    elements: Dict[str, Element],
-    chain_name: str = "chain",
-) -> Chain:
-    """Build a validated linear chain from element instances by name."""
-    g = ElementGraph(chain_name)
-    for n in names:
-        g.add(elements[n])
-    g.chain(*names)
-    return g.compile_chain()

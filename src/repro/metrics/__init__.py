@@ -1,11 +1,11 @@
 """Measurement utilities: streaming statistics, recorders, reports.
 
 * :mod:`~repro.metrics.stats` -- P² streaming quantile estimation,
-  reservoir sampling, exact percentile summaries, CDFs;
+  reservoir sampling, exact percentile summaries;
 * :mod:`~repro.metrics.collectors` -- latency recorders, throughput
   meters, EWMA trackers used by both the measurement harness and the
   multipath controller itself;
-* :mod:`~repro.metrics.report` -- plain-text table/series rendering used
+* :mod:`~repro.metrics.report` -- plain-text table rendering used
   by the benchmark harness to print paper-style rows.
 """
 
@@ -15,7 +15,6 @@ from repro.metrics.stats import (
     ReservoirSampler,
     LatencySummary,
     summarize,
-    cdf_points,
     PERCENTILES,
 )
 from repro.metrics.collectors import (
@@ -24,7 +23,7 @@ from repro.metrics.collectors import (
     Ewma,
     Counter,
 )
-from repro.metrics.report import Table, format_series, format_cdf
+from repro.metrics.report import Table
 from repro.metrics.timeseries import TimeSeries
 from repro.metrics.availability import AvailabilityTracker, FaultWindow
 
@@ -34,15 +33,12 @@ __all__ = [
     "ReservoirSampler",
     "LatencySummary",
     "summarize",
-    "cdf_points",
     "PERCENTILES",
     "LatencyRecorder",
     "ThroughputMeter",
     "Ewma",
     "Counter",
     "Table",
-    "format_series",
-    "format_cdf",
     "TimeSeries",
     "AvailabilityTracker",
     "FaultWindow",

@@ -211,7 +211,7 @@ class LatencyRecorder:
         if not self.keep_all and (
                 res is None or res.count + len(pending) > res.capacity):
             if res is not None and self._p2_n < res.count:
-                self._fold_p2(res.in_order(self._p2_n))
+                self._fold_reservoir(self._p2_n)
             self._fold_p2(pending)
             self._p2_n = self.count
         if res is not None:
@@ -220,6 +220,13 @@ class LatencyRecorder:
     def _fold_p2(self, xs) -> None:
         for est in self.p2.values():
             est.add_many(xs)
+
+    def _fold_reservoir(self, start: int) -> None:
+        """Fold the reservoir's in-order samples from ``start`` into the
+        P² bank, :data:`PENDING_MAX` at a time (no prefix-sized list)."""
+        res = self.reservoir
+        for lo in range(start, res.count, PENDING_MAX):
+            self._fold_p2(res.in_order(lo, lo + PENDING_MAX))
 
         # ------------------------------------------------------------------
     @property
@@ -235,8 +242,10 @@ class LatencyRecorder:
         self._flush()
         n = self._p2_n
         if n < self.count:
-            self._fold_p2(self.samples[n:] if self.keep_all
-                          else self.reservoir.in_order(n))
+            if self.keep_all:
+                self._fold_p2(self.samples[n:])
+            else:
+                self._fold_reservoir(n)
             self._p2_n = self.count
         return self.p2[q].value
 

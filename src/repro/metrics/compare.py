@@ -9,7 +9,8 @@ Tail percentiles from a single seeded run are point estimates; claiming
   (improvement factor) from independent samples; the reproduction's
   "who wins by what factor" statements can carry error bars.
 
-Both operate on raw sample arrays (e.g. ``LatencyRecorder.values()``).
+Both operate on raw sample arrays (e.g. ``LatencyRecorder.values()``);
+spread across seeds comes from a ``seed`` axis on :func:`repro.run_sweep`.
 """
 
 from __future__ import annotations
@@ -68,17 +69,3 @@ def percentile_ratio_ci(
     alpha = (1.0 - confidence) / 2.0
     lo, hi = np.quantile(ratios, [alpha, 1.0 - alpha])
     return point, float(lo), float(hi)
-
-
-def improvement_significant(
-    baseline: np.ndarray,
-    candidate: np.ndarray,
-    pct: float,
-    confidence: float = 0.95,
-    **kw,
-) -> bool:
-    """True if the candidate's percentile improvement over the baseline
-    is significant: the ratio CI's lower bound exceeds 1."""
-    _point, lo, _hi = percentile_ratio_ci(baseline, candidate, pct,
-                                          confidence=confidence, **kw)
-    return lo > 1.0

@@ -1,16 +1,13 @@
-"""Plain-text rendering of paper-style tables and series.
+"""Plain-text rendering of paper-style tables.
 
-The benchmark harness prints every reproduced table/figure as text:
-tables as aligned columns, figures as ``x -> y`` series (one line per
-series point).  Keeping this purely textual makes ``pytest benchmarks/``
+The benchmark harness prints every reproduced table/figure as text in
+aligned columns.  Keeping this purely textual makes ``pytest benchmarks/``
 output self-contained in CI logs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, List, Sequence
 
 
 class Table:
@@ -65,59 +62,3 @@ class Table:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def format_series(
-    xs: Sequence,
-    ys: Sequence,
-    x_label: str = "x",
-    y_label: str = "y",
-    title: str = "",
-) -> str:
-    """Render a figure series as aligned ``x -> y`` lines."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have equal length")
-    t = Table([x_label, y_label], title=title)
-    for x, y in zip(xs, ys):
-        t.add_row([x, float(y) if isinstance(y, (int, float, np.floating)) else y])
-    return t.render()
-
-
-def format_cdf(
-    samples: Sequence[float],
-    title: str = "CDF",
-    points: Optional[Sequence[float]] = None,
-) -> str:
-    """Render key quantiles of a sample as a compact CDF readout."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size == 0:
-        return f"== {title} ==\n(no samples)"
-    qs = points if points is not None else (10, 25, 50, 75, 90, 95, 99, 99.9)
-    vals = np.percentile(arr, qs)
-    t = Table(["pct", "value"], title=title)
-    for q, v in zip(qs, vals):
-        t.add_row([f"p{q:g}", float(v)])
-    return t.render()
-
-
-def speedup_table(
-    baselines: dict,
-    candidate_name: str,
-    metric: str = "p99",
-) -> Tuple[str, dict]:
-    """Compare one candidate against several baselines on a scalar metric.
-
-    ``baselines`` maps name -> value (smaller is better).  Returns the
-    rendered table and a dict of ``name -> improvement factor`` of the
-    candidate over each baseline.
-    """
-    if candidate_name not in baselines:
-        raise KeyError(f"{candidate_name!r} missing from results")
-    cand = baselines[candidate_name]
-    t = Table(["system", metric, f"vs {candidate_name}"], title=f"{metric} comparison")
-    factors = {}
-    for name, val in baselines.items():
-        factor = val / cand if cand > 0 else float("nan")
-        factors[name] = factor
-        t.add_row([name, float(val), f"{factor:.2f}x"])
-    return t.render(), factors

@@ -269,8 +269,8 @@ class ReservoirSampler:
             c += 1
         self.count = c
 
-    def in_order(self, start: int = 0) -> list:
-        """Observations ``start`` onwards, in arrival order, as floats.
+    def in_order(self, start: int, stop: int) -> list:
+        """Observations ``start`` up to ``stop`` in arrival order, as floats.
 
         Algorithm R stores the i-th observation in slot i until the
         reservoir is full, so this is defined only while nothing has
@@ -279,7 +279,7 @@ class ReservoirSampler:
         if self.count > self.capacity:
             raise ValueError("the reservoir has replaced observations; "
                              "arrival order is lost")
-        return self._buf[start:self.count].tolist()
+        return self._buf[start:min(stop, self.count)].tolist()
 
     def values(self) -> np.ndarray:
         """Copy of the current reservoir contents."""
@@ -372,17 +372,3 @@ def summarize(samples: Iterable[float]) -> LatencySummary:
         p999=float(pcts[4]),
         max=float(arr.max()),
     )
-
-
-def cdf_points(samples: Sequence[float], n_points: int = 100) -> Tuple[np.ndarray, np.ndarray]:
-    """Return ``(x, F(x))`` arrays for plotting an empirical CDF.
-
-    ``x`` holds ``n_points`` evenly spaced quantiles of the sample, which
-    renders tails better than evenly spaced values.
-    """
-    arr = np.sort(np.asarray(samples, dtype=np.float64))
-    if arr.size == 0:
-        return np.empty(0), np.empty(0)
-    qs = np.linspace(0.0, 1.0, n_points)
-    x = np.quantile(arr, qs)
-    return x, qs

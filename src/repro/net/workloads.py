@@ -175,12 +175,3 @@ def workload_by_name(name: str) -> EmpiricalCDF:
         raise KeyError(
             f"unknown workload {name!r}; available: {sorted(_WORKLOADS)}"
         ) from None
-
-
-def short_flow_threshold(workload: str) -> int:
-    """Size (bytes) below which a flow counts as 'short' in FCT analyses.
-
-    100 KB is the conventional cut for websearch-like workloads; the
-    datamining tail is so heavy that 10 KB separates the mice better.
-    """
-    return 10_000 if workload == "datamining" else 100_000

@@ -113,15 +113,6 @@ class MetricsRegistry:
         for name, value in self.counters.as_dict().items():
             self.series.setdefault(name, []).append((now, float(value)))
 
-    def rate_series(self, name: str) -> List[Tuple[float, float]]:
-        """Per-interval rate (events/µs) derived from a sampled counter."""
-        pts = self.series.get(name, [])
-        out = []
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t1 > t0:
-                out.append((t1, (v1 - v0) / (t1 - t0)))
-        return out
-
     def to_dict(self) -> Dict:
         """JSON-friendly dump: series, final counters, histogram summaries.
 

@@ -29,7 +29,7 @@ Example
 
 from repro.sim.engine import Simulator, NORMAL, URGENT, LOW
 from repro.sim.errors import SimulationError, StopSimulation
-from repro.sim.rng import RngRegistry, spawn_streams
+from repro.sim.rng import RngRegistry
 from repro.obs.span import Tracer, TraceRecord, NullTracer
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "SimulationError",
     "StopSimulation",
     "RngRegistry",
-    "spawn_streams",
     "Tracer",
     "TraceRecord",
     "NullTracer",

@@ -18,12 +18,6 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 
-def spawn_streams(seed: int, n: int) -> List[np.random.Generator]:
-    """Spawn ``n`` independent generators from a root ``seed``."""
-    root = np.random.SeedSequence(seed)
-    return [np.random.default_rng(s) for s in root.spawn(n)]
-
-
 class RngRegistry:
     """Named, lazily created random streams under one root seed.
 

@@ -32,11 +32,6 @@ def bps_to_bytes_per_us(rate_bps: float) -> float:
     return rate_bps / 8.0 / US_PER_S
 
 
-def gbps(x: float) -> float:
-    """Gigabits/second to bits/second."""
-    return x * 1e9
-
-
 def ms(x: float) -> float:
     """Milliseconds to microseconds."""
     return x * 1_000.0

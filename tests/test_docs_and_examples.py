@@ -1,10 +1,13 @@
 """Hygiene tests: examples compile, public modules are documented,
-documentation files exist and cover the required content."""
+documentation files exist and cover the required content, and the
+imports in their code snippets resolve."""
 
+import ast
 import importlib
 import pathlib
 import py_compile
 import pkgutil
+import re
 
 import pytest
 
@@ -85,3 +88,21 @@ class TestDocumentationFiles:
         for exp_id in ALL_EXPERIMENTS:
             prefix = f"bench_{exp_id.lower()}"
             assert any(n.startswith(prefix) for n in bench_names), exp_id
+
+    def test_snippet_imports_resolve(self):
+        """Every import statement in a fenced ``python`` block runs."""
+        docs = sorted((ROOT / "docs").glob("*.md")) + [
+            ROOT / n for n in ("README.md", "EXPERIMENTS.md", "DESIGN.md")]
+        imports = []
+        for path in docs:
+            for block in re.findall(r"^```python\n(.*?)^```", path.read_text(),
+                                    re.M | re.S):
+                imports += [(path.name, node) for node in ast.walk(ast.parse(block))
+                            if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert imports
+        for name, node in imports:
+            code = compile(ast.Module([node], type_ignores=[]), name, "exec")
+            try:
+                exec(code, {})
+            except ImportError as exc:
+                pytest.fail(f"{name}: {ast.unparse(node)}: {exc}")

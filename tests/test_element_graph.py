@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.elements import Chain, Delay, ElementGraph, GraphError, chain_from_names
+from repro.elements import Chain, Delay, ElementGraph, GraphError
 
 
 def linear_graph(n=3):
@@ -103,11 +103,6 @@ class TestCompilation:
         g.connect("y", "z")
         order = [e.name for e in g.topological_order()]
         assert order.index("x") < order.index("y") < order.index("z")
-
-    def test_chain_from_names(self, mk_packet):
-        els = {n: Delay(n) for n in ("a", "b")}
-        ch = chain_from_names(["a", "b"], els)
-        assert len(ch) == 2
 
 
 class TestAnalysis:

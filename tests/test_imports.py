@@ -4,8 +4,8 @@ Every fresh process -- a CLI call, a sweep or cluster worker on a spawn
 platform -- pays for ``import repro`` before it simulates anything, so
 networkx, the multiprocessing engines and the operations stack load on
 first use instead.  The public surface is unchanged: every ``__all__``
-name of ``repro`` and of each lazily exporting package resolves and is
-listed by ``dir()``.
+name of ``repro`` and of each subpackage resolves and is listed by
+``dir()``.
 """
 
 import importlib
@@ -21,6 +21,8 @@ import repro
 
 LAZY_PACKAGES = ["repro", "repro.obs", "repro.check", "repro.faults",
                  "repro.bench", "repro.sweep", "repro.cluster", "repro.slo"]
+EAGER_PACKAGES = ["repro.analysis", "repro.core", "repro.dataplane",
+                  "repro.elements", "repro.metrics", "repro.net", "repro.sim"]
 
 #: Modules a single-host simulation run must not import.
 NOT_FOR_A_RUN = ["networkx", "multiprocessing", "repro.sweep",
@@ -47,7 +49,7 @@ def test_simulation_run_imports_no_operations_stack():
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
-@pytest.mark.parametrize("name", LAZY_PACKAGES)
+@pytest.mark.parametrize("name", LAZY_PACKAGES + EAGER_PACKAGES)
 def test_every_export_resolves_and_is_listed(name):
     package = importlib.import_module(name)
     listed = dir(package)

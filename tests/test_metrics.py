@@ -13,12 +13,8 @@ from repro.metrics import (
     ReservoirSampler,
     Table,
     ThroughputMeter,
-    cdf_points,
-    format_cdf,
-    format_series,
     summarize,
 )
-from repro.metrics.report import speedup_table
 
 
 class TestP2Quantile:
@@ -200,16 +196,6 @@ class TestSummaries:
         s = summarize([])
         assert s.count == 0 and math.isnan(s.mean)
 
-    def test_cdf_points_monotone(self):
-        rng = np.random.default_rng(5)
-        x, q = cdf_points(rng.exponential(5, 1000), n_points=50)
-        assert len(x) == 50
-        assert np.all(np.diff(x) >= 0) and np.all(np.diff(q) >= 0)
-
-    def test_cdf_points_empty(self):
-        x, q = cdf_points([])
-        assert len(x) == 0
-
 
 class TestEwma:
     def test_first_value_is_exact(self):
@@ -283,9 +269,10 @@ class TestLazyQuantile:
 
     QS = (0.5, 0.99, 0.999)
 
-    def _drive(self, rec, n_samples, seed):
-        """Interleave record/values/summary/quantile calls; compare every
-        quantile read with eagerly fed estimators."""
+    def _drive(self, rec, n_samples, seed, first_read=0):
+        """Interleave record/values/summary/quantile calls (from sample
+        ``first_read`` on); compare every quantile read with eagerly fed
+        estimators."""
         rng = np.random.default_rng(seed)
         eager = {q: P2Quantile(q) for q in self.QS}
         eager_res = (ReservoirSampler(rec.reservoir.capacity, seed=0xFACE)
@@ -305,7 +292,7 @@ class TestLazyQuantile:
                 est.add(x)
             if eager_res is not None:
                 eager_res.add(x)
-            op = rng.integers(40)
+            op = rng.integers(40) if len(seen) > first_read else -1
             if op == 0:
                 reads += 1
                 for q in self.QS:
@@ -325,6 +312,14 @@ class TestLazyQuantile:
 
     def test_past_reservoir_capacity(self):
         self._drive(LatencyRecorder(reservoir=300), 3_000, seed=2)
+
+    def test_prefix_longer_than_pending_bound(self):
+        # The in-order prefix folds in PENDING_MAX slices: once when the
+        # reservoir first overflows, once as a quantile() catch-up.
+        self._drive(LatencyRecorder(reservoir=20_000), 30_000, seed=7,
+                    first_read=25_000)
+        self._drive(LatencyRecorder(reservoir=20_000), 20_000, seed=8,
+                    first_read=19_000)
 
     def test_crossing_capacity_before_first_read(self):
         rec = LatencyRecorder(reservoir=100)
@@ -392,29 +387,3 @@ class TestReport:
         t = Table(["a", "b"])
         with pytest.raises(ValueError):
             t.add_row([1])
-
-    def test_format_series(self):
-        out = format_series([1, 2], [10.0, 20.0], "load", "p99")
-        assert "load" in out and "p99" in out
-
-    def test_format_series_length_mismatch(self):
-        with pytest.raises(ValueError):
-            format_series([1], [1, 2])
-
-    def test_format_cdf(self):
-        out = format_cdf(np.arange(100.0), title="lat")
-        assert "p99" in out
-
-    def test_format_cdf_empty(self):
-        assert "no samples" in format_cdf([])
-
-    def test_speedup_table(self):
-        rendered, factors = speedup_table(
-            {"single": 100.0, "mpdp": 25.0}, "mpdp", metric="p99"
-        )
-        assert factors["single"] == pytest.approx(4.0)
-        assert "4.00x" in rendered
-
-    def test_speedup_table_missing_candidate(self):
-        with pytest.raises(KeyError):
-            speedup_table({"a": 1.0}, "b")

@@ -26,11 +26,12 @@ class TestPriorityQueue:
 
     def test_priority_clamped_to_classes(self, sim, mk_packet):
         q = PriorityPathQueue(sim, n_classes=2)
-        q.push(mk_packet(priority=99))
-        assert q.class_depth(1) == 1
-        q2 = PriorityPathQueue(sim, n_classes=2)
-        q2.push(mk_packet(priority=-3))
-        assert q2.class_depth(0) == 1
+        bulk = mk_packet(seq=0, priority=0)
+        high = mk_packet(seq=1, priority=99)  # clamped to class 1
+        low = mk_packet(seq=2, priority=-3)  # clamped to class 0
+        for p in (bulk, high, low):
+            q.push(p)
+        assert [q.pop() for _ in range(3)] == [high, bulk, low]
 
     def test_overflow_evicts_bulk_for_urgent(self, sim, mk_packet):
         q = PriorityPathQueue(sim, capacity_pkts=2, n_classes=2)

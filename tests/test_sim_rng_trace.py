@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.sim import NullTracer, RngRegistry, Tracer, spawn_streams
+from repro.sim import NullTracer, RngRegistry, Tracer
 
 
 class TestRngRegistry:
@@ -40,11 +40,6 @@ class TestRngRegistry:
         reg = RngRegistry(seed=3)
         out = reg.streams(["a", "b"])
         assert len(out) == 2
-
-    def test_spawn_streams_independent(self):
-        s = spawn_streams(7, 3)
-        assert len(s) == 3
-        assert s[0].random() != s[1].random()
 
 
 class TestTracer:

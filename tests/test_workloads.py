@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.net import DATAMINING_CDF, ENTERPRISE_CDF, WEBSEARCH_CDF, EmpiricalCDF, workload_by_name
-from repro.net.workloads import short_flow_threshold
 
 
 class TestEmpiricalCDF:
@@ -89,7 +88,3 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             workload_by_name("nope")
-
-    def test_short_flow_threshold(self):
-        assert short_flow_threshold("datamining") == 10_000
-        assert short_flow_threshold("websearch") == 100_000
