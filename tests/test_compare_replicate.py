@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.dataplane.vcpu import SHARED_CORE
+from repro.dataplane.vcpu import SHARED_CORE, JitterParams
 from repro.metrics.compare import bootstrap_percentile_ci, percentile_ratio_ci
 from repro.sweep import Axis, SweepSpec, run_sweep
 
@@ -64,6 +64,40 @@ class TestRatioCi:
         baseline = rng.exponential(10, 3000)
         worse = rng.exponential(50, 3000)
         assert percentile_ratio_ci(baseline, worse, 95)[1] <= 1.0
+
+
+class TestReplicate:
+    """Multi-seed replication of one scenario: a ``seed`` axis."""
+
+    SEEDS = [1000, 1001, 1002]
+
+    def _run(self, seeds, **base):
+        cfg = dict(chain="basic", load=0.4, duration=5_000.0, warmup=1_000.0,
+                   jitter=JitterParams(), n_flows=32)
+        cfg.update(base)
+        spec = SweepSpec("replicate", base=cfg, axes=[Axis("seed", seeds)],
+                         seed_mode="fixed")
+        return run_sweep(spec, jobs=1, cache=False)
+
+    def test_runs_n_seeds(self):
+        sr = self._run(self.SEEDS)
+        assert len(sr.cells) == 3
+        assert sorted(c.params["seed"] for c in sr.cells) == self.SEEDS
+        p99s = [c.exact["p99"] for c in sr.cells]
+        assert min(p99s) <= float(np.mean(p99s)) <= max(p99s)
+
+    def test_seeds_actually_vary(self):
+        sr = self._run(self.SEEDS, load=0.5, duration=8_000.0,
+                       jitter=SHARED_CORE)
+        assert len({c.exact["p99"] for c in sr.cells}) > 1
+
+    def test_custom_metric(self):
+        sr = self._run(self.SEEDS[:2])
+        assert all(float(c.stats["delivered"]) > 0 for c in sr.cells)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            Axis("seed", [])
 
 
 class TestCrossSeedClaim:
